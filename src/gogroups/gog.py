@@ -15,11 +15,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InvalidStructure, SpellingFailure, UnsupportedHom
-from .graph import AbstractGraph, EdgeOrbit, ValidationReport, orbits, spanning_tree, validate_graph
+from .graph import (
+    AbstractGraph,
+    EdgeOrbit,
+    ValidationReport,
+    bfs_parents,
+    orbits,
+    spanning_tree,
+    validate_graph,
+)
 from .groups import FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
+from .quotients import freely_reduce
 
 
 class DiagramClass(enum.Enum):
@@ -30,9 +40,17 @@ class DiagramClass(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class GraphOfGroups:
-    """Compared and hashed by identity: the dict-valued fields make
-    structural hashing impractical, and per-instance caches (validation,
-    classification, default presentation) rely on identity anyway."""
+    """A graph of groups (or diagram) with a basepoint and an optional
+    stored spanning tree.
+
+    Compared and hashed by identity: the dict-valued fields make
+    structural hashing impractical.  Data derived from the fields is
+    computed on first use and kept on the instance: the validation report
+    (``validate_gog``), the classification (``classify``), the spanning
+    tree (``tree_orbits``), the tree half-edge entering each vertex on its
+    path from the basepoint (``tree_parent``) and the default presentation
+    (``pi1_presentation`` without arguments).
+    """
 
     graph: AbstractGraph
     vgroup: "MappingProxyType"
@@ -64,14 +82,84 @@ class GraphOfGroups:
     def orbit_of(self, e: str) -> EdgeOrbit:
         return EdgeOrbit.of(self.graph, e)
 
-    def egroup_of(self, e: str) -> GroupDesc:
-        return self.egroup[self.orbit_of(e).plus]
-
     def tree_orbits(self) -> frozenset:
         """The stored tree, or the deterministic default."""
+        return self._tree_ids
+
+    @cached_property
+    def _tree_ids(self) -> frozenset:
         if self.tree is not None:
             return self.tree
         return frozenset(o.plus for o in spanning_tree(self.graph))
+
+    @cached_property
+    def tree_parent(self) -> "MappingProxyType":
+        """{vertex: tree half-edge entering it} on the tree paths from
+        ``base``; the basepoint maps to None.  Vertices the tree does not
+        reach from ``base`` are absent."""
+        tree = self.tree_orbits()
+        half_edges = tree | {self.graph.bar[p] for p in tree}
+        return MappingProxyType(bfs_parents(self.graph, self.base, half_edges))
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        graph = self.graph
+        bad = list(validate_graph(graph).violations)
+        for v in sorted(graph.vertices):
+            if v not in self.vgroup:
+                bad.append(f"vertex {v}: no vertex group")
+        for v in sorted(set(self.vgroup) - graph.vertices):
+            bad.append(f"vertex group for unknown vertex {v}")
+        orbit_list = orbits(graph) if not bad else []
+        for o in orbit_list:
+            if o.plus not in self.egroup:
+                bad.append(f"orbit {o.plus}: no edge group")
+        for key in sorted(set(self.egroup) - {o.plus for o in orbit_list}):
+            bad.append(f"edge group key {key} is not an orbit plus id")
+        for e in sorted(graph.edges):
+            h = self.emap.get(e)
+            if h is None:
+                bad.append(f"edge {e}: no edge map")
+                continue
+            shared = self.egroup.get(EdgeOrbit.of(graph, e).plus)
+            if shared is not None and h.src != shared:
+                bad.append(f"edge {e}: map source differs from the orbit edge group")
+            target = self.vgroup.get(graph.d0[e])
+            if target is not None and h.dst != target:
+                bad.append(f"edge {e}: map target differs from the origin vertex group")
+        for e in sorted(set(self.emap) - set(graph.edges)):
+            bad.append(f"edge map for unknown edge {e}")
+        if self.base not in graph.vertices:
+            bad.append(f"basepoint {self.base} is not a vertex")
+        if self.tree is not None and not bad:
+            plus_ids = {o.plus for o in orbit_list}
+            for t in sorted(self.tree):
+                if t not in plus_ids:
+                    bad.append(f"tree entry {t} is not an orbit plus id")
+                elif graph.is_loop(t):
+                    bad.append(f"tree orbit {t} is a loop")
+            if not bad:
+                if len(self.tree) != len(graph.vertices) - 1:
+                    bad.append("tree orbit count != |vertices| - 1")
+                elif self.tree_parent.keys() != graph.vertices:
+                    bad.append("tree does not span the graph")
+        return ValidationReport(tuple(bad))
+
+    @cached_property
+    def _classify(self) -> "DiagramClass":
+        require_valid_gog(self)
+        result = DiagramClass.GRAPH_OF_GROUPS
+        for e in sorted(self.graph.edges):
+            try:
+                if not hom_is_injective(self.emap[e]):
+                    return DiagramClass.DIAGRAM
+            except UnsupportedHom:
+                result = DiagramClass.UNKNOWN
+        return result
+
+    @cached_property
+    def _pi1_default(self) -> "Presentation":
+        return _build_presentation(self, None, None)
 
     def replace(self, **kw) -> "GraphOfGroups":
         current = dict(
@@ -90,62 +178,7 @@ class GraphOfGroups:
 def validate_gog(g: GraphOfGroups) -> ValidationReport:
     """Structural validation: graph axioms, one shared edge group per orbit,
     matching hom endpoints, tree sanity.  Cached per instance."""
-    cached = getattr(g, "_validation", None)
-    if cached is not None:
-        return cached
-    bad = list(validate_graph(g.graph).violations)
-    for v in sorted(g.graph.vertices):
-        if v not in g.vgroup:
-            bad.append(f"vertex {v}: no vertex group")
-    for v in sorted(set(g.vgroup) - g.graph.vertices):
-        bad.append(f"vertex group for unknown vertex {v}")
-    orbit_list = orbits(g.graph) if not bad else []
-    for o in orbit_list:
-        if o.plus not in g.egroup:
-            bad.append(f"orbit {o.plus}: no edge group")
-    for key in sorted(set(g.egroup) - {o.plus for o in orbit_list}):
-        bad.append(f"edge group key {key} is not an orbit plus id")
-    for e in sorted(g.graph.edges):
-        h = g.emap.get(e)
-        if h is None:
-            bad.append(f"edge {e}: no edge map")
-            continue
-        o = EdgeOrbit.of(g.graph, e)
-        shared = g.egroup.get(o.plus)
-        if shared is not None and h.src != shared:
-            bad.append(f"edge {e}: map source differs from the orbit edge group")
-        target = g.vgroup.get(g.graph.d0[e])
-        if target is not None and h.dst != target:
-            bad.append(f"edge {e}: map target differs from the origin vertex group")
-    for e in sorted(set(g.emap) - set(g.graph.edges)):
-        bad.append(f"edge map for unknown edge {e}")
-    if g.base not in g.graph.vertices:
-        bad.append(f"basepoint {g.base} is not a vertex")
-    if g.tree is not None and not bad:
-        plus_ids = {o.plus for o in orbit_list}
-        for t in sorted(g.tree):
-            if t not in plus_ids:
-                bad.append(f"tree entry {t} is not an orbit plus id")
-            elif g.graph.is_loop(t):
-                bad.append(f"tree orbit {t} is a loop")
-        if not bad:
-            if len(g.tree) != len(g.graph.vertices) - 1:
-                bad.append("tree orbit count != |vertices| - 1")
-            else:
-                reached = {min(g.graph.vertices)}
-                frontier = True
-                while frontier:
-                    frontier = False
-                    for t in g.tree:
-                        u, w = g.graph.d0[t], g.graph.terminus(t)
-                        if (u in reached) != (w in reached):
-                            reached.update((u, w))
-                            frontier = True
-                if reached != g.graph.vertices:
-                    bad.append("tree does not span the graph")
-    report = ValidationReport(tuple(bad))
-    object.__setattr__(g, "_validation", report)
-    return report
+    return g._validation
 
 
 def require_valid_gog(g: GraphOfGroups) -> None:
@@ -157,20 +190,7 @@ def require_valid_gog(g: GraphOfGroups) -> None:
 def classify(g: GraphOfGroups) -> DiagramClass:
     """GraphOfGroups iff every edge map is injective; non-injectivity wins
     over undecidability.  Cached per instance."""
-    cached = getattr(g, "_classify", None)
-    if cached is not None:
-        return cached
-    require_valid_gog(g)
-    result = DiagramClass.GRAPH_OF_GROUPS
-    for e in sorted(g.graph.edges):
-        try:
-            if not hom_is_injective(g.emap[e]):
-                result = DiagramClass.DIAGRAM
-                break
-        except UnsupportedHom:
-            result = DiagramClass.UNKNOWN
-    object.__setattr__(g, "_classify", result)
-    return result
+    return g._classify
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +208,6 @@ class Letter:
 
 
 Word = tuple  # tuple of (letter name, +1 | -1)
-
-
-def freely_reduce(word) -> Word:
-    out = []
-    for name, sign in word:
-        if out and out[-1][0] == name and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((name, sign))
-    return tuple(out)
 
 
 def invert_word(word) -> Word:
@@ -267,6 +277,29 @@ def spell_in_letters(group: GroupDesc, letters, x) -> Word:
     return tuple((letters[idx].name, sign) for idx, sign in raw)
 
 
+def edge_relators(g: GraphOfGroups, plus: str, naming) -> tuple:
+    """The edge relations t_e f_bar(e)(c) t_e^-1 f_e(c)^-1 of the orbit
+    with plus half-edge e, one per edge-group generator c, in the letters
+    of ``naming`` (a (vertex_letters, edge_letters) pair); freely reduced,
+    freely trivial ones dropped."""
+    vertex_letters, edge_letters = naming
+    t = edge_letters[plus].name
+    minus = g.graph.bar[plus]
+    origin, terminus = g.graph.d0[plus], g.graph.d0[minus]
+    out = []
+    for c in g.egroup[plus].generators():
+        w_minus = spell_in_letters(
+            g.vgroup[terminus], vertex_letters.get(terminus, ()), g.emap[minus].apply(c)
+        )
+        w_plus = spell_in_letters(
+            g.vgroup[origin], vertex_letters.get(origin, ()), g.emap[plus].apply(c)
+        )
+        rel = freely_reduce(((t, 1),) + w_minus + ((t, -1),) + invert_word(w_plus))
+        if rel:
+            out.append(rel)
+    return tuple(out)
+
+
 def pi1_presentation(g: GraphOfGroups, tree=None, naming=None) -> Presentation:
     """Presentation of the fundamental group at ``g.base``.
 
@@ -281,12 +314,16 @@ def pi1_presentation(g: GraphOfGroups, tree=None, naming=None) -> Presentation:
     of subgraphs glue letter-for-letter.
     """
     if tree is None and naming is None:
-        cached = getattr(g, "_pi1_default", None)
-        if cached is not None:
-            return cached
+        return g._pi1_default
+    return _build_presentation(g, tree, naming)
+
+
+def _build_presentation(g: GraphOfGroups, tree, naming) -> Presentation:
     require_valid_gog(g)
     tree_ids = frozenset(tree) if tree is not None else g.tree_orbits()
-    vertex_letters, edge_letters = naming if naming is not None else presentation_letters(g)
+    if naming is None:
+        naming = presentation_letters(g)
+    vertex_letters, edge_letters = naming
 
     generators = []
     for v in sorted(g.graph.vertices):
@@ -323,32 +360,14 @@ def pi1_presentation(g: GraphOfGroups, tree=None, naming=None) -> Presentation:
 
     # (ii) edge relations, oriented along the plus half-edge
     for o in orbits(g.graph):
-        t = edge_letters[o.plus].name
-        f_plus = g.emap[o.plus]
-        f_minus = g.emap[o.minus]
-        origin = g.graph.d0[o.plus]
-        terminus = g.graph.d0[o.minus]
-        shared = g.egroup[o.plus]
-        for c in shared.generators():
-            w_minus = spell_in_letters(
-                g.vgroup[terminus], vertex_letters.get(terminus, ()), f_minus.apply(c)
-            )
-            w_plus = spell_in_letters(
-                g.vgroup[origin], vertex_letters.get(origin, ()), f_plus.apply(c)
-            )
-            rel = freely_reduce(((t, 1),) + w_minus + ((t, -1),) + invert_word(w_plus))
-            if rel:
-                relators.append(rel)
+        relators.extend(edge_relators(g, o.plus, naming))
 
     # (iii) tree letters die
     for o in orbits(g.graph):
         if o.plus in tree_ids:
             relators.append(((edge_letters[o.plus].name, 1),))
 
-    result = Presentation(tuple(generators), tuple(relators))
-    if tree is None and naming is None:
-        object.__setattr__(g, "_pi1_default", result)
-    return result
+    return Presentation(tuple(generators), tuple(relators))
 
 
 def presentation_to_text(p: Presentation) -> str:

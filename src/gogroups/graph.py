@@ -103,16 +103,7 @@ def validate_graph(g: AbstractGraph) -> ValidationReport:
         bad.append("disconnected: graph has no vertices")
     elif not bad:
         root = min(g.vertices)
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in g.out_edges(v):
-                w = g.terminus(e)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        for v in sorted(g.vertices - seen):
+        for v in sorted(g.vertices - bfs_parents(g, root).keys()):
             bad.append(f"disconnected: vertex {v} unreachable from {root}")
     return ValidationReport(tuple(bad))
 
@@ -123,23 +114,29 @@ def require_valid(g: AbstractGraph) -> None:
         raise InvalidStructure("; ".join(report.violations))
 
 
-def spanning_tree(g: AbstractGraph) -> frozenset:
-    """Deterministic spanning tree: breadth-first from the least vertex,
-    exploring half-edges in lexicographic order.  Returns edge orbits."""
-    require_valid(g)
-    root = min(g.vertices)
-    seen = {root}
-    tree = set()
+def bfs_parents(g: AbstractGraph, root: str, edges=None) -> dict:
+    """Breadth-first search from root, exploring each vertex's half-edges
+    in lexicographic order, restricted to ``edges`` when given.  Returns
+    {vertex: half-edge it was first entered by} for every reached vertex,
+    in discovery order; the root maps to None.  Needs no valid graph."""
+    parent = {root: None}
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for e in g.out_edges(v):
             w = g.terminus(e)
-            if w not in seen:
-                seen.add(w)
-                tree.add(EdgeOrbit.of(g, e))
+            if w not in parent and (edges is None or e in edges):
+                parent[w] = e
                 queue.append(w)
-    return frozenset(tree)
+    return parent
+
+
+def spanning_tree(g: AbstractGraph) -> frozenset:
+    """Deterministic spanning tree: breadth-first from the least vertex,
+    exploring half-edges in lexicographic order.  Returns edge orbits."""
+    require_valid(g)
+    entering = bfs_parents(g, min(g.vertices)).values()
+    return frozenset(EdgeOrbit.of(g, e) for e in entering if e is not None)
 
 
 def contract_edge_graph(g: AbstractGraph, e: str):

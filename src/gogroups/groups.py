@@ -72,9 +72,6 @@ class GroupDesc:
         """Group order, or None when infinite."""
         raise NotImplementedError
 
-    def is_trivial_group(self) -> bool:
-        return self.order() == 1
-
 
 def _default_names(prefix: str, rank: int) -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(rank))

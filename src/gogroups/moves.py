@@ -28,14 +28,12 @@ from .gog import (
     GraphOfGroups,
     Letter,
     Presentation,
-    freely_reduce,
-    invert_word,
+    edge_relators,
     pi1_presentation,
     presentation_letters,
     require_valid_gog,
-    spell_in_letters,
 )
-from .graph import AbstractGraph, EdgeOrbit, contract_edge_graph, orbits, spanning_tree
+from .graph import AbstractGraph, EdgeOrbit, bfs_parents, contract_edge_graph, orbits
 from .groups import (
     FreeAbelian,
     GroupDesc,
@@ -471,19 +469,10 @@ def _components(graph: AbstractGraph):
     seen = set()
     parts = []
     for v in sorted(graph.vertices):
-        if v in seen:
-            continue
-        part = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for e in graph.out_edges(x):
-                w = graph.terminus(e)
-                if w not in part:
-                    part.add(w)
-                    queue.append(w)
-        seen |= part
-        parts.append(frozenset(part))
+        if v not in seen:
+            part = frozenset(bfs_parents(graph, v))
+            seen |= part
+            parts.append(part)
     return parts
 
 
@@ -505,25 +494,6 @@ def _induced(g: GraphOfGroups, vertices: frozenset, without: str) -> GraphOfGrou
     )
 
 
-def _glue_relators(g: GraphOfGroups, plus: str, naming) -> tuple:
-    vertex_letters, edge_letters = naming
-    t = edge_letters[plus].name
-    minus = g.graph.bar[plus]
-    origin, terminus = g.graph.d0[plus], g.graph.d0[minus]
-    out = []
-    for c in g.egroup[plus].generators():
-        w_minus = spell_in_letters(
-            g.vgroup[terminus], vertex_letters.get(terminus, ()), g.emap[minus].apply(c)
-        )
-        w_plus = spell_in_letters(
-            g.vgroup[origin], vertex_letters.get(origin, ()), g.emap[plus].apply(c)
-        )
-        rel = freely_reduce(((t, 1),) + w_minus + ((t, -1),) + invert_word(w_plus))
-        if rel:
-            out.append(rel)
-    return tuple(out)
-
-
 def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     """Split pi1(g) along one edge orbit.
 
@@ -537,13 +507,13 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
         raise InvalidStructure(f"no edge orbit {plus}")
     plus = EdgeOrbit.of(g.graph, plus).plus
     naming = presentation_letters(g)
-    glue = _glue_relators(g, plus, naming)
+    glue = edge_relators(g, plus, naming)
     removed = _remove_orbit(g, plus)
     parts = _components(removed)
 
     if len(parts) == 1:
-        base_tree = frozenset(o.plus for o in spanning_tree(removed))
         inner = _induced(g, parts[0], plus)
+        base_tree = inner.tree_orbits()
         left = pi1_presentation(inner, tree=base_tree, naming=naming)
         return Decomposition(
             shape="hnn",
@@ -564,7 +534,7 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     side_trees = []
     for part in parts:
         inner = _induced(g, part, plus)
-        side_tree = frozenset(o.plus for o in spanning_tree(inner.graph))
+        side_tree = inner.tree_orbits()
         side_trees.append(side_tree)
         sides.append(pi1_presentation(inner, tree=side_tree, naming=naming))
     tree_used = side_trees[0] | side_trees[1] | {plus}

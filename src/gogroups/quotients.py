@@ -43,10 +43,6 @@ def mat_vec(a: IntMatrix, x: list) -> list:
     return [sum(row[k] * x[k] for k in range(len(x))) for row in a]
 
 
-def mat_copy(a: IntMatrix) -> IntMatrix:
-    return [list(row) for row in a]
-
-
 def mat_det(a: IntMatrix) -> int:
     """Determinant by fraction-free Gaussian elimination."""
     n = len(a)
@@ -90,7 +86,7 @@ def _snf_engine(m: IntMatrix):
     submatrix, which keeps entry growth modest; all arithmetic is exact.
     """
     rows, cols = _shape(m)
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     u = mat_identity(rows)
     v = mat_identity(cols)
 
@@ -190,11 +186,6 @@ def smith_normal_form(m: IntMatrix):
             if i != j:
                 assert d[i][j] == 0, "SNF result not diagonal"
     return u, d, v
-
-
-def snf_diagonal(m: IntMatrix) -> list:
-    _, d, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(_shape(m)))]
 
 
 def solve_int(m: IntMatrix, y: list):
@@ -556,7 +547,9 @@ class OracleAnswer:
     soundness: str
 
 
-def _freely_reduce(word):
+def freely_reduce(word) -> tuple:
+    """Cancel adjacent (name, sign), (name, -sign) pairs in a word of
+    (letter name, +1 | -1) pairs."""
     out = []
     for name, sign in word:
         if out and out[-1][0] == name and out[-1][1] == -sign:
@@ -583,8 +576,9 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
             trivial = solve_int(mt, vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
+    names = set(_generator_names(presentation))
     for name, sign in word:
-        if name not in set(_generator_names(presentation)):
+        if name not in names:
             raise UnknownLetter(f"word letter {name!r} is not a generator")
-    trivial = _freely_reduce(word) == ()
+    trivial = freely_reduce(word) == ()
     return OracleAnswer(trivial, len(presentation.relators) == 0, oracle.soundness())

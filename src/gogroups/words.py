@@ -16,7 +16,6 @@ diagrams through convert_diagram first.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
@@ -59,14 +58,6 @@ def validate_loop_word(g: GraphOfGroups, w: LoopWord) -> None:
     if at != w.base:
         raise NonLoopWord(f"word ends at {at}, not at its basepoint {w.base}")
     g.vgroup[at].check(w.elements[-1])
-
-
-def vertex_at(g: GraphOfGroups, w: LoopWord, i: int) -> str:
-    """Vertex carrying elements[i]."""
-    at = w.base
-    for e in w.edges[:i]:
-        at = g.graph.terminus(e)
-    return at
 
 
 def _require_reducible(g: GraphOfGroups) -> None:
@@ -125,7 +116,9 @@ def is_trivial(g: GraphOfGroups, w: LoopWord) -> bool:
 
 
 def inverse_loop(g: GraphOfGroups, w: LoopWord) -> LoopWord:
-    positions = [vertex_at(g, w, i) for i in range(len(w.elements))]
+    positions = [w.base]
+    for e in w.edges:
+        positions.append(g.graph.terminus(e))
     elements = tuple(
         g.vgroup[positions[i]].inv(w.elements[i]) for i in reversed(range(len(w.elements)))
     )
@@ -154,37 +147,16 @@ def equal(g: GraphOfGroups, w1: LoopWord, w2: LoopWord) -> bool:
 # presentation letters -> loop words
 
 
-def _tree_adjacency(g: GraphOfGroups):
-    adj = {v: [] for v in g.graph.vertices}
-    for plus in sorted(g.tree_orbits()):
-        minus = g.graph.bar[plus]
-        adj[g.graph.d0[plus]].append(plus)
-        adj[g.graph.d0[minus]].append(minus)
-    return adj
-
-
-def tree_path(g: GraphOfGroups, start: str, goal: str) -> tuple:
-    """Half-edge sequence along the spanning tree."""
-    if start == goal:
-        return ()
-    adj = _tree_adjacency(g)
-    previous = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in sorted(adj[v]):
-            w = g.graph.terminus(e)
-            if w not in previous:
-                previous[w] = e
-                queue.append(w)
-    if goal not in previous:
-        raise NonLoopWord(f"tree does not connect {start} to {goal}")
+def tree_path(g: GraphOfGroups, v: str) -> tuple:
+    """Half-edge sequence along the spanning tree from ``g.base`` to v."""
+    parent = g.tree_parent
+    if v not in parent:
+        raise NonLoopWord(f"tree does not connect {g.base} to {v}")
     path = []
-    at = goal
-    while previous[at] is not None:
-        e = previous[at]
+    while parent[v] is not None:
+        e = parent[v]
         path.append(e)
-        at = g.graph.d0[e]
+        v = g.graph.d0[e]
     return tuple(reversed(path))
 
 
@@ -211,7 +183,7 @@ def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> L
         x = g.vgroup[v].generators()[letter.index]
         if sign < 0:
             x = g.vgroup[v].inv(x)
-        down = tree_path(g, g.base, v)
+        down = tree_path(g, v)
         up = tuple(g.graph.bar[e] for e in reversed(down))
         word = _identity_loop_over(g, down + up)
         elements = list(word.elements)
@@ -221,8 +193,9 @@ def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> L
         return word
     plus = letter.owner
     edge = plus if sign > 0 else g.graph.bar[plus]
-    down = tree_path(g, g.base, g.graph.d0[edge])
-    up = tree_path(g, g.graph.terminus(edge), g.base)
+    down = tree_path(g, g.graph.d0[edge])
+    back = tree_path(g, g.graph.terminus(edge))
+    up = tuple(g.graph.bar[e] for e in reversed(back))
     return _identity_loop_over(g, down + (edge,) + up)
 
 

@@ -80,6 +80,29 @@ class TestValidation:
         report = validate_gog(g)
         assert any("loop" in v for v in report.violations)
 
+    def test_tree_that_does_not_span_rejected(self):
+        # two parallel orbits join u and v; w is left out of the tree
+        triv = FreeAbelian(0)
+        graph = zoo._graph(["u", "v", "w"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "w")])
+        trivial_map = Hom.matrix(triv, triv, [])
+        g = GraphOfGroups.make(
+            graph,
+            {v: triv for v in graph.vertices},
+            {p: triv for p in ("a", "b", "c")},
+            {e: trivial_map for e in graph.edges},
+            tree={"a", "b"},
+        )
+        assert validate_gog(g).violations == ("tree does not span the graph",)
+        assert validate_gog(g.replace(tree={"b", "c"})).ok
+
+    def test_tree_with_wrong_orbit_count_rejected(self):
+        g = zoo.star3().replace(tree=frozenset({"s1", "s2"}))
+        assert validate_gog(g).violations == ("tree orbit count != |vertices| - 1",)
+
+    def test_tree_entry_must_be_plus_id(self):
+        g = zoo.star3().replace(tree=frozenset({"s1^-1", "s2", "s3"}))
+        assert validate_gog(g).violations == ("tree entry s1^-1 is not an orbit plus id",)
+
     def test_ops_require_validity(self):
         g = zoo.torus().replace(base="nowhere")
         with pytest.raises(InvalidStructure):

@@ -5,7 +5,7 @@ import pytest
 
 import zoo
 from gogroups.errors import NonLoopWord, UnknownLetter, UnsupportedClass
-from gogroups.gog import pi1_presentation
+from gogroups.gog import pi1_presentation, validate_gog
 from gogroups.groups import hom_apply
 from gogroups.words import (
     LoopWord,
@@ -16,6 +16,7 @@ from gogroups.words import (
     is_trivial,
     parse_loop_word,
     reduce,
+    tree_path,
     validate_loop_word,
     word_from_presentation_letters,
 )
@@ -283,6 +284,64 @@ class TestWordConstruction:
         g = zoo.amalgam23()
         w = word_from_presentation_letters(g, "e")
         assert is_trivial(g, w)
+
+
+def zoo_graphs():
+    return [
+        zoo.torus(),
+        zoo.klein(),
+        zoo.bs12(),
+        zoo.two_loop_trivial(),
+        zoo.amalgam23(),
+        zoo.trefoil(),
+        *(zoo.dyadic(k) for k in range(2, 6)),
+        zoo.star3(),
+        zoo.pushout46(),
+        zoo.z3f2(),
+        zoo.finite_star(),
+        zoo.chain48(),
+        zoo.chain39(),
+        zoo.k4_leaf(),
+        zoo.klein4_star(),
+        zoo.torus_whisker(),
+    ]
+
+
+def last_first_tree(g):
+    """A spanning tree other than the default: orbits taken greedily from
+    the largest plus id down, skipping any that would close a cycle."""
+    component = {v: v for v in g.graph.vertices}
+
+    def find(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    tree = set()
+    for o in reversed(g.orbits()):
+        a, b = find(g.graph.d0[o.plus]), find(g.graph.d0[o.minus])
+        if a != b:
+            component[a] = b
+            tree.add(o.plus)
+    return frozenset(tree)
+
+
+def test_tree_paths_walk_the_tree_from_base():
+    for g in zoo_graphs():
+        stored = g.replace(tree=last_first_tree(g), base=max(g.graph.vertices))
+        for h in (g, stored):
+            assert validate_gog(h).ok
+            tree = h.tree_orbits()
+            for v in h.graph.vertices:
+                path = tree_path(h, v)
+                at = h.base
+                for e in path:
+                    assert h.orbit_of(e).plus in tree
+                    assert h.graph.d0[e] == at
+                    at = h.graph.terminus(e)
+                assert at == v
+                # no orbit twice: the path is the unique simple one in the tree
+                assert len({h.orbit_of(e) for e in path}) == len(path)
 
 
 class TestGrammar:
