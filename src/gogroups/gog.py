@@ -48,8 +48,10 @@ class GraphOfGroups:
     computed on first use and kept on the instance: the validation report
     (``validate_gog``), the classification (``classify``), the spanning
     tree (``tree_orbits``), the tree half-edge entering each vertex on its
-    path from the basepoint (``tree_parent``) and the default presentation
-    (``pi1_presentation`` without arguments).
+    path from the basepoint (``tree_parent``), the default presentation
+    (``pi1_presentation`` without arguments) and the letter-loop cache
+    (``_letter_loops``: the loop word of each presentation letter and
+    sign, filled by ``words.letter_loop``).
     """
 
     graph: AbstractGraph
@@ -161,6 +163,13 @@ class GraphOfGroups:
     def _pi1_default(self) -> "Presentation":
         return _build_presentation(self, None, None)
 
+    @cached_property
+    def _letter_loops(self) -> dict:
+        """{(Letter, sign): loop word}.  A letter's loop depends only on its
+        kind, owner and index and on this graph's tree and basepoint, so
+        one cache serves every presentation of the graph."""
+        return {}
+
     def replace(self, **kw) -> "GraphOfGroups":
         current = dict(
             graph=self.graph,
@@ -220,10 +229,15 @@ class Presentation:
     relators: tuple    # of Word
 
     def letter(self, name: str) -> Letter:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
+        """The generator called ``name``; KeyError if there is none."""
+        try:
+            return self._by_name[name]
+        except TypeError:  # an unhashable name names no generator
+            raise KeyError(name) from None
+
+    @cached_property
+    def _by_name(self) -> dict:
+        return {g.name: g for g in reversed(self.generators)}
 
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InvalidStructure, LoopContraction
@@ -41,8 +42,18 @@ class AbstractGraph:
     def is_loop(self, e: str) -> bool:
         return self.d0[e] == self.terminus(e)
 
-    def out_edges(self, v: str) -> list:
-        return sorted(e for e in self.edges if self.d0[e] == v)
+    def out_edges(self, v: str) -> tuple:
+        """The half-edges starting at v, in lexicographic order."""
+        return self._out_edges.get(v, ())
+
+    @cached_property
+    def _out_edges(self) -> dict:
+        """{vertex: sorted half-edges starting there}, built on first use
+        (so never for a graph that fails validation before its BFS)."""
+        out = {}
+        for e in sorted(self.edges):
+            out.setdefault(self.d0[e], []).append(e)
+        return {v: tuple(es) for v, es in out.items()}
 
 
 @dataclass(frozen=True, order=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import quotients
 from .errors import ShapeMismatch, UnsupportedHom
@@ -518,6 +518,15 @@ class Hom:
                     queue.append(z)
         object.__setattr__(self, "_finite_witness", witness)
 
+    @cached_property
+    def _first_preimage(self) -> dict:
+        """Table homs: {image: least source index mapping to it}, built on
+        the first membership query rather than at construction."""
+        first = {}
+        for i, y in enumerate(self.data):
+            first.setdefault(y, i)
+        return first
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -632,10 +641,8 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
         x = h._lattice_solve(y)
         return MembershipAnswer(False) if x is None else MembershipAnswer(True, tuple(x))
     if h.kind == "table":
-        for i, img in enumerate(h.data):
-            if img == y:
-                return MembershipAnswer(True, i)
-        return MembershipAnswer(False)
+        i = h._first_preimage.get(y)
+        return MembershipAnswer(False) if i is None else MembershipAnswer(True, i)
     if isinstance(h.dst, FreeGroup):
         w = h._fold.preimage(y)
         if w is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceeded, OracleIncomplete, UnknownLetter
 
@@ -320,9 +321,13 @@ class CosetTable:
     order: int = None
     cosets_defined: int = 0
 
+    @cached_property
+    def _column_index(self) -> dict:
+        return {n: i for i, n in enumerate(self.generator_names)}
+
     def action(self, coset: int, word) -> int:
         """Apply a word (list of (name, sign)) to a coset."""
-        index = {n: i for i, n in enumerate(self.generator_names)}
+        index = self._column_index
         c = coset
         for name, sign in word:
             if name not in index:

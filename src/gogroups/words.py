@@ -69,7 +69,15 @@ def _require_reducible(g: GraphOfGroups) -> None:
 
 
 def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
-    """Leftmost-first pinch reduction to a pinch-free form.
+    """Leftmost-first pinch reduction to a pinch-free form, in one pass.
+
+    The word is read left to right onto a stack of half-edges and the
+    elements between them.  Invariant: the stack holds no pinch.  A pinch
+    only changes the element between the two edges on either side of it,
+    so the one new candidate is the stack's top edge against the next
+    incoming one; the first pinch the scan meets is therefore the leftmost
+    pinch of the current word, and the steps are exactly those of
+    restarting from the left after every pinch, in linear time.
 
     Each step is one application of the defining relation; the syllable
     count strictly decreases, so at most len(w)//2 steps run.  With
@@ -79,31 +87,26 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     """
     _require_reducible(g)
     validate_loop_word(g, w)
-    elements = list(w.elements)
-    edges = list(w.edges)
+    bar = g.graph.bar
+    elements = [w.elements[0]]
+    edges = []
     steps = []
-    while True:
-        pinched = False
-        for i in range(len(edges) - 1):
-            e, e_next = edges[i], edges[i + 1]
-            if e_next != g.graph.bar[e]:
+    for incoming, after in zip(w.edges, w.elements[1:]):
+        if edges and incoming == bar[edges[-1]]:
+            e = edges[-1]
+            middle = elements[-1]
+            answer = hom_member(g.emap[incoming], middle)
+            if answer.inside:
+                substituted = hom_apply(g.emap[e], answer.preimage)
+                if collect_steps:
+                    steps.append((len(edges) - 1, e, middle, answer.preimage, substituted))
+                here = g.vgroup[g.graph.d0[e]]
+                edges.pop()
+                elements.pop()
+                elements[-1] = here.mul(here.mul(elements[-1], substituted), after)
                 continue
-            middle = elements[i + 1]
-            back = g.emap[g.graph.bar[e]]
-            answer = hom_member(back, middle)
-            if not answer.inside:
-                continue
-            substituted = hom_apply(g.emap[e], answer.preimage)
-            if collect_steps:
-                steps.append((i, e, middle, answer.preimage, substituted))
-            here = g.vgroup[g.graph.d0[e]]
-            merged = here.mul(here.mul(elements[i], substituted), elements[i + 2])
-            elements[i : i + 3] = [merged]
-            del edges[i : i + 2]
-            pinched = True
-            break
-        if not pinched:
-            break
+        edges.append(incoming)
+        elements.append(after)
     form = PinchFreeForm(LoopWord(w.base, tuple(elements), tuple(edges)), True)
     return (form, steps) if collect_steps else form
 
@@ -160,51 +163,57 @@ def tree_path(g: GraphOfGroups, v: str) -> tuple:
     return tuple(reversed(path))
 
 
-def _identity_loop_over(g: GraphOfGroups, edges) -> LoopWord:
-    """Loop word over the given closed edge path with identity elements."""
-    elements = [g.vgroup[g.base].identity()]
-    at = g.base
-    for e in edges:
-        at = g.graph.terminus(e)
-        elements.append(g.vgroup[at].identity())
-    word = LoopWord(g.base, tuple(elements), tuple(edges))
-    validate_loop_word(g, word)
-    return word
-
-
 def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> LoopWord:
-    """The loop word a single presentation letter denotes."""
+    """The loop word a single presentation letter denotes; built once per
+    graph, letter and sign, and kept in the graph's letter-loop cache."""
     try:
         letter = pres.letter(name)
     except KeyError:
         raise UnknownLetter(f"{name!r} is not a presentation generator") from None
+    if sign not in (1, -1):
+        raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1")
+    key = (letter, sign)
+    loop = g._letter_loops.get(key)
+    if loop is None:
+        loop = g._letter_loops[key] = _build_letter_loop(g, letter, sign)
+    return loop
+
+
+def _build_letter_loop(g: GraphOfGroups, letter, sign: int) -> LoopWord:
+    """Out along the tree from ``base``, the letter's middle (a vertex
+    generator, or its edge with identities on both sides), back along the
+    tree."""
     if letter.kind == "vertex":
         v = letter.owner
         x = g.vgroup[v].generators()[letter.index]
         if sign < 0:
             x = g.vgroup[v].inv(x)
         down = tree_path(g, v)
-        up = tuple(g.graph.bar[e] for e in reversed(down))
-        word = _identity_loop_over(g, down + up)
-        elements = list(word.elements)
+        middle = ()
+    else:
+        edge = letter.owner if sign > 0 else g.graph.bar[letter.owner]
+        down = tree_path(g, g.graph.d0[edge])
+        v = g.graph.terminus(edge)
+        middle = (edge,)
+    up = tuple(g.graph.bar[e] for e in reversed(tree_path(g, v)))
+    edges = down + middle + up
+    elements = [g.vgroup[g.base].identity()]
+    elements.extend(g.vgroup[g.graph.terminus(e)].identity() for e in edges)
+    if letter.kind == "vertex":
         elements[len(down)] = x
-        word = LoopWord(g.base, tuple(elements), word.edges)
-        validate_loop_word(g, word)
-        return word
-    plus = letter.owner
-    edge = plus if sign > 0 else g.graph.bar[plus]
-    down = tree_path(g, g.graph.d0[edge])
-    back = tree_path(g, g.graph.terminus(edge))
-    up = tuple(g.graph.bar[e] for e in reversed(back))
-    return _identity_loop_over(g, down + (edge,) + up)
+    word = LoopWord(g.base, tuple(elements), edges)
+    validate_loop_word(g, word)
+    return word
 
 
 def word_from_presentation_letters(g, letters, pres: Presentation = None) -> LoopWord:
     """Expand presentation letters into a base-pointed loop word.
 
     ``letters`` is a string of whitespace-separated tokens (name or
-    name^-1) or a sequence of (name, sign) pairs.  Tree letters expand to
-    their tree paths, so the result is always path-consistent.
+    name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.  Tree
+    letters expand to their tree paths, so the result is always
+    path-consistent.  Linear in the length of the result: each letter's
+    loop comes from the graph's cache and is appended in place.
     """
     if pres is None:
         pres = pi1_presentation(g)
@@ -216,10 +225,17 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
             else:
                 tokens.append((tok, 1))
     else:
-        tokens = list(letters)
-    word = identity_loop(g)
+        tokens = letters
+    group = g.vgroup[g.base]
+    elements = [group.identity()]
+    edges = []
     for name, sign in tokens:
-        word = concat_loops(g, word, letter_loop(g, pres, name, sign))
+        loop = letter_loop(g, pres, name, sign)
+        elements[-1] = group.mul(elements[-1], loop.elements[0])
+        elements.extend(loop.elements[1:])
+        edges.extend(loop.edges)
+    word = LoopWord(g.base, tuple(elements), tuple(edges))
+    validate_loop_word(g, word)
     return word
 
 

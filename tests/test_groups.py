@@ -172,6 +172,14 @@ class TestMembership:
         ans = hom_member(h, 1)
         assert ans.inside and hom_apply(h, ans.preimage) == 1
 
+    def test_table_membership_gives_the_least_preimage(self):
+        z6, z3 = cyclic_table(6), cyclic_table(3)
+        h = Hom.table(z6, z3, [0, 1, 2, 0, 1, 2])
+        assert [hom_member(h, y).preimage for y in range(3)] == [0, 1, 2]
+        h = Hom.table(z3, z6, [0, 2, 4])
+        assert [hom_member(h, y).inside for y in range(6)] == [True, False] * 3
+        assert hom_member(h, 4).preimage == 2
+
     def test_preimage_roundtrip_randomized(self):
         rng = random.Random(11)
         f2 = FreeGroup(2)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gogroups.errors import CapExceeded
+from gogroups.errors import CapExceeded, UnknownLetter
 from gogroups.gog import Letter, Presentation
 from gogroups.quotients import (
     InvariantFactors,
@@ -163,6 +163,15 @@ class TestCosetEnumeration:
         dump = table.dump()
         assert dump.splitlines()[0] == "cosets=3 completed=true"
         assert len(dump.splitlines()) == 4
+
+    def test_action_rejects_unknown_letters_on_every_call(self):
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", -1)] * 2])
+        table = coset_enumeration(p, 100)
+        assert table.action(0, [("a", -1)]) == table.action(0, [("a", 1)])
+        assert table.action(0, [("b", -1)]) == table.action(0, [("b", 1), ("b", 1)])
+        for _ in range(2):
+            with pytest.raises(UnknownLetter, match="'c' is not a generator"):
+                table.action(0, [("a", 1), ("c", 1)])
 
     def test_klein_four(self):
         p = pres(

@@ -1,12 +1,15 @@
+import dataclasses
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 import zoo
 from gogroups.errors import NonLoopWord, UnknownLetter, UnsupportedClass
-from gogroups.gog import pi1_presentation, validate_gog
-from gogroups.groups import hom_apply
+from gogroups.gog import DiagramClass, classify, pi1_presentation, presentation_letters, validate_gog
+from gogroups.groups import hom_apply, hom_member
 from gogroups.words import (
     LoopWord,
     concat_loops,
@@ -279,11 +282,49 @@ class TestWordConstruction:
         g = zoo.torus()
         with pytest.raises(UnknownLetter):
             word_from_presentation_letters(g, "zz")
+        with pytest.raises(UnknownLetter):
+            word_from_presentation_letters(g, [(["a"], 1)])
 
     def test_tree_letter_expansion_is_trivial_loop(self):
         g = zoo.amalgam23()
         w = word_from_presentation_letters(g, "e")
         assert is_trivial(g, w)
+
+    def test_signs_other_than_one_are_rejected(self):
+        g = zoo.torus()
+        for token in [("a", 0), ("t", 0), ("a", 2), ("t", -2)]:
+            with pytest.raises(UnknownLetter, match=re.escape(repr(token))):
+                word_from_presentation_letters(g, [("a", 1), token])
+
+    def test_list_tokens_match_tuple_tokens(self):
+        g = zoo.amalgam23()
+        tokens = [("x", 1), ("y", -1), ("e", 1), ("x", -1)]
+        assert word_from_presentation_letters(g, [list(t) for t in tokens]) == (
+            word_from_presentation_letters(g, tokens)
+        )
+
+    def test_namings_share_the_letter_loop_cache(self):
+        # the same letters under two namings expand to the same loops
+        g = zoo.trefoil()
+        vertex_letters, edge_letters = presentation_letters(g)
+
+        def renamed(letter):
+            return dataclasses.replace(letter, name=letter.name + "_2")
+
+        other = (
+            {v: tuple(renamed(l) for l in ls) for v, ls in vertex_letters.items()},
+            {o: renamed(l) for o, l in edge_letters.items()},
+        )
+        pres = pi1_presentation(g)
+        pres2 = pi1_presentation(g, naming=other)
+        tokens = [(l.name, s) for l in pres.generators for s in (1, -1)] * 2
+        tokens2 = [(name + "_2", s) for name, s in tokens]
+        w = word_from_presentation_letters(g, tokens, pres=pres)
+        assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
+        assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
+        # a second expansion reads the cache and gives the same word
+        assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
+        assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
 
 
 def zoo_graphs():
@@ -396,3 +437,70 @@ class TestEqualIsEquivalence:
                 for c in words:
                     if equal(g, a, b) and equal(g, b, c):
                         assert equal(g, a, c)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reducer against the restart-from-the-left reducer
+
+
+def restart_reduce(g, w):
+    """Oracle: after every pinch, scan again from the left for the
+    leftmost one.  Returns (elements, edges, steps)."""
+    elements, edges, steps = list(w.elements), list(w.edges), []
+    pinched = True
+    while pinched:
+        pinched = False
+        for i in range(len(edges) - 1):
+            e = edges[i]
+            if edges[i + 1] != g.graph.bar[e]:
+                continue
+            answer = hom_member(g.emap[edges[i + 1]], elements[i + 1])
+            if not answer.inside:
+                continue
+            substituted = hom_apply(g.emap[e], answer.preimage)
+            steps.append((i, e, elements[i + 1], answer.preimage, substituted))
+            here = g.vgroup[g.graph.d0[e]]
+            elements[i : i + 3] = [here.mul(here.mul(elements[i], substituted), elements[i + 2])]
+            del edges[i : i + 2]
+            pinched = True
+            break
+    return tuple(elements), tuple(edges), steps
+
+
+def test_one_pass_reduce_matches_restart_oracle():
+    rng = random.Random(31)
+    checked = 0
+    for g in zoo_graphs():
+        if classify(g) is not DiagramClass.GRAPH_OF_GROUPS:
+            continue
+        pres = pi1_presentation(g)
+        letters = [(l.name, s) for l in pres.generators for s in (1, -1)]
+        for k in range(60):
+            r = [rng.choice(letters) for _ in range(rng.randint(0, 10))]
+            c = [rng.choice(letters) for _ in range(rng.randint(0, 2))]
+            # every third word is r c r^-1, whose pinches cascade from c
+            tokens = r if k % 3 else r + c + [(n, -s) for n, s in reversed(r)]
+            w = word_from_presentation_letters(g, tokens, pres=pres)
+            form, steps = reduce(g, w, collect_steps=True)
+            elements, edges, oracle_steps = restart_reduce(g, w)
+            assert steps == oracle_steps
+            assert (form.word.elements, form.word.edges) == (elements, edges)
+            assert form.word.base == w.base
+            checked += 1
+    assert checked > 600
+
+
+def test_long_torus_word_is_linear():
+    # t^L a t^-L a^-1 with L = 8000: quadratic expansion and reduction
+    # took about 8 s; linear ones take a small fraction of the budget
+    g = zoo.torus()
+    pres = pi1_presentation(g)
+    L = 8000
+    tokens = [("t", 1)] * L + [("a", 1)] + [("t", -1)] * L + [("a", -1)]
+    start = time.perf_counter()
+    w = word_from_presentation_letters(g, tokens, pres=pres)
+    form, steps = reduce(g, w, collect_steps=True)
+    elapsed = time.perf_counter() - start
+    assert len(w) == 2 * L and len(steps) == L
+    assert len(form.word) == 0 and g.vgroup[g.base].is_identity(form.word.elements[0])
+    assert elapsed < 2.0, f"expand + reduce took {elapsed:.2f} s"
