@@ -155,10 +155,6 @@ def parse_hom(desc, src, dst, path):
             if isinstance(src, (FreeAbelian, FreeGroup)):
                 if src.rank != dst.rank:
                     _fail(path, "identity needs equal ranks")
-                if isinstance(src, FreeAbelian):
-                    from .quotients import mat_identity
-
-                    return Hom.matrix(src, dst, mat_identity(src.rank))
                 return Hom.images(src, dst, dst.generators())
             if src.mul_table != dst.mul_table:
                 _fail(path, "identity needs identical multiplication tables")

@@ -73,23 +73,30 @@ class GroupDesc:
         raise NotImplementedError
 
 
-def _default_names(prefix: str, rank: int) -> tuple:
-    return tuple(f"{prefix}{i + 1}" for i in range(rank))
-
-
 @dataclass(frozen=True)
-class FreeAbelian(GroupDesc):
+class _RankedGroup(GroupDesc):
+    """Fields shared by the two infinite classes: a rank and one name per
+    generator (default x1, x2, ...)."""
+
     rank: int
     names: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("negative rank")
-        names = self.names or _default_names("x", self.rank)
+        names = self.names or tuple(f"x{i + 1}" for i in range(self.rank))
         if len(names) != self.rank:
             raise ValueError("name count != rank")
         object.__setattr__(self, "names", tuple(names))
 
+    def generator_names(self):
+        return self.names
+
+    def order(self):
+        return 1 if self.rank == 0 else None
+
+
+class FreeAbelian(_RankedGroup):
     def identity(self):
         return (0,) * self.rank
 
@@ -112,9 +119,6 @@ class FreeAbelian(GroupDesc):
     def generators(self):
         return tuple(tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank))
 
-    def generator_names(self):
-        return self.names
-
     def spell(self, x):
         self.check(x)
         out = []
@@ -122,23 +126,8 @@ class FreeAbelian(GroupDesc):
             out.extend([(i, 1 if k > 0 else -1)] * abs(k))
         return tuple(out)
 
-    def order(self):
-        return 1 if self.rank == 0 else None
 
-
-@dataclass(frozen=True)
-class FreeGroup(GroupDesc):
-    rank: int
-    names: tuple = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("negative rank")
-        names = self.names or _default_names("x", self.rank)
-        if len(names) != self.rank:
-            raise ValueError("name count != rank")
-        object.__setattr__(self, "names", tuple(names))
-
+class FreeGroup(_RankedGroup):
     def identity(self):
         return ()
 
@@ -162,15 +151,9 @@ class FreeGroup(GroupDesc):
     def generators(self):
         return tuple((i + 1,) for i in range(self.rank))
 
-    def generator_names(self):
-        return self.names
-
     def spell(self, x):
         self.check(x)
         return tuple((abs(s) - 1, 1 if s > 0 else -1) for s in x)
-
-    def order(self):
-        return 1 if self.rank == 0 else None
 
 
 @dataclass(frozen=True)
@@ -288,10 +271,9 @@ def _ft_generating_set(table: FiniteTable) -> tuple:
     raise AssertionError("no generating set found")
 
 
-@lru_cache(maxsize=None)
-def _ft_spellings(table: FiniteTable) -> tuple:
-    """Shortest word over the chosen generators for every element (BFS)."""
-    gens = _ft_generating_set(table)
+def _ft_words(table: FiniteTable, gens) -> dict:
+    """{element: shortest word over gens} for the subgroup gens generate,
+    by BFS; letters are (generator position, +-1), tried in that order."""
     letters = []
     for gi, g in enumerate(gens):
         letters.append((g, (gi, 1)))
@@ -305,6 +287,13 @@ def _ft_spellings(table: FiniteTable) -> tuple:
             if y not in words:
                 words[y] = words[x] + (letter,)
                 queue.append(y)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _ft_spellings(table: FiniteTable) -> tuple:
+    """Shortest word over the chosen generators for every element."""
+    words = _ft_words(table, _ft_generating_set(table))
     if len(words) != len(table.mul_table):
         raise AssertionError("generating set does not generate")
     return tuple(words[i] for i in range(len(table.mul_table)))
@@ -389,13 +378,12 @@ def table_from_closure(generators, op, identity, label_of):
 
 def subgroup_table(parent: FiniteTable, gen_indices):
     """Subgroup generated inside ``parent``; returns (table, inclusion list)."""
-    table, elems = table_from_closure(
+    return table_from_closure(
         tuple(sorted(set(gen_indices))),
         lambda x, y: parent.mul_table[x][y],
         parent.id_index,
         lambda x, _w: parent.labels[x],
     )
-    return table, elems
 
 
 # ---------------------------------------------------------------------------
@@ -408,120 +396,105 @@ class MembershipAnswer:
     preimage: object = None
 
 
+def _hom_kind(src: GroupDesc, dst: GroupDesc) -> str:
+    if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
+        return "table"
+    if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
+        return "matrix"
+    return "images"
+
+
 @dataclass(frozen=True)
 class Hom:
     """Homomorphism between two group descriptions.
 
-    kind "matrix": free abelian to free abelian, data = row tuples.
-    kind "table": finite to finite, data = full element map by index.
-    kind "images": generator images (free source of any rank, or free
-    abelian source of rank <= 1), data = tuple of codomain elements.
+    The form of ``data`` follows from the two classes, named by ``kind``:
+    "table" (finite to finite) is the full element map by index; "matrix"
+    (free abelian to free abelian) is dst.rank row tuples of src.rank
+    ints; "images" (any other pair: a free source of any rank, or a free
+    abelian source of rank <= 1) is one codomain element per source
+    generator.
+
+    The image structure is derived on first use and kept: the verified
+    Smith normal form of the image lattice (``_snf``) for free abelian
+    targets, the Stallings-folded image subgroup (``_fold``) for free
+    targets, shortest words over the images (``_witness``) for finite
+    targets of image homs, and least preimages (``_first_preimage``) for
+    table homs.
     """
 
     src: GroupDesc
     dst: GroupDesc
-    kind: str
     data: tuple
 
+    @cached_property
+    def kind(self) -> str:
+        # cached: every pinch reads it in hom_member and apply
+        return _hom_kind(self.src, self.dst)
+
     def __post_init__(self):
-        getattr(self, f"_init_{self.kind}", self._bad_kind)()
-
-    def _bad_kind(self):
-        raise UnsupportedHom(f"unknown hom kind {self.kind!r}")
-
-    def _init_matrix(self):
-        if not (isinstance(self.src, FreeAbelian) and isinstance(self.dst, FreeAbelian)):
-            raise UnsupportedHom("matrix homs need free abelian source and target")
-        rows = tuple(tuple(r) for r in self.data)
-        if len(rows) != self.dst.rank or any(len(r) != self.src.rank for r in rows):
-            raise ShapeMismatch(
-                f"matrix must be {self.dst.rank} x {self.src.rank}"
-            )
-        object.__setattr__(self, "data", rows)
-        cols = [[rows[i][j] for i in range(self.dst.rank)] for j in range(self.src.rank)]
-        self._attach_lattice(cols)
-
-    def _init_table(self):
-        if not (isinstance(self.src, FiniteTable) and isinstance(self.dst, FiniteTable)):
-            raise UnsupportedHom("table homs need finite source and target")
-        data = tuple(self.data)
-        n = self.src.order()
-        if len(data) != n:
-            raise ShapeMismatch("element map must cover the whole source")
-        for y in data:
-            self.dst.check(y)
-        if data[self.src.id_index] != self.dst.id_index:
-            raise ShapeMismatch("identity must map to identity")
-        for i in range(n):
-            for j in range(n):
-                if data[self.src.mul_table[i][j]] != self.dst.mul_table[data[i]][data[j]]:
-                    raise ShapeMismatch(f"not multiplicative at ({i},{j})")
+        # not self.kind: on CPython 3.11 the first cached value moves the
+        # attributes into a plain dict and slows every later read, and homs
+        # built in bulk for rank searches never read their kind
+        kind = _hom_kind(self.src, self.dst)
+        if kind == "matrix":
+            data = tuple(tuple(r) for r in self.data)
+            if len(data) != self.dst.rank or any(len(r) != self.src.rank for r in data):
+                raise ShapeMismatch(f"matrix must be {self.dst.rank} x {self.src.rank}")
+            for a in itertools.chain.from_iterable(data):
+                if not isinstance(a, int):
+                    raise ShapeMismatch(f"matrix entry {a!r} is not an integer")
+        elif kind == "table":
+            data = tuple(self.data)
+            n = self.src.order()
+            if len(data) != n:
+                raise ShapeMismatch("element map must cover the whole source")
+            for y in data:
+                self.dst.check(y)
+            if data[self.src.id_index] != self.dst.id_index:
+                raise ShapeMismatch("identity must map to identity")
+            for i in range(n):
+                for j in range(n):
+                    if data[self.src.mul_table[i][j]] != self.dst.mul_table[data[i]][data[j]]:
+                        raise ShapeMismatch(f"not multiplicative at ({i},{j})")
+        else:
+            data = tuple(self.data)
+            if isinstance(self.src, FiniteTable):
+                raise UnsupportedHom("use a full element map for finite sources")
+            if isinstance(self.src, FreeAbelian) and self.src.rank > 1:
+                raise UnsupportedHom(
+                    "free abelian sources of rank >= 2 are only supported onto free abelian targets"
+                )
+            if len(data) != len(self.src.generators()):
+                raise ShapeMismatch("one image per source generator required")
+            for y in data:
+                self.dst.check(y)
         object.__setattr__(self, "data", data)
 
-    def _init_images(self):
-        images = tuple(self.data)
-        if isinstance(self.src, FiniteTable):
-            raise UnsupportedHom("use a full element map for finite sources")
-        if isinstance(self.src, FreeAbelian) and self.src.rank > 1:
-            raise UnsupportedHom(
-                "free abelian sources of rank >= 2 are only supported onto free abelian targets"
-            )
-        if len(images) != len(self.src.generators()):
-            raise ShapeMismatch("one image per source generator required")
-        for y in images:
-            self.dst.check(y)
-        object.__setattr__(self, "data", images)
-        if isinstance(self.dst, FreeGroup):
-            object.__setattr__(self, "_fold", FoldedSubgroup(self.dst.rank, images))
-        elif isinstance(self.dst, FreeAbelian):
-            self._attach_lattice([list(v) for v in images])
-        else:
-            self._attach_finite_image(images)
+    @cached_property
+    def _snf(self):
+        """Free abelian targets: the verified SNF (U, D, V) of the matrix
+        whose columns are the generator images."""
+        if self.kind == "matrix":
+            return quotients.smith_normal_form(self.data)
+        return quotients.smith_normal_form(
+            [[y[i] for y in self.data] for i in range(self.dst.rank)]
+        )
 
-    def _attach_lattice(self, cols):
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(self.dst.rank)]
-        object.__setattr__(self, "_cols_matrix", matrix)
-        object.__setattr__(self, "_snf", quotients.smith_normal_form(matrix) if matrix or cols else None)
+    @cached_property
+    def _fold(self) -> FoldedSubgroup:
+        """Free targets: the Stallings-folded subgroup the images generate."""
+        return FoldedSubgroup(self.dst.rank, self.data)
 
-    def _lattice_solve(self, y):
-        """Solve cols @ x == y through the cached SNF."""
-        if self._snf is None:
-            return []
-        u, d, v = self._snf
-        k = len(self._cols_matrix[0]) if self._cols_matrix else 0
-        uy = quotients.mat_vec(u, list(y))
-        z = [0] * k
-        for i in range(self.dst.rank):
-            di = d[i][i] if i < k else 0
-            if di == 0:
-                if uy[i] != 0:
-                    return None
-            elif uy[i] % di != 0:
-                return None
-            else:
-                z[i] = uy[i] // di
-        return quotients.mat_vec(v, z)
-
-    def _attach_finite_image(self, images):
-        witness = {self.dst.id_index: ()}
-        queue = deque([self.dst.id_index])
-        letters = []
-        for gi, y in enumerate(images):
-            letters.append((y, (gi, 1)))
-            letters.append((self.dst.inv_table[y], (gi, -1)))
-        while queue:
-            x = queue.popleft()
-            for y, letter in letters:
-                z = self.dst.mul_table[x][y]
-                if z not in witness:
-                    witness[z] = witness[x] + (letter,)
-                    queue.append(z)
-        object.__setattr__(self, "_finite_witness", witness)
+    @cached_property
+    def _witness(self) -> dict:
+        """Finite targets of image homs: {image element: shortest word over
+        the generator images}."""
+        return _ft_words(self.dst, self.data)
 
     @cached_property
     def _first_preimage(self) -> dict:
-        """Table homs: {image: least source index mapping to it}, built on
-        the first membership query rather than at construction."""
+        """Table homs: {image: least source index mapping to it}."""
         first = {}
         for i, y in enumerate(self.data):
             first.setdefault(y, i)
@@ -531,21 +504,25 @@ class Hom:
 
     @classmethod
     def matrix(cls, src, dst, rows) -> "Hom":
-        return cls(src, dst, "matrix", tuple(tuple(r) for r in rows))
+        if not (isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian)):
+            raise UnsupportedHom("matrix homs need free abelian source and target")
+        return cls(src, dst, rows)
 
     @classmethod
     def table(cls, src, dst, mapping) -> "Hom":
-        return cls(src, dst, "table", tuple(mapping))
+        if not (isinstance(src, FiniteTable) and isinstance(dst, FiniteTable)):
+            raise UnsupportedHom("table homs need finite source and target")
+        return cls(src, dst, mapping)
 
     @classmethod
     def images(cls, src, dst, images) -> "Hom":
         if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
-            cols = [list(v) for v in images]
-            rows = [[cols[j][i] for j in range(len(cols))] for i in range(dst.rank)]
-            return cls.matrix(src, dst, rows)
+            for y in images:
+                dst.check(y)
+            return cls.matrix(src, dst, [[y[i] for y in images] for i in range(dst.rank)])
         if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
             return cls.from_generator_images(src, dst, images)
-        return cls(src, dst, "images", tuple(images))
+        return cls(src, dst, images)
 
     @classmethod
     def from_generator_images(cls, src: FiniteTable, dst: FiniteTable, images) -> "Hom":
@@ -565,30 +542,25 @@ class Hom:
 
     @classmethod
     def identity(cls, g: GroupDesc) -> "Hom":
-        if isinstance(g, FreeAbelian):
-            return cls.matrix(g, g, quotients.mat_identity(g.rank))
         if isinstance(g, FiniteTable):
             return cls.table(g, g, list(g.elements()))
-        return cls(g, g, "images", g.generators())
+        return cls.images(g, g, g.generators())
 
     @classmethod
     def trivial(cls, src: GroupDesc, dst: GroupDesc) -> "Hom":
         """The constant-identity hom, for the shapes that support it."""
-        if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
-            return cls.matrix(src, dst, [[0] * src.rank for _ in range(dst.rank)])
         if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
             return cls.table(src, dst, [dst.id_index] * src.order())
-        return cls(src, dst, "images", tuple(dst.identity() for _ in src.generators()))
+        return cls.images(src, dst, [dst.identity() for _ in src.generators()])
 
     def apply(self, x):
         self.src.check(x)
-        if self.kind == "matrix":
-            return tuple(quotients.mat_vec(list(map(list, self.data)), list(x)))
-        if self.kind == "table":
+        kind = self.kind
+        if kind == "matrix":
+            return tuple(quotients.mat_vec(self.data, x))
+        if kind == "table":
             return self.data[x]
-        if isinstance(self.src, FreeAbelian):
-            if self.src.rank == 0:
-                return self.dst.identity()
+        if isinstance(self.src, FreeAbelian) and self.src.rank:
             return self.dst.power(self.data[0], x[0])
         acc = self.dst.identity()
         for idx, sign in self.src.spell(x):
@@ -601,33 +573,20 @@ def hom_apply(h: Hom, x):
     return h.apply(x)
 
 
-def _src_is_trivial(h: Hom) -> bool:
-    return h.src.order() == 1
-
-
 def hom_is_injective(h: Hom) -> bool:
     """Kernel triviality, decided per class pair."""
-    if _src_is_trivial(h):
+    if h.src.order() == 1:
         return True
-    if h.kind == "matrix":
-        _, d, _ = h._snf
-        nonzero = sum(1 for i in range(min(h.dst.rank, h.src.rank)) if d[i][i] != 0)
-        return nonzero == h.src.rank
     if h.kind == "table":
         return sum(1 for y in h.data if y == h.dst.id_index) == 1
-    # images kind
     if isinstance(h.dst, FreeGroup):
-        if isinstance(h.src, FreeAbelian):
-            return h.data[0] != ()
-        if any(w == () for w in h.data):
-            return False
-        return h._fold.rank() == h.src.rank
+        # covers a Z source too: a nonempty word generates a rank-1 subgroup
+        return all(h.data) and h._fold.rank() == h.src.rank
     if isinstance(h.dst, FreeAbelian):
-        if isinstance(h.src, FreeAbelian):
-            return h.data[0] != h.dst.identity()
-        if h.src.rank >= 2:
+        if isinstance(h.src, FreeGroup) and h.src.rank >= 2:
             return False  # a commutator of distinct letters dies
-        return h.data[0] != h.dst.identity()
+        _, d, v = h._snf
+        return sum(1 for i in range(min(len(d), len(v))) if d[i][i] != 0) == h.src.rank
     # finite target, infinite source
     return False
 
@@ -637,9 +596,6 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
     h.dst.check(y)
     if isinstance(h.dst, FreeAbelian) and h.dst.rank == 0:
         return MembershipAnswer(True, h.src.identity())
-    if h.kind == "matrix":
-        x = h._lattice_solve(y)
-        return MembershipAnswer(False) if x is None else MembershipAnswer(True, tuple(x))
     if h.kind == "table":
         i = h._first_preimage.get(y)
         return MembershipAnswer(False) if i is None else MembershipAnswer(True, i)
@@ -649,7 +605,7 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
             return MembershipAnswer(False)
         return MembershipAnswer(True, _letters_to_source_element(h, w))
     if isinstance(h.dst, FreeAbelian):
-        x = h._lattice_solve(y)
+        x = quotients.snf_solve(h._snf, y)
         if x is None:
             return MembershipAnswer(False)
         if isinstance(h.src, FreeAbelian):
@@ -659,7 +615,7 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
             word.extend([(i + 1) * (1 if k > 0 else -1)] * abs(k))
         return MembershipAnswer(True, tuple(word))
     # finite target
-    w = h._finite_witness.get(y)
+    w = h._witness.get(y)
     if w is None:
         return MembershipAnswer(False)
     return MembershipAnswer(True, _letters_to_source_element(h, [(gi + 1) * s for gi, s in w]))
@@ -677,32 +633,21 @@ def _letters_to_source_element(h: Hom, letters):
 
 def cogenerator(h: Hom):
     """An element of the target outside im(h); None exactly when surjective."""
-    if h.kind == "table" or isinstance(h.dst, FiniteTable):
-        image = set(h.data) if h.kind == "table" else set(h._finite_witness)
+    if isinstance(h.dst, FiniteTable):
+        image = h._first_preimage if h.kind == "table" else h._witness
         for y in h.dst.elements():
             if y not in image:
                 return y
         return None
     if isinstance(h.dst, FreeGroup):
         return h._fold.cogenerator()
-    # free abelian target: use the SNF of the image lattice
-    if h.dst.rank == 0:
-        return None
-    if h._snf is None or not h._cols_matrix or not h._cols_matrix[0]:
-        u_inv_col = [1 if i == 0 else 0 for i in range(h.dst.rank)]
-        return tuple(u_inv_col)
-    u, d, _ = h._snf
-    k = len(h._cols_matrix[0])
-    pick = None
+    # free abelian target: the first SNF row whose diagonal entry is not 1
+    # (a zero or torsion row, or one past the columns) is outside the image
+    u, d, v = h._snf
     for i in range(h.dst.rank):
-        di = d[i][i] if i < k else 0
-        if di == 0 or di >= 2:
-            pick = i
-            break
-    if pick is None:
-        return None
-    u_inv = quotients.mat_int_inverse(u)
-    return tuple(u_inv[r][pick] for r in range(h.dst.rank))
+        if i >= len(v) or d[i][i] != 1:
+            return tuple(row[i] for row in quotients.mat_int_inverse(u))
+    return None
 
 
 def is_surjective(h: Hom) -> bool:
@@ -731,12 +676,9 @@ def inverse(h: Hom) -> Hom:
     if not is_isomorphism(h):
         raise ShapeMismatch("hom is not an isomorphism")
     if h.kind == "matrix":
-        return Hom.matrix(h.dst, h.src, quotients.mat_int_inverse(list(map(list, h.data))))
+        return Hom.matrix(h.dst, h.src, quotients.mat_int_inverse(h.data))
     if h.kind == "table":
-        back = [None] * h.dst.order()
-        for i, y in enumerate(h.data):
-            back[y] = i
-        return Hom.table(h.dst, h.src, back)
+        return Hom.table(h.dst, h.src, [h._first_preimage[y] for y in h.dst.elements()])
     images = []
     for y in h.dst.generators():
         answer = hom_member(h, y)
@@ -782,15 +724,14 @@ def format_element(g: GroupDesc, x) -> str:
     )
 
 
-def parse_free_word(g: FreeGroup, text: str, sep: str = None):
+def parse_free_word(g: FreeGroup, text: str):
     """Parse a free-group word; letters split on whitespace or '.'."""
     text = text.strip()
     if text in ("", "1"):
         return ()
-    parts = text.split(sep) if sep else text.replace(".", " ").split()
     index = {name: i + 1 for i, name in enumerate(g.names)}
     word = []
-    for part in parts:
+    for part in text.replace(".", " ").split():
         sign = 1
         if part.endswith("^-1"):
             sign = -1
@@ -801,18 +742,25 @@ def parse_free_word(g: FreeGroup, text: str, sep: str = None):
     return free_reduce(tuple(word))
 
 
+def _parse_int(text: str, element: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ShapeMismatch(f"bad integer {text.strip()!r} in element {element!r}") from None
+
+
 def parse_element(g: GroupDesc, text: str):
     text = text.strip()
     if isinstance(g, FreeAbelian):
         if not (text.startswith("[") and text.endswith("]")):
             raise ShapeMismatch(f"free abelian element must look like [k1,...]: {text!r}")
         inner = text[1:-1].strip()
-        vec = tuple(int(p) for p in inner.split(",")) if inner else ()
+        vec = tuple(_parse_int(p, text) for p in inner.split(",")) if inner else ()
         g.check(vec)
         return vec
     if isinstance(g, FiniteTable):
         if text.startswith("#"):
-            idx = int(text[1:])
+            idx = _parse_int(text[1:], text)
         elif text in g.labels:
             idx = g.labels.index(text)
         else:

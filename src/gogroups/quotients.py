@@ -189,15 +189,14 @@ def smith_normal_form(m: IntMatrix):
     return u, d, v
 
 
-def solve_int(m: IntMatrix, y: list):
-    """One integer solution x of m @ x == y, or None when unsolvable."""
-    rows, cols = _shape(m)
-    if len(y) != rows:
-        raise ValueError("rhs length mismatch")
-    u, d, v = _snf_engine(m)
+def snf_solve(snf, y: list):
+    """One integer solution x of m @ x == y, given m's Smith normal form
+    (U, D, V), or None when unsolvable; m has len(V) columns."""
+    u, d, v = snf
+    cols = len(v)
     uy = mat_vec(u, y)
     z = [0] * cols
-    for i in range(rows):
+    for i in range(len(u)):
         di = d[i][i] if i < cols else 0
         if di == 0:
             if uy[i] != 0:
@@ -207,6 +206,14 @@ def solve_int(m: IntMatrix, y: list):
                 return None
             z[i] = uy[i] // di
     return mat_vec(v, z)
+
+
+def solve_int(m: IntMatrix, y: list):
+    """One integer solution x of m @ x == y, or None when unsolvable."""
+    rows, _ = _shape(m)
+    if len(y) != rows:
+        raise ValueError("rhs length mismatch")
+    return snf_solve(_snf_engine(m), y)
 
 
 def int_kernel(m: IntMatrix) -> list:

@@ -190,6 +190,15 @@ class TestCommands:
         code, _, err = run(capsys, "recognize-abelian", fixture("trefoil.gog"))
         assert code == 1
 
+    def test_malformed_element_integers_exit_one(self, capsys):
+        for word, path, message in (
+            ("v:[a]", "torus.gog", "error: bad integer 'a' in element '[a]'\n"),
+            ("m:#x", "finite-star.gog", "error: bad integer 'x' in element '#x'\n"),
+            ("v:[1,2]", "torus.gog", "error: (1, 2) is not a Z^1 element\n"),
+        ):
+            code, out, err = run(capsys, "reduce", "--word", word, fixture(path))
+            assert (code, out, err) == (1, "", message)
+
     def test_parse_errors_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "broken.gog"
         bad.write_text("vertices: [not, a, mapping]\n")

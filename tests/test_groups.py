@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import zoo
 from gogroups.errors import ShapeMismatch, UnsupportedHom
 from gogroups.groups import (
     FiniteTable,
@@ -82,6 +83,16 @@ class TestHomApply:
         h = Hom.images(FreeGroup(2, ("a", "b")), cyclic_table(2), [1, 1])
         assert hom_apply(h, (1, 2, -1, 2)) == 0  # aba^-1b has even length
 
+    def test_free_abelian_data_is_checked(self):
+        z2, z3 = FreeAbelian(2), FreeAbelian(3)
+        with pytest.raises(ShapeMismatch, match=r"^\(0, 1\) is not a Z\^3 element$"):
+            Hom.images(z2, z3, [(1, 0, 0), (0, 1)])
+        with pytest.raises(ShapeMismatch, match=r"^\(1, 0, 0, 5\) is not a Z\^3 element$"):
+            Hom.images(z2, z3, [(1, 0, 0, 5), (0, 1, 0, 0)])
+        for entry in (1.5, "2", None):
+            with pytest.raises(ShapeMismatch, match="is not an integer"):
+                Hom.matrix(FreeAbelian(1), FreeAbelian(1), [[entry]])
+
     def test_multiplicative_randomized(self):
         rng = random.Random(5)
         z2 = FreeAbelian(2)
@@ -93,20 +104,9 @@ class TestHomApply:
             (Hom.images(f2, FreeGroup(2), [(1, 2), (2,)]), f2),
             (Hom.images(FreeAbelian(1), FreeGroup(2), [(1, 2, -1)]), FreeAbelian(1)),
         ]
-
-        def random_element(g):
-            if isinstance(g, FreeAbelian):
-                return tuple(rng.randint(-4, 4) for _ in range(g.rank))
-            if isinstance(g, FiniteTable):
-                return rng.randrange(g.order())
-            acc = ()
-            for _ in range(rng.randint(0, 5)):
-                acc = g.mul(acc, (rng.choice([1, -1]) * rng.randint(1, g.rank),))
-            return acc
-
         for h, src in homs:
             for _ in range(25):
-                x, y = random_element(src), random_element(src)
+                x, y = _random_element(rng, src), _random_element(rng, src)
                 assert hom_apply(h, src.mul(x, y)) == h.dst.mul(hom_apply(h, x), hom_apply(h, y))
                 assert hom_member(h, hom_apply(h, x)).inside
             assert hom_apply(h, src.identity()) == h.dst.identity()
@@ -115,17 +115,23 @@ class TestHomApply:
 class TestInjectivity:
     def test_doubling_injective(self):
         assert hom_is_injective(Hom.matrix(FreeAbelian(1), FreeAbelian(1), [[2]]))
+        assert hom_is_injective(Hom.images(FreeGroup(1), FreeAbelian(2), [(2, 4)]))
 
     def test_rank_deficient_not_injective(self):
         assert not hom_is_injective(Hom.matrix(FreeAbelian(2), FreeAbelian(1), [[1, 1]]))
+        # F2 onto the standard basis of Z^2 kills the commutator
+        assert not hom_is_injective(Hom.images(FreeGroup(2), FreeAbelian(2), [(1, 0), (0, 1)]))
+        assert not hom_is_injective(Hom.images(FreeGroup(1), FreeAbelian(2), [(0, 0)]))
 
     def test_free_collapse_not_injective(self):
         h = Hom.images(FreeGroup(2), FreeGroup(1), [(1,), (1,)])
         assert not hom_is_injective(h)
+        assert not hom_is_injective(Hom.images(FreeAbelian(1), FreeGroup(2), [()]))
 
     def test_free_embedding_injective(self):
         h = Hom.images(FreeGroup(2), FreeGroup(2), [(1, 1), (2,)])
         assert hom_is_injective(h)
+        assert hom_is_injective(Hom.images(FreeAbelian(1), FreeGroup(2), [(1, 2, -1)]))
 
     def test_table_injectivity_matches_kernel_scan(self):
         z12 = cyclic_table(12)
@@ -225,6 +231,10 @@ class TestCogenerator:
             else:
                 assert not hom_member(h, cog).inside
 
+    def test_rank_zero_source_misses_the_first_basis_vector(self):
+        h = Hom.matrix(FreeAbelian(0), FreeAbelian(2), [[], []])
+        assert cogenerator(h) == (1, 0)
+
     def test_free_cogenerator(self):
         h = Hom.images(FreeGroup(2), FreeGroup(2), [(1, 1), (2,)])
         cog = cogenerator(h)
@@ -271,8 +281,78 @@ class TestComposeInverse:
         assert hom_apply(c, (6,)) == cyclic_table(6).power(5, 6)
 
     def test_unsupported_shapes_rejected(self):
-        with pytest.raises(UnsupportedHom):
-            Hom.images(FreeAbelian(2), FreeGroup(2), [(1,), (2,)])
+        stock = [FreeAbelian(1), FreeGroup(1), cyclic_table(2)]
+        cases = []
+        for src, dst in itertools.product(stock, repeat=2):
+            if not (isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian)):
+                cases.append((Hom.matrix, src, dst, "matrix homs need free abelian source and target"))
+            if not (isinstance(src, FiniteTable) and isinstance(dst, FiniteTable)):
+                cases.append((Hom.table, src, dst, "table homs need finite source and target"))
+            if isinstance(src, FiniteTable) and not isinstance(dst, FiniteTable):
+                cases.append((Hom.images, src, dst, "use a full element map for finite sources"))
+        rank2 = "free abelian sources of rank >= 2 are only supported onto free abelian targets"
+        cases.append((Hom.images, FreeAbelian(2), FreeGroup(2), rank2))
+        cases.append((Hom.images, FreeAbelian(2), cyclic_table(2), rank2))
+        assert len(cases) == 20
+        for ctor, src, dst, message in cases:
+            with pytest.raises(UnsupportedHom) as info:
+                ctor(src, dst, [dst.identity()] * len(src.generators()))
+            assert str(info.value) == message
+
+
+def _random_element(rng, g):
+    if isinstance(g, FreeAbelian):
+        return tuple(rng.randint(-4, 4) for _ in range(g.rank))
+    if isinstance(g, FiniteTable):
+        return rng.randrange(g.order())
+    acc = ()
+    for _ in range(rng.randint(0, 5) if g.rank else 0):
+        acc = g.mul(acc, (rng.choice([1, -1]) * rng.randint(1, g.rank),))
+    return acc
+
+
+def test_hom_services_agree_on_every_zoo_edge_map():
+    """Membership against the brute-force image for finite targets,
+    preimages that map back, and cogenerators outside the image, over every
+    zoo edge map plus image homs into finite targets."""
+    rng = random.Random(41)
+    z6, s3 = cyclic_table(6), dihedral_table(3)
+    homs = [h for g in zoo.graphs() for h in g.emap.values()] + [
+        Hom.images(FreeGroup(2), z6, [2, 3]),
+        Hom.images(FreeGroup(2), z6, [2, 4]),
+        Hom.images(FreeGroup(2), s3, [1, 3]),
+        Hom.images(FreeGroup(1), s3, [4]),
+        Hom.images(FreeAbelian(1), z6, [4]),
+        Hom.images(FreeAbelian(0), s3, []),
+    ]
+    finite_checked = 0
+    for h in homs:
+        if isinstance(h.dst, FiniteTable):
+            image = {h.dst.id_index}
+            frontier = list(image)
+            step = list(h.data) if h.kind == "images" else [h.apply(x) for x in h.src.elements()]
+            while frontier:
+                y = frontier.pop()
+                for z in step:
+                    for w in (h.dst.mul(y, z), h.dst.mul(y, h.dst.inv(z))):
+                        if w not in image:
+                            image.add(w)
+                            frontier.append(w)
+            targets = list(h.dst.elements())
+            for y in targets:
+                assert hom_member(h, y).inside == (y in image)
+            finite_checked += 1
+        else:
+            targets = [_random_element(rng, h.dst) for _ in range(20)]
+            targets += [h.apply(_random_element(rng, h.src)) for _ in range(20)]
+        for y in targets:
+            answer = hom_member(h, y)
+            if answer.inside:
+                assert h.apply(answer.preimage) == y
+        cog = cogenerator(h)
+        if cog is not None:
+            assert not hom_member(h, cog).inside
+    assert finite_checked >= 20
 
 
 class TestRanks:

@@ -14,6 +14,7 @@ from gogroups.quotients import (
     mat_mul,
     oracle_answer,
     smith_normal_form,
+    snf_solve,
     solve_int,
 )
 
@@ -69,6 +70,12 @@ class TestSmithNormalForm:
         assert solve_int([[1, 1]], [5]) is not None
         x = solve_int([[2, 0], [0, 3]], [4, -9])
         assert x == [2, -3]
+        # a kept SNF answers the same; a zero-column matrix solves only 0
+        m = [[2, 4, 0], [1, 1, 3]]
+        for y in ([2, 1], [6, 5], [1, 0], [0, 0]):
+            assert snf_solve(smith_normal_form(m), y) == solve_int(m, y)
+        assert snf_solve(smith_normal_form([[], []]), [0, 0]) == []
+        assert snf_solve(smith_normal_form([[], []]), [0, 1]) is None
 
 
 class TestAbelianization:

@@ -327,27 +327,6 @@ class TestWordConstruction:
         assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
 
 
-def zoo_graphs():
-    return [
-        zoo.torus(),
-        zoo.klein(),
-        zoo.bs12(),
-        zoo.two_loop_trivial(),
-        zoo.amalgam23(),
-        zoo.trefoil(),
-        *(zoo.dyadic(k) for k in range(2, 6)),
-        zoo.star3(),
-        zoo.pushout46(),
-        zoo.z3f2(),
-        zoo.finite_star(),
-        zoo.chain48(),
-        zoo.chain39(),
-        zoo.k4_leaf(),
-        zoo.klein4_star(),
-        zoo.torus_whisker(),
-    ]
-
-
 def last_first_tree(g):
     """A spanning tree other than the default: orbits taken greedily from
     the largest plus id down, skipping any that would close a cycle."""
@@ -368,7 +347,7 @@ def last_first_tree(g):
 
 
 def test_tree_paths_walk_the_tree_from_base():
-    for g in zoo_graphs():
+    for g in zoo.graphs():
         stored = g.replace(tree=last_first_tree(g), base=max(g.graph.vertices))
         for h in (g, stored):
             assert validate_gog(h).ok
@@ -470,7 +449,7 @@ def restart_reduce(g, w):
 def test_one_pass_reduce_matches_restart_oracle():
     rng = random.Random(31)
     checked = 0
-    for g in zoo_graphs():
+    for g in zoo.graphs():
         if classify(g) is not DiagramClass.GRAPH_OF_GROUPS:
             continue
         pres = pi1_presentation(g)

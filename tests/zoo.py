@@ -278,3 +278,25 @@ def torus_whisker(back_matrix=None):
             "w^-1": Hom.matrix(zd, zb, back_matrix or [[1]]),
         },
     )
+
+
+def graphs():
+    """Every construction above, once (dyadic at k = 2..5)."""
+    return [
+        torus(),
+        klein(),
+        bs12(),
+        two_loop_trivial(),
+        amalgam23(),
+        trefoil(),
+        *(dyadic(k) for k in range(2, 6)),
+        star3(),
+        pushout46(),
+        z3f2(),
+        finite_star(),
+        chain48(),
+        chain39(),
+        k4_leaf(),
+        klein4_star(),
+        torus_whisker(),
+    ]
