@@ -15,7 +15,7 @@ import yaml
 
 from .analysis import rank_bound, recognize_abelian
 from .errors import GogError, GogParseError, OracleIncomplete
-from .gog import classify, pi1_presentation, presentation_to_text, validate_gog
+from .gog import classify, pi1_presentation, presentation_to_text, relator_to_text, validate_gog
 from .gogfile import group_descriptor, hom_descriptor, parse_gog, serialize_gog
 from .moves import (
     QuotientOracle,
@@ -109,7 +109,7 @@ def cmd_decompose(args):
         sys.stdout.write(presentation_to_text(dec.right))
     print("-- glue relators --")
     for rel in dec.glue_relators:
-        print(" ".join(f"{n}^-1" if s < 0 else n for n, s in rel))
+        print(relator_to_text(rel))
     return 0
 
 

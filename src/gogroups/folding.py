@@ -2,10 +2,19 @@
 
 One audited implementation backs membership, injectivity testing and
 cogenerator search for every homomorphism whose codomain is free.  The
-graph is built as a wedge of labeled cycles (one per subgroup generator
-word) and folded; the fold history is kept so that a membership path can
-be lifted back to the wedge, which rewrites the member as a word in the
-original subgroup generators.
+graph is built as a wedge of cycles, one per subgroup generator word,
+and folded once (Stallings 1983; Kapovich-Myasnikov 2002).
+
+Label invariant: every edge carries a word over the subgroup generators
+(1-based signed indices, like ambient words).  In the wedge the last edge
+of generator i's cycle carries (i,) and every other edge (); traversing
+an edge backwards reads the inverse label.  Folding merges vertices into
+classes, and each union-find link carries the label word of a wedge path
+from the parent vertex to the child whose ambient letters cancel.  So
+every edge of the folded graph carries the label of a wedge path between
+its class representatives that reads the edge's one letter, and the
+labels along any closed walk at the base spell a preimage of the ambient
+word it reads.  No fold history is kept.
 
 Words over a free group of rank n are tuples of nonzero ints: +i is the
 i-th letter (1-based), -i its inverse, with no xx^-1 adjacency.
@@ -14,7 +23,6 @@ i-th letter (1-based), -i its inverse, with no xx^-1 adjacency.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 def free_reduce(word):
@@ -35,278 +43,148 @@ def free_inv(a):
     return tuple(-s for s in reversed(a))
 
 
-class _UndoDSU:
-    """Union-find over ints with an undo journal (no path compression)."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.journal = []
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self.journal.append(None)
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.journal.append(rb)
-        return ra
-
-    def undo(self):
-        rb = self.journal.pop()
-        if rb is not None:
-            self.parent[rb] = rb
-            # size bookkeeping is only used for balancing; stale values are fine
-
-
-@dataclass(frozen=True)
-class _Fold:
-    kept: int        # surviving edge id
-    dropped: int     # merged-away edge id
-    shared: str      # "origin" or "target"
-    v_kept: int      # free endpoint of kept edge before the fold
-    v_dropped: int   # free endpoint of dropped edge before the fold
-
-
 class FoldedSubgroup:
     """Folded graph of the subgroup generated by ``image_words`` inside a
-    free group of rank ``ambient_rank``."""
+    free group of rank ``ambient_rank``.
+
+    After construction each class representative r has a table
+    ``{signed ambient letter: (representative reached, generator word)}``;
+    the word is the label of a path between the two representatives.
+    """
 
     BASE = 0
 
     def __init__(self, ambient_rank, image_words):
         self.ambient_rank = ambient_rank
-        self.image_words = [free_reduce(w) for w in image_words]
-        # edge tables, indexed by edge id
-        self._origin = []
-        self._target = []
-        self._letter = []
-        # designated edge per nonempty generator cycle: (edge id, +1/-1)
-        self._designated = {}
-        self._gen_of_edge = {}
-        n_vertices = 1 + sum(max(len(w) - 1, 0) for w in self.image_words if w)
-        self._dsu = _UndoDSU(n_vertices)
-        self._alive = set()
-        self._folds = []
-        next_vertex = 1
-        for gi, w in enumerate(self.image_words):
+        # half-edges 2k and 2k + 1 are the two directions of edge k
+        starts, ends, keys, labels = [], [], [], []
+        n_vertices = 1
+        for gi, w in enumerate(map(free_reduce, image_words)):
             if not w:
                 continue
-            cycle_vertices = [self.BASE]
-            for _ in range(len(w) - 1):
-                cycle_vertices.append(next_vertex)
-                next_vertex += 1
-            cycle_vertices.append(self.BASE)
+            cycle = [self.BASE, *range(n_vertices, n_vertices + len(w) - 1), self.BASE]
+            n_vertices += len(w) - 1
             for j, s in enumerate(w):
-                a, b = cycle_vertices[j], cycle_vertices[j + 1]
-                if s > 0:
-                    eid = self._new_edge(a, b, s)
-                    direction = 1
-                else:
-                    eid = self._new_edge(b, a, -s)
-                    direction = -1
-                if j == len(w) - 1:
-                    self._designated[eid] = (gi, direction)
-        self._fold_all()
-        self._index_adjacency()
+                label = (gi + 1,) if j == len(w) - 1 else ()
+                a, b = cycle[j], cycle[j + 1]
+                starts += [a, b]
+                ends += [b, a]
+                keys += [s, -s]
+                labels += [label, free_inv(label)]
+        self._parent = list(range(n_vertices))
+        self._link = [()] * n_vertices
+        self._size = [1] * n_vertices
+        self._fold(starts, ends, keys, labels)
+        self._base = self._find(self.BASE)
+        self._base_word = self._pot(self.BASE)
 
     # -- construction internals ------------------------------------------
 
-    def _new_edge(self, origin, target, letter):
-        eid = len(self._origin)
-        self._origin.append(origin)
-        self._target.append(target)
-        self._letter.append(letter)
-        self._alive.add(eid)
-        return eid
+    def _find(self, v):
+        """Class representative of v, compressing the path and its links."""
+        path = []
+        while self._parent[v] != v:
+            path.append(v)
+            v = self._parent[v]
+        for u in reversed(path):
+            p = self._parent[u]
+            if p != v:
+                self._link[u] = free_mul(self._link[p], self._link[u])
+                self._parent[u] = v
+        return v
 
-    def _fold_all(self):
-        changed = True
-        while changed:
-            changed = False
-            by_origin = {}
-            by_target = {}
-            for eid in sorted(self._alive):
-                o = self._dsu.find(self._origin[eid])
-                t = self._dsu.find(self._target[eid])
-                letter = self._letter[eid]
-                key = (o, letter)
-                if key in by_origin:
-                    self._apply_fold(by_origin[key], eid, "origin")
-                    changed = True
-                    break
-                by_origin[key] = eid
-                key = (t, letter)
-                if key in by_target:
-                    self._apply_fold(by_target[key], eid, "target")
-                    changed = True
-                    break
-                by_target[key] = eid
+    def _pot(self, v):
+        """Generator word of a path from v's representative to v."""
+        return () if self._find(v) == v else self._link[v]
 
-    def _apply_fold(self, kept, dropped, shared):
-        if shared == "origin":
-            v1 = self._dsu.find(self._target[kept])
-            v2 = self._dsu.find(self._target[dropped])
-        else:
-            v1 = self._dsu.find(self._origin[kept])
-            v2 = self._dsu.find(self._origin[dropped])
-        self._dsu.union(v1, v2)
-        self._alive.discard(dropped)
-        self._folds.append(_Fold(kept, dropped, shared, v1, v2))
+    def _fold(self, starts, ends, keys, labels):
+        """Insert every half-edge into its class's letter table; a collision
+        drops the second edge and queues a merge of the two classes reached,
+        linked by the word between them.  Sets the query tables."""
+        tables = [{} for _ in self._parent]
+        alive = [True] * (len(keys) // 2)
+        pending = deque()
 
-    def _index_adjacency(self):
-        self._out = {}
-        self._in = {}
-        self._classes = set()
-        for eid in sorted(self._alive):
-            o = self._dsu.find(self._origin[eid])
-            t = self._dsu.find(self._target[eid])
-            letter = self._letter[eid]
-            assert (o, letter) not in self._out, "graph not folded"
-            assert (t, letter) not in self._in, "graph not folded"
-            self._out[(o, letter)] = eid
-            self._in[(t, letter)] = eid
-            self._classes.update((o, t))
-        if not self._classes:
-            self._classes = {self.BASE}
-        self._base_class = self._dsu.find(self.BASE)
+        def between(h):
+            return free_reduce(self._pot(starts[h]) + labels[h] + free_inv(self._pot(ends[h])))
+
+        def place(table, h):
+            kept = table.setdefault(keys[h], h)
+            if kept == h:
+                return
+            alive[h >> 1] = False
+            twin = h ^ 1
+            twin_table = tables[self._find(starts[twin])]
+            if twin_table.get(keys[twin]) == twin:
+                del twin_table[keys[twin]]
+            pending.append((kept, h))
+
+        for h in range(len(keys)):
+            if alive[h >> 1]:
+                place(tables[self._find(starts[h])], h)
+        while pending:
+            h1, h2 = pending.popleft()
+            ra, rb = self._find(ends[h1]), self._find(ends[h2])
+            if ra == rb:
+                continue
+            link = free_mul(free_inv(between(h1)), between(h2))
+            if self._size[ra] < self._size[rb]:
+                ra, rb, link = rb, ra, free_inv(link)
+            self._parent[rb] = ra
+            self._link[rb] = link
+            self._size[ra] += self._size[rb]
+            moving, tables[rb] = tables[rb], None
+            for h in moving.values():
+                if alive[h >> 1]:
+                    place(tables[ra], h)
+        self._table = {
+            r: {s: (self._find(ends[h]), between(h)) for s, h in table.items()}
+            for r, table in enumerate(tables)
+            if table is not None
+        }
 
     # -- queries -----------------------------------------------------------
 
     def rank(self) -> int:
         """Rank of the subgroup: E - V + 1 of the (connected) folded graph."""
-        if not self._alive:
-            return 0
-        return len(self._alive) - len(self._classes) + 1
+        edges = sum(len(table) for table in self._table.values()) // 2
+        return edges - len(self._table) + 1
 
     def read(self, word):
-        """Follow ``word`` from the base.
+        """Follow ``word`` from the base's class.
 
-        Returns (ok, closes, path) where path is a list of (edge id, +-1)
-        traversals; ok is False when some letter has no edge to follow.
+        Returns (class reached, generator words along the walk); the class
+        is None when some letter has no edge to follow.
         """
-        v = self._base_class
-        path = []
+        at = self._base
+        words = []
         for s in free_reduce(word):
-            if s > 0:
-                eid = self._out.get((v, s))
-                if eid is None:
-                    return False, False, path
-                path.append((eid, 1))
-                v = self._dsu.find(self._target[eid])
-            else:
-                eid = self._in.get((v, -s))
-                if eid is None:
-                    return False, False, path
-                path.append((eid, -1))
-                v = self._dsu.find(self._origin[eid])
-        return True, v == self._base_class, path
+            step = self._table[at].get(s)
+            if step is None:
+                return None, words
+            at, x = step
+            words.append(x)
+        return at, words
 
     def contains(self, word) -> bool:
-        ok, closes, _ = self.read(word)
-        return ok and closes
+        return self.read(word)[0] == self._base
 
     def preimage(self, word):
-        """A word in the subgroup generators mapping onto ``word``, or None.
-
-        The membership path is lifted backwards through the fold history;
-        in the unfolded wedge the crossings of each cycle's designated edge
-        spell the answer.
-        """
-        ok, closes, path = self.read(word)
-        if not (ok and closes):
+        """A word in the subgroup generators mapping onto ``word``, or None:
+        the labels along its closed walk, conjugated back to the base."""
+        at, words = self.read(word)
+        if at != self._base:
             return None
-        lifted = self._lift(path)
-        out = []
-        for eid, direction in lifted:
-            tag = self._designated.get(eid)
-            if tag is not None:
-                gi, orient = tag
-                out.append((gi + 1) * (1 if direction == orient else -1))
+        out = list(free_inv(self._base_word))
+        for x in words:
+            out.extend(x)
+        out.extend(self._base_word)
         return free_reduce(out)
 
-    def _lift(self, path):
-        """Rewrite a folded-graph path into a wedge path by undoing folds."""
-        path = list(path)
-        for fold in reversed(self._folds):
-            self._dsu.undo()
-            path = [(fold.kept if eid == fold.dropped else eid, d) for eid, d in path]
-            connector = self._connector(fold)
-            fixed = []
-            at = self._dsu.find(self.BASE)
-            for eid, d in path:
-                start = self._dsu.find(self._origin[eid] if d > 0 else self._target[eid])
-                if start != at:
-                    fixed.extend(self._bridge(fold, connector, at, start))
-                fixed.append((eid, d))
-                at = self._dsu.find(self._target[eid] if d > 0 else self._origin[eid])
-            base = self._dsu.find(self.BASE)
-            if at != base:
-                fixed.extend(self._bridge(fold, connector, at, base))
-            path = fixed
-        # re-apply the folds so the structure stays usable
-        for fold in self._folds:
-            self._dsu.union(fold.v_kept, fold.v_dropped)
-        return path
-
-    def _connector(self, fold):
-        """Path from v_kept to v_dropped valid before the fold."""
-        if fold.shared == "origin":
-            return [(fold.kept, -1), (fold.dropped, 1)]
-        return [(fold.kept, 1), (fold.dropped, -1)]
-
-    def _bridge(self, fold, connector, frm, to):
-        vk = self._dsu.find(fold.v_kept)
-        vd = self._dsu.find(fold.v_dropped)
-        if frm == vk and to == vd:
-            return connector
-        if frm == vd and to == vk:
-            return [(eid, -d) for eid, d in reversed(connector)]
-        raise AssertionError("path junction does not match the undone fold")
-
     def is_all(self) -> bool:
-        """Whether the subgroup is the whole ambient free group."""
-        if self.ambient_rank == 0:
-            return True
-        core_alive, core_classes = self._core()
-        if len(core_classes) != 1:
-            return False
-        return len(core_alive) == self.ambient_rank
-
-    def _core(self):
-        """Trim hanging trees (never removing the base class)."""
-        alive = set(self._alive)
-        while True:
-            degree = {}
-            for eid in alive:
-                o = self._dsu.find(self._origin[eid])
-                t = self._dsu.find(self._target[eid])
-                degree[o] = degree.get(o, 0) + 1
-                degree[t] = degree.get(t, 0) + 1
-            leaf_edges = set()
-            for eid in alive:
-                for end in (self._origin[eid], self._target[eid]):
-                    c = self._dsu.find(end)
-                    if c != self._base_class and degree.get(c, 0) == 1:
-                        leaf_edges.add(eid)
-            if not leaf_edges:
-                break
-            alive -= leaf_edges
-        classes = set()
-        for eid in alive:
-            classes.add(self._dsu.find(self._origin[eid]))
-            classes.add(self._dsu.find(self._target[eid]))
-        if not classes:
-            classes = {self._base_class}
-        return alive, classes
+        """Whether the subgroup is the whole ambient free group, i.e.
+        contains every ambient generator."""
+        return all(self.contains((i,)) for i in range(1, self.ambient_rank + 1))
 
     def cogenerator(self):
         """Shortlex-first reduced word outside the subgroup; None when the
@@ -317,7 +195,7 @@ class FoldedSubgroup:
         for i in range(1, self.ambient_rank + 1):
             letters.extend((i, -i))
         queue = deque([()])
-        bound = 2 * (len(self._classes) + 2)
+        bound = 2 * (len(self._table) + 2)
         while queue:
             w = queue.popleft()
             if w and not self.contains(w):

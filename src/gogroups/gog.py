@@ -388,6 +388,10 @@ def presentation_to_text(p: Presentation) -> str:
     """One generator per line, then --, then one relator word per line."""
     lines = [g.name for g in p.generators]
     lines.append("--")
-    for rel in p.relators:
-        lines.append(" ".join(f"{n}^-1" if s < 0 else n for n, s in rel))
+    lines.extend(relator_to_text(rel) for rel in p.relators)
     return "\n".join(lines) + "\n"
+
+
+def relator_to_text(rel) -> str:
+    """A relator word as space-separated tokens, name or name^-1."""
+    return " ".join(f"{n}^-1" if s < 0 else n for n, s in rel)

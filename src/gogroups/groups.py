@@ -237,7 +237,6 @@ class FiniteTable(GroupDesc):
         return _ft_spellings(self)[x]
 
 
-@lru_cache(maxsize=None)
 def _ft_closure(table: FiniteTable, gens: tuple) -> tuple:
     """Subgroup generated by gens, in BFS discovery order (identity first)."""
     seen = {table.id_index}
@@ -724,6 +723,13 @@ def format_element(g: GroupDesc, x) -> str:
     )
 
 
+def split_inverse(token: str) -> tuple:
+    """(name, -1) for a token ``name^-1``, else (token, 1)."""
+    if token.endswith("^-1"):
+        return token[: -len("^-1")], -1
+    return token, 1
+
+
 def parse_free_word(g: FreeGroup, text: str):
     """Parse a free-group word; letters split on whitespace or '.'."""
     text = text.strip()
@@ -732,10 +738,7 @@ def parse_free_word(g: FreeGroup, text: str):
     index = {name: i + 1 for i, name in enumerate(g.names)}
     word = []
     for part in text.replace(".", " ").split():
-        sign = 1
-        if part.endswith("^-1"):
-            sign = -1
-            part = part[: -len("^-1")]
+        part, sign = split_inverse(part)
         if part not in index:
             raise ShapeMismatch(f"unknown free-group letter {part!r}")
         word.append(sign * index[part])

@@ -455,22 +455,15 @@ class Decomposition:
     tree_used: frozenset        # spanning tree of g realizing this split
 
 
-def _remove_orbit(g: GraphOfGroups, plus: str) -> AbstractGraph:
-    dropped = {plus, g.graph.bar[plus]}
-    kept = g.graph.edges - dropped
-    return AbstractGraph.make(
-        g.graph.vertices,
-        {e: g.graph.bar[e] for e in kept},
-        {e: g.graph.d0[e] for e in kept},
-    )
-
-
-def _components(graph: AbstractGraph):
+def _components(g: GraphOfGroups, without: str):
+    """Vertex sets of the components of g once the orbit of ``without``
+    is removed, each found by a BFS from its least vertex."""
+    kept = g.graph.edges - {without, g.graph.bar[without]}
     seen = set()
     parts = []
-    for v in sorted(graph.vertices):
+    for v in sorted(g.graph.vertices):
         if v not in seen:
-            part = frozenset(bfs_parents(graph, v))
+            part = frozenset(bfs_parents(g.graph, v, kept))
             seen |= part
             parts.append(part)
     return parts
@@ -508,8 +501,7 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     plus = EdgeOrbit.of(g.graph, plus).plus
     naming = presentation_letters(g)
     glue = edge_relators(g, plus, naming)
-    removed = _remove_orbit(g, plus)
-    parts = _components(removed)
+    parts = _components(g, plus)
 
     if len(parts) == 1:
         inner = _induced(g, parts[0], plus)

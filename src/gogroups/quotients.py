@@ -13,7 +13,6 @@ plain lists of lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapExceeded, OracleIncomplete, UnknownLetter
@@ -45,27 +44,23 @@ def mat_vec(a: IntMatrix, x: list) -> list:
 
 
 def mat_det(a: IntMatrix) -> int:
-    """Determinant by fraction-free Gaussian elimination."""
+    """Determinant by Bareiss fraction-free elimination: every division
+    is exact, so all arithmetic stays in the integers."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
     for i in range(n):
         pivot = next((r for r in range(i, n) if m[r][i] != 0), None)
         if pivot is None:
             return 0
         if pivot != i:
             m[i], m[pivot] = m[pivot], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = m[i][i]
+            sign = -sign
         for r in range(i + 1, n):
-            factor = m[r][i] / inv
-            for c in range(i, n):
-                m[r][c] -= factor * m[i][c]
-    assert det.denominator == 1
-    return int(det)
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
 def _shape(m: IntMatrix) -> tuple:

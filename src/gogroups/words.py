@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
 from .gog import DiagramClass, GraphOfGroups, Presentation, classify, pi1_presentation
-from .groups import format_element, hom_apply, hom_member, parse_element
+from .groups import format_element, hom_apply, hom_member, parse_element, split_inverse
 
 
 @dataclass(frozen=True)
@@ -213,19 +213,14 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.  Tree
     letters expand to their tree paths, so the result is always
     path-consistent.  Linear in the length of the result: each letter's
-    loop comes from the graph's cache and is appended in place.
+    loop comes from the graph's cache and is appended in place.  The
+    result is not validated again: every cached loop was validated when
+    built and runs from ``base`` to ``base``, and the joins use the
+    checked ``group.mul``.
     """
     if pres is None:
         pres = pi1_presentation(g)
-    if isinstance(letters, str):
-        tokens = []
-        for tok in letters.split():
-            if tok.endswith("^-1"):
-                tokens.append((tok[: -len("^-1")], -1))
-            else:
-                tokens.append((tok, 1))
-    else:
-        tokens = letters
+    tokens = [split_inverse(t) for t in letters.split()] if isinstance(letters, str) else letters
     group = g.vgroup[g.base]
     elements = [group.identity()]
     edges = []
@@ -234,9 +229,7 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
         elements[-1] = group.mul(elements[-1], loop.elements[0])
         elements.extend(loop.elements[1:])
         edges.extend(loop.edges)
-    word = LoopWord(g.base, tuple(elements), tuple(edges))
-    validate_loop_word(g, word)
-    return word
+    return LoopWord(g.base, tuple(elements), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +283,7 @@ def parse_loop_word(g: GraphOfGroups, text: str, pres: Presentation = None) -> L
             x = parse_element(g.vgroup[v], rest)
             pending = x if pending is None else g.vgroup[v].mul(pending, x)
             continue
-        name, sign = (tok[: -len("^-1")], -1) if tok.endswith("^-1") else (tok, 1)
+        name, sign = split_inverse(tok)
         if name not in g.graph.edges:
             raise UnknownLetter(f"{name!r} is not a half-edge id")
         e = name if sign > 0 else g.graph.bar[name]

@@ -1,4 +1,5 @@
 import pathlib
+import time
 
 import pytest
 
@@ -206,6 +207,35 @@ class TestCommands:
         assert code == 2 and "parse error" in err
         code, _, err = run(capsys, "validate", str(tmp_path / "missing.gog"))
         assert code == 2
+
+    def test_reduce_conjugated_free_images_within_budget(self, capsys, tmp_path):
+        # fwd images p m_i p^-1 with an 18-letter p: the pinch needs a free
+        # preimage that replaying a fold history took about 51 s to find
+        p = "b a b^-1 b^-1 a^-1 a^-1 a^-1 a^-1 a^-1 b a^-1 b a b a b^-1 b^-1 b^-1"
+        p_inv = "b b b a^-1 b^-1 a^-1 b^-1 a b^-1 a a a a a b b a^-1 b^-1"
+        middles = ["a^-1 a^-1", "a^-1 a^-1 b^-1 b^-1 a^-1 a^-1", "a b a^-1 a^-1"]
+        images = ", ".join(f'"{p} {m} {p_inv}"' for m in middles)
+        path = tmp_path / "conjugated.gog"
+        path.write_text(
+            "base: v\n"
+            "vertices:\n"
+            "  u: {free: [a, b]}\n"
+            "  v: {free: [g1, g2, g3]}\n"
+            "edges:\n"
+            "  e:\n"
+            "    origin: u\n"
+            "    terminus: v\n"
+            "    group: {free: [c1, c2, c3]}\n"
+            f"    fwd: {{images: [{images}]}}\n"
+            "    back: {images: [g1, g2, g3]}\n"
+        )
+        product = ".".join(f"{p} {middles[0]} {middles[1]} {p_inv}".split())
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "reduce", "--word", f"e^-1 u:{product} e", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[0] == "reduced: v:g1.g2"
+        assert elapsed < 2.0, f"reduce took {elapsed:.2f} s"
 
     def test_enumerate_cap_exit_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--cap", "50", fixture("torus.gog"))

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 from gogroups.folding import FoldedSubgroup, free_inv, free_mul, free_reduce
 
@@ -71,3 +73,40 @@ def test_conjugated_generator_creates_tail():
     assert fold.contains(word)
     assert evaluate(images, fold.preimage(word)) == word
     assert not fold.contains((2,))
+
+
+# p m_i p^-1 with an 18-letter conjugator p = b a b^-2 a^-5 b a^-1 b a b a b^-3
+# and m = a^-2, a^-2 b^-2 a^-2, a b a^-2 (a = 1, b = 2): replaying a fold
+# history doubled the membership path per undone fold (about 51 s)
+CONJUGATOR = (2, 1, -2, -2, -1, -1, -1, -1, -1, 2, -1, 2, 1, 2, 1, -2, -2, -2)
+CONJUGATED_IMAGES = [
+    free_mul(free_mul(CONJUGATOR, m), free_inv(CONJUGATOR))
+    for m in [(-1, -1), (-1, -1, -2, -2, -1, -1), (1, 2, -1, -1)]
+]
+
+
+def test_conjugated_images_preimage_within_budget():
+    start = time.perf_counter()
+    fold = FoldedSubgroup(2, CONJUGATED_IMAGES)
+    word = free_mul(CONJUGATED_IMAGES[0], CONJUGATED_IMAGES[1])
+    pre = fold.preimage(word)
+    elapsed = time.perf_counter() - start
+    assert pre == (1, 2)
+    assert fold.rank() == 3
+    assert fold.preimage(free_inv(CONJUGATED_IMAGES[2])) == (-3,)
+    assert elapsed < 2.0, f"fold + preimage took {elapsed:.2f} s"
+
+
+def test_rank_one_against_gcd_oracle():
+    # <a^k1, ..., a^km> = <a^gcd(k1, ..., km)> inside F1
+    rng = random.Random(11)
+    for _ in range(300):
+        ks = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))]
+        d = math.gcd(*ks) if ks else 0
+        fold = FoldedSubgroup(1, [(1,) * k if k > 0 else (-1,) * -k for k in ks])
+        for n in range(-30, 31):
+            word = (1,) * n if n > 0 else (-1,) * -n
+            assert fold.contains(word) == (n % d == 0 if d else n == 0), (ks, n)
+        assert fold.is_all() == (d == 1), ks
+        assert fold.rank() == (1 if d else 0), ks
+        assert (fold.cogenerator() == (1,)) == (d != 1), ks

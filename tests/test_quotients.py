@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -227,7 +228,40 @@ class TestOracles:
         assert not ans2.trivial
 
 
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        pairs = itertools.combinations(range(len(m)), 2)
+        inversions = sum(1 for i, j in pairs if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
 class TestMatrixHelpers:
+    def test_det_against_leibniz(self):
+        rng = random.Random(5)
+        seen_zero = 0
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            m = [
+                [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            if n >= 2 and rng.random() < 0.25:
+                m[-1] = [2 * x for x in m[0]]  # a singular matrix
+            seen_zero += leibniz_det(m) == 0
+            assert mat_det(m) == leibniz_det(m), m
+        assert seen_zero > 50
+        # zero leading entries force a row swap
+        assert mat_det([[0, 1], [1, 0]]) == -1
+        swapped = [[0, 2, 1], [0, 0, 3], [5, 1, 1]]
+        assert mat_det(swapped) == leibniz_det(swapped) == 30
+        assert mat_det([]) == 1
+
     def test_int_inverse_of_unimodular(self):
         from gogroups.quotients import mat_int_inverse
 
