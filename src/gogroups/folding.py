@@ -182,28 +182,16 @@ class FoldedSubgroup:
         return free_reduce(out)
 
     def is_all(self) -> bool:
-        """Whether the subgroup is the whole ambient free group, i.e.
-        contains every ambient generator."""
-        return all(self.contains((i,)) for i in range(1, self.ambient_rank + 1))
+        """Whether the subgroup is the whole ambient free group."""
+        return self.cogenerator() is None
 
     def cogenerator(self):
         """Shortlex-first reduced word outside the subgroup; None when the
-        subgroup is everything."""
-        if self.is_all():
-            return None
-        letters = []
+        subgroup is everything.  One letter suffices: a proper subgroup
+        misses some ambient generator, and for the least such i, (i,) is
+        the shortlex-first word outside: the empty word and (j,), (-j,)
+        for j < i are inside."""
         for i in range(1, self.ambient_rank + 1):
-            letters.extend((i, -i))
-        queue = deque([()])
-        bound = 2 * (len(self._table) + 2)
-        while queue:
-            w = queue.popleft()
-            if w and not self.contains(w):
-                return w
-            if len(w) >= bound:
-                continue
-            for s in letters:
-                if w and w[-1] == -s:
-                    continue
-                queue.append(w + (s,))
-        raise AssertionError("cogenerator search exhausted its bound")
+            if not self.contains((i,)):
+                return (i,)
+        return None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import InvalidStructure, SpellingFailure, UnsupportedHom
+from .errors import InvalidStructure, SpellingFailure, UnknownLetter, UnsupportedHom
 from .graph import (
     AbstractGraph,
     EdgeOrbit,
@@ -225,22 +225,35 @@ def invert_word(word) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relator words.  Every letter lookup reads one index,
+    ``{name: column}`` (first generator of a name wins), through
+    ``column`` or ``letter``; both raise UnknownLetter for any other name,
+    an unhashable one included."""
+
     generators: tuple  # of Letter
     relators: tuple    # of Word
 
-    def letter(self, name: str) -> Letter:
-        """The generator called ``name``; KeyError if there is none."""
-        try:
-            return self._by_name[name]
-        except TypeError:  # an unhashable name names no generator
-            raise KeyError(name) from None
-
     @cached_property
-    def _by_name(self) -> dict:
-        return {g.name: g for g in reversed(self.generators)}
+    def _columns(self) -> dict:
+        return {g.name: i for i, g in reversed(tuple(enumerate(self.generators)))}
 
-    def names(self) -> tuple:
-        return tuple(g.name for g in self.generators)
+    def column(self, name: str) -> int:
+        try:
+            return self._columns[name]
+        except (KeyError, TypeError):
+            raise _unknown(name) from None
+
+    def letter(self, name: str) -> Letter:
+        # the lookup is repeated rather than calling column(): letter
+        # expansion makes one call per token
+        try:
+            return self.generators[self._columns[name]]
+        except (KeyError, TypeError):
+            raise _unknown(name) from None
+
+
+def _unknown(name) -> UnknownLetter:
+    return UnknownLetter(f"{name!r} is not a presentation generator")
 
 
 def presentation_letters(g: GraphOfGroups):

@@ -41,6 +41,7 @@ from .groups import (
     FreeGroup,
     Hom,
     cyclic_table,
+    format_element,
     parse_element,
 )
 
@@ -63,6 +64,13 @@ def _name(value, path):
     if isinstance(value, (dict, list)):
         _fail(path, "names must be scalar")
     return str(value)
+
+
+def _int_list(value, path, what):
+    """``value`` as a list of ints; bools and floats are not integers."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        _fail(path, f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +103,16 @@ def parse_group(desc, path):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             _fail(path, "cyclic takes a positive order")
         letter = _name(desc.get("letter", "a"), path)
-        return cyclic_table(value, letter)
+        try:
+            return cyclic_table(value, letter)
+        except ValueError as exc:
+            _fail(path, str(exc))
     body = _require_mapping(value, path)
     missing = {"elements", "mul"} - set(body)
     if missing:
         _fail(path, f"table needs keys {sorted(missing)}")
+    if not isinstance(body["elements"], list):
+        _fail(f"{path}.elements", "elements must be a list of labels")
     labels = [_name(x, f"{path}.elements") for x in body["elements"]]
     mul = body["mul"]
     if not isinstance(mul, list) or not all(isinstance(r, list) for r in mul):
@@ -133,7 +146,7 @@ def _parse_image(dst, entry, path):
     if isinstance(entry, list):
         if not isinstance(dst, FreeAbelian):
             _fail(path, "vector images only target free abelian groups")
-        vec = tuple(int(x) for x in entry)
+        vec = tuple(_int_list(entry, path, "vector images"))
         dst.check(vec)
         return vec
     if isinstance(entry, bool):
@@ -168,7 +181,7 @@ def parse_hom(desc, src, dst, path):
         if kind == "matrix":
             if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
                 _fail(path, "matrix must be a list of rows")
-            return Hom.matrix(src, dst, [[int(x) for x in row] for row in value])
+            return Hom.matrix(src, dst, [_int_list(row, path, "matrix rows") for row in value])
         if kind == "map":
             if not isinstance(value, list):
                 _fail(path, "map must be a list")
@@ -193,17 +206,9 @@ def parse_hom(desc, src, dst, path):
         _fail(path, str(exc))
 
 
-def _free_word_text(group, word):
-    if not word:
-        return "1"
-    return " ".join(
-        group.names[abs(s) - 1] + ("^-1" if s < 0 else "") for s in word
-    )
-
-
 def hom_descriptor(h):
-    if h.kind == "matrix":
-        return {"matrix": [list(r) for r in h.data]}
+    if isinstance(h.src, FreeAbelian) and isinstance(h.dst, FreeAbelian):
+        return {"matrix": [[y[i] for y in h.data] for i in range(h.dst.rank)]}
     if h.kind == "table":
         return {"map": [h.dst.labels[i] for i in h.data]}
     entries = []
@@ -213,7 +218,7 @@ def hom_descriptor(h):
         elif isinstance(h.dst, FiniteTable):
             entries.append(h.dst.labels[img])
         else:
-            entries.append(_free_word_text(h.dst, img))
+            entries.append(format_element(h.dst, img, sep=" "))
     return {"images": entries}
 
 

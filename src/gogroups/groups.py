@@ -167,8 +167,7 @@ class FiniteTable(GroupDesc):
         n = len(self.mul_table)
         if n == 0:
             raise ValueError("empty table")
-        if n > MAX_TABLE:
-            raise ValueError(f"table size {n} exceeds cap {MAX_TABLE}")
+        _check_table_size(n)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "mul_table", tuple(tuple(row) for row in self.mul_table))
         if len(self.labels) != n or any(len(row) != n for row in self.mul_table):
@@ -301,9 +300,15 @@ def _ft_spellings(table: FiniteTable) -> tuple:
 # -- table builders ----------------------------------------------------------
 
 
+def _check_table_size(n: int) -> None:
+    if n > MAX_TABLE:
+        raise ValueError(f"table size {n} exceeds cap {MAX_TABLE}")
+
+
 def cyclic_table(n: int, letter: str = "a") -> FiniteTable:
     if n < 1:
         raise ValueError("order must be positive")
+    _check_table_size(n)
     labels = ["e"] + [letter if i == 1 else f"{letter}{i}" for i in range(1, n)]
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteTable(tuple(labels), tuple(tuple(r) for r in mul), 0)
@@ -332,6 +337,7 @@ def dihedral_table(n: int) -> FiniteTable:
     """Dihedral group of order 2n: (r^i s^j)(r^k s^l) = r^(i+(-1)^j k) s^(j+l)."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_table_size(2 * n)
     elems = [(i, j) for j in range(2) for i in range(n)]
     index = {x: k for k, x in enumerate(elems)}
     labels = []
@@ -398,8 +404,6 @@ class MembershipAnswer:
 def _hom_kind(src: GroupDesc, dst: GroupDesc) -> str:
     if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
         return "table"
-    if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
-        return "matrix"
     return "images"
 
 
@@ -408,11 +412,11 @@ class Hom:
     """Homomorphism between two group descriptions.
 
     The form of ``data`` follows from the two classes, named by ``kind``:
-    "table" (finite to finite) is the full element map by index; "matrix"
-    (free abelian to free abelian) is dst.rank row tuples of src.rank
-    ints; "images" (any other pair: a free source of any rank, or a free
-    abelian source of rank <= 1) is one codomain element per source
-    generator.
+    "table" (finite to finite) is the full element map by index; "images"
+    (any other pair: a free source, or a free abelian source of rank <= 1
+    or onto a free abelian target) is one codomain element per source
+    generator.  ``Hom.matrix`` takes a free abelian map as dst.rank rows
+    of src.rank ints, the file format's form, and stores its columns.
 
     The image structure is derived on first use and kept: the verified
     Smith normal form of the image lattice (``_snf``) for free abelian
@@ -435,16 +439,8 @@ class Hom:
         # not self.kind: on CPython 3.11 the first cached value moves the
         # attributes into a plain dict and slows every later read, and homs
         # built in bulk for rank searches never read their kind
-        kind = _hom_kind(self.src, self.dst)
-        if kind == "matrix":
-            data = tuple(tuple(r) for r in self.data)
-            if len(data) != self.dst.rank or any(len(r) != self.src.rank for r in data):
-                raise ShapeMismatch(f"matrix must be {self.dst.rank} x {self.src.rank}")
-            for a in itertools.chain.from_iterable(data):
-                if not isinstance(a, int):
-                    raise ShapeMismatch(f"matrix entry {a!r} is not an integer")
-        elif kind == "table":
-            data = tuple(self.data)
+        data = tuple(self.data)
+        if _hom_kind(self.src, self.dst) == "table":
             n = self.src.order()
             if len(data) != n:
                 raise ShapeMismatch("element map must cover the whole source")
@@ -457,14 +453,15 @@ class Hom:
                     if data[self.src.mul_table[i][j]] != self.dst.mul_table[data[i]][data[j]]:
                         raise ShapeMismatch(f"not multiplicative at ({i},{j})")
         else:
-            data = tuple(self.data)
             if isinstance(self.src, FiniteTable):
                 raise UnsupportedHom("use a full element map for finite sources")
-            if isinstance(self.src, FreeAbelian) and self.src.rank > 1:
+            if isinstance(self.src, FreeAbelian) and self.src.rank > 1 and not isinstance(
+                self.dst, FreeAbelian
+            ):
                 raise UnsupportedHom(
                     "free abelian sources of rank >= 2 are only supported onto free abelian targets"
                 )
-            if len(data) != len(self.src.generators()):
+            if len(data) != self.src.rank:
                 raise ShapeMismatch("one image per source generator required")
             for y in data:
                 self.dst.check(y)
@@ -474,8 +471,6 @@ class Hom:
     def _snf(self):
         """Free abelian targets: the verified SNF (U, D, V) of the matrix
         whose columns are the generator images."""
-        if self.kind == "matrix":
-            return quotients.smith_normal_form(self.data)
         return quotients.smith_normal_form(
             [[y[i] for y in self.data] for i in range(self.dst.rank)]
         )
@@ -503,9 +498,17 @@ class Hom:
 
     @classmethod
     def matrix(cls, src, dst, rows) -> "Hom":
+        """Free abelian to free abelian from dst.rank rows of src.rank ints;
+        column j is the image of generator j."""
         if not (isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian)):
             raise UnsupportedHom("matrix homs need free abelian source and target")
-        return cls(src, dst, rows)
+        rows = [tuple(r) for r in rows]
+        if len(rows) != dst.rank or any(len(r) != src.rank for r in rows):
+            raise ShapeMismatch(f"matrix must be {dst.rank} x {src.rank}")
+        for a in itertools.chain.from_iterable(rows):
+            if not isinstance(a, int):
+                raise ShapeMismatch(f"matrix entry {a!r} is not an integer")
+        return cls(src, dst, [tuple(r[j] for r in rows) for j in range(src.rank)])
 
     @classmethod
     def table(cls, src, dst, mapping) -> "Hom":
@@ -515,10 +518,6 @@ class Hom:
 
     @classmethod
     def images(cls, src, dst, images) -> "Hom":
-        if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
-            for y in images:
-                dst.check(y)
-            return cls.matrix(src, dst, [[y[i] for y in images] for i in range(dst.rank)])
         if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
             return cls.from_generator_images(src, dst, images)
         return cls(src, dst, images)
@@ -554,13 +553,15 @@ class Hom:
 
     def apply(self, x):
         self.src.check(x)
-        kind = self.kind
-        if kind == "matrix":
-            return tuple(quotients.mat_vec(self.data, x))
-        if kind == "table":
+        if self.kind == "table":
             return self.data[x]
-        if isinstance(self.src, FreeAbelian) and self.src.rank:
-            return self.dst.power(self.data[0], x[0])
+        if isinstance(self.src, FreeAbelian):
+            if isinstance(self.dst, FreeAbelian):
+                return tuple(
+                    sum(k * y[i] for k, y in zip(x, self.data)) for i in range(self.dst.rank)
+                )
+            if self.src.rank:
+                return self.dst.power(self.data[0], x[0])
         acc = self.dst.identity()
         for idx, sign in self.src.spell(x):
             img = self.data[idx] if sign > 0 else self.dst.inv(self.data[idx])
@@ -674,8 +675,6 @@ def inverse(h: Hom) -> Hom:
     """Inverse of an isomorphism (checked)."""
     if not is_isomorphism(h):
         raise ShapeMismatch("hom is not an isomorphism")
-    if h.kind == "matrix":
-        return Hom.matrix(h.dst, h.src, quotients.mat_int_inverse(h.data))
     if h.kind == "table":
         return Hom.table(h.dst, h.src, [h._first_preimage[y] for y in h.dst.elements()])
     images = []
@@ -710,7 +709,9 @@ def geometric_rank_class(g: GroupDesc) -> int:
 # element text forms (shared by the CLI word grammar and the file format)
 
 
-def format_element(g: GroupDesc, x) -> str:
+def format_element(g: GroupDesc, x, sep: str = ".") -> str:
+    """Text form of x; free-group letters are joined by ``sep`` ('.' in
+    the word grammar, a space in .gog images)."""
     g.check(x)
     if isinstance(g, FreeAbelian):
         return "[" + ",".join(str(a) for a in x) + "]"
@@ -718,7 +719,7 @@ def format_element(g: GroupDesc, x) -> str:
         return f"#{x}"
     if not x:
         return "1"
-    return ".".join(
+    return sep.join(
         g.names[abs(s) - 1] + ("^-1" if s < 0 else "") for s in x
     )
 

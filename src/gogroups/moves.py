@@ -32,6 +32,7 @@ from .gog import (
     pi1_presentation,
     presentation_letters,
     require_valid_gog,
+    spell_in_letters,
 )
 from .graph import AbstractGraph, EdgeOrbit, bfs_parents, contract_edge_graph, orbits
 from .groups import (
@@ -176,15 +177,17 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
     table = quotients.coset_enumeration(pres, oracle.cap)
     n = table.order
     vertex_letters, edge_letters = presentation_letters(d)
-    letter_perm = {}
-    for i, name in enumerate((l.name for l in pres.generators)):
-        letter_perm[name] = tuple(row[2 * i] for row in table.table)
+
+    def letter_perm(name):
+        column = 2 * pres.column(name)
+        return tuple(row[column] for row in table.table)
+
     identity = tuple(range(n))
 
     def perm_of(v: str, x) -> tuple:
         p = identity
         for gi, sign in d.vgroup[v].spell(x):
-            q = letter_perm[vertex_letters[v][gi].name]
+            q = letter_perm(vertex_letters[v][gi].name)
             p = _perm_mul(p, q if sign > 0 else _perm_inv(q))
         return p
 
@@ -198,7 +201,7 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
     vertex_index = {}
     for v in sorted(d.graph.vertices):
         letters = vertex_letters.get(v, ())
-        perms = [letter_perm[l.name] for l in letters]
+        perms = [letter_perm(l.name) for l in letters]
         vtable, elems = closure(perms, [l.name for l in letters])
         new_vgroup[v] = vtable
         vertex_index[v] = {p: i for i, p in enumerate(elems)}
@@ -212,7 +215,7 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
         gen_perms = [perm_of(origin, d.emap[o.plus].apply(c)) for c in shared.generators()]
         etable, eelems = closure(gen_perms, [f"c{i + 1}" for i in range(len(gen_perms))])
         new_egroup[o.plus] = etable
-        t_perm = letter_perm[edge_letters[o.plus].name]
+        t_perm = letter_perm(edge_letters[o.plus].name)
         if o.plus in d.tree_orbits():
             assert t_perm == identity, "tree letter does not die in the quotient"
         plus_map = []
@@ -286,15 +289,9 @@ def _image_in_abelianization(vectors, relator_rows, ambient):
     ]
     kernel = quotients.int_kernel(stacked)
     projected = [vec[:k] for vec in kernel]
-    p_matrix = [[vec[i] for vec in projected] for i in range(k)] if projected else [
-        [] for _ in range(k)
-    ]
-    if projected:
-        u, dmat, _ = quotients.smith_normal_form(p_matrix)
-        diag = [dmat[i][i] if i < len(projected) else 0 for i in range(k)]
-    else:
-        u = quotients.mat_identity(k)
-        diag = [0] * k
+    p_matrix = [[vec[i] for vec in projected] for i in range(k)]
+    u, dmat, _ = quotients.smith_normal_form(p_matrix)
+    diag = [dmat[i][i] if i < len(projected) else 0 for i in range(k)]
     u_inv = quotients.mat_int_inverse(u)
     torsion = []
     basis = []
@@ -351,11 +348,7 @@ def _inclusion_hom(edge: _AbelianImage, vertex: _AbelianImage, relator_rows, amb
     if isinstance(vertex_group, FreeAbelian):
         if edge.torsion:
             raise UnrepresentableImage("torsion edge image in a free abelian vertex image")
-        return Hom.matrix(
-            edge_group,
-            vertex_group,
-            [[coords[j][i] for j in range(len(coords))] for i in range(vertex_group.rank)],
-        )
+        return Hom.images(edge_group, vertex_group, [tuple(c) for c in coords])
     if edge.free:
         raise UnrepresentableImage("free edge image in a finite vertex image")
     mapping = []
@@ -379,23 +372,17 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
     relator_rows = quotients.exponent_matrix(pres)
     ambient = len(pres.generators)
     vertex_letters, _ = presentation_letters(d)
-    name_index = {l.name: i for i, l in enumerate(pres.generators)}
-
-    def unit(name):
-        vec = [0] * ambient
-        vec[name_index[name]] = 1
-        return tuple(vec)
 
     def word_vector(v, x):
-        vec = [0] * ambient
-        for gi, sign in d.vgroup[v].spell(x):
-            vec[name_index[vertex_letters[v][gi].name]] += sign
-        return tuple(vec)
+        return quotients.word_exponent_vector(
+            pres, spell_in_letters(d.vgroup[v], vertex_letters.get(v, ()), x)
+        )
 
     vertex_images = {}
     new_vgroup = {}
     for v in sorted(d.graph.vertices):
-        vectors = [unit(l.name) for l in vertex_letters.get(v, ())]
+        # each chosen generator spells as its own letter: a unit vector
+        vectors = [word_vector(v, x) for x in d.vgroup[v].generators()]
         image = _image_in_abelianization(vectors, relator_rows, ambient)
         vertex_images[v] = image
         new_vgroup[v] = image.group()
@@ -457,7 +444,8 @@ class Decomposition:
 
 def _components(g: GraphOfGroups, without: str):
     """Vertex sets of the components of g once the orbit of ``without``
-    is removed, each found by a BFS from its least vertex."""
+    is removed, each found by a BFS from its least vertex, in order of
+    that vertex."""
     kept = g.graph.edges - {without, g.graph.bar[without]}
     seen = set()
     parts = []
@@ -502,45 +490,22 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     naming = presentation_letters(g)
     glue = edge_relators(g, plus, naming)
     parts = _components(g, plus)
-
-    if len(parts) == 1:
-        inner = _induced(g, parts[0], plus)
-        base_tree = inner.tree_orbits()
-        left = pi1_presentation(inner, tree=base_tree, naming=naming)
-        return Decomposition(
-            shape="hnn",
-            left=left,
-            right=None,
-            orbit=plus,
-            edge_group=g.egroup[plus],
-            attach_plus=g.emap[plus],
-            attach_minus=g.emap[g.graph.bar[plus]],
-            glue_letter=naming[1][plus],
-            glue_relators=glue,
-            tree_used=base_tree,
-        )
-
-    assert len(parts) == 2, "edge removal split the graph into >2 pieces"
-    parts.sort(key=min)
-    sides = []
-    side_trees = []
-    for part in parts:
-        inner = _induced(g, part, plus)
-        side_tree = inner.tree_orbits()
-        side_trees.append(side_tree)
-        sides.append(pi1_presentation(inner, tree=side_tree, naming=naming))
-    tree_used = side_trees[0] | side_trees[1] | {plus}
+    assert len(parts) <= 2, "edge removal split the graph into >2 pieces"
+    sides = [_induced(g, part, plus) for part in parts]
+    tree_used = frozenset().union(*(side.tree_orbits() for side in sides))
+    presentations = [pi1_presentation(side, naming=naming) for side in sides]
+    amalgam = len(parts) == 2
     return Decomposition(
-        shape="amalgam",
-        left=sides[0],
-        right=sides[1],
+        shape="amalgam" if amalgam else "hnn",
+        left=presentations[0],
+        right=presentations[1] if amalgam else None,
         orbit=plus,
         edge_group=g.egroup[plus],
         attach_plus=g.emap[plus],
         attach_minus=g.emap[g.graph.bar[plus]],
         glue_letter=naming[1][plus],
         glue_relators=glue,
-        tree_used=tree_used,
+        tree_used=(tree_used | {plus}) if amalgam else tree_used,
     )
 
 

@@ -261,31 +261,15 @@ class InvariantFactors:
         return " x ".join(parts) if parts else "trivial"
 
 
-def _generator_names(presentation) -> list:
-    return [getattr(g, "name", g) for g in presentation.generators]
-
-
 def exponent_matrix(presentation) -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per generator."""
-    names = _generator_names(presentation)
-    index = {n: i for i, n in enumerate(names)}
-    rows = []
-    for rel in presentation.relators:
-        row = [0] * len(names)
-        for name, sign in rel:
-            if name not in index:
-                raise UnknownLetter(f"relator letter {name!r} is not a generator")
-            row[index[name]] += sign
-        rows.append(row)
-    return rows
+    return [word_exponent_vector(presentation, rel) for rel in presentation.relators]
 
 
 def abelianization(presentation) -> InvariantFactors:
     """Invariant factors of the abelianized presentation."""
     n_gens = len(presentation.generators)
     m = exponent_matrix(presentation)
-    if not m:
-        return InvariantFactors((), n_gens)
     _, d, _ = smith_normal_form(m)
     diag = [d[i][i] for i in range(min(len(m), n_gens))]
     nonzero = [x for x in diag if x != 0]
@@ -294,13 +278,10 @@ def abelianization(presentation) -> InvariantFactors:
 
 
 def word_exponent_vector(presentation, word) -> list:
-    names = _generator_names(presentation)
-    index = {n: i for i, n in enumerate(names)}
-    vec = [0] * len(names)
+    """Exponent sum of each generator in ``word``, by column."""
+    vec = [0] * len(presentation.generators)
     for name, sign in word:
-        if name not in index:
-            raise UnknownLetter(f"word letter {name!r} is not a generator")
-        vec[index[name]] += sign
+        vec[presentation.column(name)] += sign
     return vec
 
 
@@ -332,9 +313,10 @@ class CosetTable:
         index = self._column_index
         c = coset
         for name, sign in word:
-            if name not in index:
-                raise UnknownLetter(f"word letter {name!r} is not a generator")
-            col = 2 * index[name] + (0 if sign > 0 else 1)
+            try:
+                col = 2 * index[name] + (0 if sign > 0 else 1)
+            except (KeyError, TypeError):  # an unhashable name names no generator
+                raise UnknownLetter(f"word letter {name!r} is not a generator") from None
             c = self.table[c][col]
             if c is None:
                 raise OracleIncomplete("coset table is not closed under the word")
@@ -452,15 +434,10 @@ class _Enumerator:
 def coset_enumeration(presentation, cap: int) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raises CapExceeded when the
     number of cosets ever defined would pass ``cap``."""
-    names = tuple(_generator_names(presentation))
-    index = {n: i for i, n in enumerate(names)}
+    names = tuple(g.name for g in presentation.generators)
     relators = []
     for rel in presentation.relators:
-        seq = []
-        for name, sign in rel:
-            if name not in index:
-                raise UnknownLetter(f"relator letter {name!r} is not a generator")
-            seq.append(2 * index[name] + (0 if sign > 0 else 1))
+        seq = [2 * presentation.column(name) + (0 if sign > 0 else 1) for name, sign in rel]
         if seq:
             relators.append(seq)
     if not relators and names:
@@ -568,24 +545,17 @@ def freely_reduce(word) -> tuple:
 
 def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
     """Triviality of a word in the oracle quotient, tagged with soundness."""
+    vec = word_exponent_vector(presentation, word)  # rejects unknown letters
     if oracle.kind == "finite_enumeration":
         table = coset_enumeration(presentation, oracle.cap)
         trivial = table.action(0, word) == 0
         return OracleAnswer(trivial, True, oracle.soundness())
     if oracle.kind == "abelianization":
-        vec = word_exponent_vector(presentation, word)
+        # vec must lie in the row lattice: solve transpose(m) @ x == vec
         m = exponent_matrix(presentation)
-        if not m:
-            trivial = all(x == 0 for x in vec)
-        else:
-            # vec must lie in the row lattice: solve transpose(m) @ x == vec
-            mt = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
-            trivial = solve_int(mt, vec) is not None
+        mt = [[row[c] for row in m] for c in range(len(vec))]
+        trivial = solve_int(mt, vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
-    names = set(_generator_names(presentation))
-    for name, sign in word:
-        if name not in names:
-            raise UnknownLetter(f"word letter {name!r} is not a generator")
     trivial = freely_reduce(word) == ()
     return OracleAnswer(trivial, len(presentation.relators) == 0, oracle.soundness())

@@ -137,9 +137,8 @@ def concat_loops(g: GraphOfGroups, a: LoopWord, b: LoopWord) -> LoopWord:
     return LoopWord(a.base, elements, a.edges + b.edges)
 
 
-def identity_loop(g: GraphOfGroups, base=None) -> LoopWord:
-    base = g.base if base is None else base
-    return LoopWord(base, (g.vgroup[base].identity(),), ())
+def identity_loop(g: GraphOfGroups) -> LoopWord:
+    return LoopWord(g.base, (g.vgroup[g.base].identity(),), ())
 
 
 def equal(g: GraphOfGroups, w1: LoopWord, w2: LoopWord) -> bool:
@@ -166,10 +165,7 @@ def tree_path(g: GraphOfGroups, v: str) -> tuple:
 def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> LoopWord:
     """The loop word a single presentation letter denotes; built once per
     graph, letter and sign, and kept in the graph's letter-loop cache."""
-    try:
-        letter = pres.letter(name)
-    except KeyError:
-        raise UnknownLetter(f"{name!r} is not a presentation generator") from None
+    letter = pres.letter(name)
     if sign not in (1, -1):
         raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1")
     key = (letter, sign)

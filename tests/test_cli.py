@@ -1,3 +1,7 @@
+import contextlib
+import difflib
+import hashlib
+import io
 import pathlib
 import time
 
@@ -15,6 +19,35 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def digest_runs():
+    """(fixture, argv) for every line of the CLI digest file: each
+    subcommand, contract and decompose on every orbit, three oracles, and
+    reduce and trivial on the commutator of the first two pi1 letters."""
+    for path in sorted(FIXTURES.glob("*.gog")):
+        g = parse_gog(str(path))
+        a, b = (letter.name for letter in pi1_presentation(g).generators[:2])
+        commutator = f"{a} {b} {a}^-1 {b}^-1"
+        runs = [[name] for name in (
+            "validate", "classify", "pi1", "abelianize", "collapse", "recognize-abelian", "rank-bound",
+        )]
+        runs += [["convert", "--oracle", oracle] for oracle in ("abel", "enum:5000", "free")]
+        runs.append(["enumerate", "--cap", "100"])
+        for o in g.orbits():
+            runs += [["contract", "--edge", o.plus], ["decompose", "--edge", o.plus]]
+        runs += [["reduce", "--word", commutator], ["trivial", "--word", commutator]]
+        for argv in runs:
+            yield path.name, argv + [str(path)]
+
+
+def digest_line(name, argv):
+    """'<fixture> <command>: exit <code> <first 16 hex digits of sha256(stdout)>'."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    return f"{name} {' '.join(argv[:-1])}: exit {code} {digest}"
 
 
 def run(capsys, *argv):
@@ -208,6 +241,32 @@ class TestCommands:
         code, _, err = run(capsys, "validate", str(tmp_path / "missing.gog"))
         assert code == 2
 
+    def test_malformed_files_exit_two(self, capsys, tmp_path):
+        loop = (
+            "vertices:\n  v: {free_abelian: [a]}\n"
+            "edges:\n  t:\n    origin: v\n    terminus: v\n"
+            "    group: {free_abelian: [c]}\n    fwd: %s\n    back: {matrix: [[1]]}\n"
+        )
+        cases = [
+            # a 5000-element cyclic table is refused before its 25M products are built
+            ("vertices: {v: {cyclic: 5000}}\n", ".vertices.v]", "exceeds cap 4096"),
+            ("vertices: {v: {table: {elements: 5, mul: [[0]]}}}\n", ".vertices.v.elements]", "list"),
+            ('vertices: {v: {table: {elements: "ab", mul: [[0]]}}}\n', ".vertices.v.elements]", "list"),
+            (loop % "{matrix: [[1.5]]}", ".edges.t.fwd]", "integers"),
+            (loop % "{matrix: [[true]]}", ".edges.t.fwd]", "integers"),
+            (loop % "{images: [[2.7]]}", ".edges.t.fwd]", "integers"),
+            (loop % "{images: [[true]]}", ".edges.t.fwd]", "integers"),
+        ]
+        for i, (text, key, reason) in enumerate(cases):
+            path = tmp_path / f"bad{i}.gog"
+            path.write_text(text)
+            start = time.perf_counter()
+            code, out, err = run(capsys, "pi1", str(path))
+            assert time.perf_counter() - start < 1.0, text
+            assert (code, out) == (2, ""), text
+            assert err.startswith("parse error: ") and err.count("\n") == 1, err
+            assert key in err and reason in err, err
+
     def test_reduce_conjugated_free_images_within_budget(self, capsys, tmp_path):
         # fwd images p m_i p^-1 with an 18-letter p: the pinch needs a free
         # preimage that replaying a fold history took about 51 s to find
@@ -251,6 +310,12 @@ class TestCommands:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+    def test_cli_digests(self):
+        expected = (GOLDEN / "cli-digests.txt").read_text().splitlines()
+        got = [digest_line(name, argv) for name, argv in digest_runs()]
+        changed = [d for d in difflib.ndiff(expected, got) if d[:2] in ("- ", "+ ")]
+        assert not changed, "CLI reports differ from tests/golden/cli-digests.txt:\n" + "\n".join(changed)
 
     def test_golden_outputs(self, capsys):
         cases = [

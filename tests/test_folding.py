@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import deque
 
 from gogroups.folding import FoldedSubgroup, free_inv, free_mul, free_reduce
 
@@ -19,6 +20,25 @@ def random_word(rng, rank, maxlen):
     return free_reduce(tuple(w))
 
 
+def shortlex_cogenerator(fold):
+    """Reference: None when every ambient generator is in the subgroup,
+    else the first reduced word outside it in shortlex order (letters
+    1, -1, 2, -2, ...), by breadth-first search up to length 2(V + 2) for
+    V folded vertices."""
+    if all(fold.contains((i,)) for i in range(1, fold.ambient_rank + 1)):
+        return None
+    letters = [s for i in range(1, fold.ambient_rank + 1) for s in (i, -i)]
+    queue = deque([()])
+    bound = 2 * (len(fold._table) + 2)
+    while queue:
+        w = queue.popleft()
+        if w and not fold.contains(w):
+            return w
+        if len(w) < bound:
+            queue.extend(w + (s,) for s in letters if not (w and w[-1] == -s))
+    raise AssertionError("cogenerator search exhausted its bound")
+
+
 def test_preimage_lift_round_trips_300_random_subgroups():
     rng = random.Random(7)
     for _ in range(300):
@@ -35,6 +55,20 @@ def test_preimage_lift_round_trips_300_random_subgroups():
         cog = fold.cogenerator()
         if cog is not None:
             assert not fold.contains(cog)
+
+
+def test_cogenerator_matches_shortlex_search_on_f2_f3():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        rank = rng.choice([2, 3])
+        images = [random_word(rng, rank, 3) for _ in range(rng.randint(0, 5))]
+        fold = FoldedSubgroup(rank, images)
+        cog = fold.cogenerator()
+        assert cog == shortlex_cogenerator(fold), images
+        assert fold.is_all() == (cog is None), images
+        seen.add(cog)
+    assert {None, (1,), (2,), (3,)} <= seen
 
 
 def test_rank_of_standard_subgroups():
@@ -110,3 +144,4 @@ def test_rank_one_against_gcd_oracle():
         assert fold.is_all() == (d == 1), ks
         assert fold.rank() == (1 if d else 0), ks
         assert (fold.cogenerator() == (1,)) == (d != 1), ks
+        assert fold.cogenerator() == shortlex_cogenerator(fold), ks

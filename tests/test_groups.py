@@ -27,6 +27,8 @@ from gogroups.groups import (
     parse_element,
     subgroup_table,
 )
+from gogroups.gogfile import hom_descriptor
+from gogroups.quotients import mat_int_inverse
 
 
 class TestElements:
@@ -90,8 +92,29 @@ class TestHomApply:
         with pytest.raises(ShapeMismatch, match=r"^\(1, 0, 0, 5\) is not a Z\^3 element$"):
             Hom.images(z2, z3, [(1, 0, 0, 5), (0, 1, 0, 0)])
         for entry in (1.5, "2", None):
-            with pytest.raises(ShapeMismatch, match="is not an integer"):
+            with pytest.raises(ShapeMismatch) as info:
                 Hom.matrix(FreeAbelian(1), FreeAbelian(1), [[entry]])
+            assert str(info.value) == f"matrix entry {entry!r} is not an integer"
+        for src, dst, rows, message in (
+            (FreeAbelian(1), FreeAbelian(1), [[1, 2]], "matrix must be 1 x 1"),
+            (FreeAbelian(2), FreeAbelian(1), [[1]], "matrix must be 1 x 2"),
+            (FreeAbelian(1), FreeAbelian(2), [[1]], "matrix must be 2 x 1"),
+            (FreeAbelian(0), FreeAbelian(1), [], "matrix must be 1 x 0"),
+        ):
+            with pytest.raises(ShapeMismatch) as info:
+                Hom.matrix(src, dst, rows)
+            assert str(info.value) == message
+
+    def test_matrix_rows_are_stored_as_generator_images(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            src, dst = FreeAbelian(m), FreeAbelian(n)
+            rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            h = Hom.matrix(src, dst, rows)
+            columns = [tuple(row[j] for row in rows) for j in range(m)]
+            assert h == Hom.images(src, dst, columns) and h.kind == "images"
+            assert hom_descriptor(h) == {"matrix": rows}
 
     def test_multiplicative_randomized(self):
         rng = random.Random(5)
@@ -258,6 +281,20 @@ class TestComposeInverse:
         h = Hom.matrix(FreeAbelian(2), FreeAbelian(2), [[1, 1], [0, 1]])
         hinv = inverse(h)
         assert compose(hinv, h).data == ((1, 0), (0, 1))
+        # seeded unimodular rows, against the integer inverse of the rows
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(8):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i == j:
+                    rows[i] = [-a for a in rows[i]]
+                else:
+                    k = rng.randint(-3, 3)
+                    rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            z = FreeAbelian(n)
+            assert inverse(Hom.matrix(z, z, rows)) == Hom.matrix(z, z, mat_int_inverse(rows))
 
     def test_table_inverse(self):
         z4 = cyclic_table(4)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from gogroups.quotients import (
     QuotientOracle,
     abelianization,
     coset_enumeration,
+    exponent_matrix,
     mat_det,
     mat_identity,
     mat_mul,
@@ -17,6 +19,7 @@ from gogroups.quotients import (
     smith_normal_form,
     snf_solve,
     solve_int,
+    word_exponent_vector,
 )
 
 
@@ -180,6 +183,8 @@ class TestCosetEnumeration:
         for _ in range(2):
             with pytest.raises(UnknownLetter, match="'c' is not a generator"):
                 table.action(0, [("a", 1), ("c", 1)])
+        with pytest.raises(UnknownLetter, match=re.escape("['a'] is not a generator")):
+            table.action(0, [(["a"], 1)])
 
     def test_klein_four(self):
         p = pres(
@@ -226,6 +231,23 @@ class TestOracles:
         assert ans.trivial and ans.exact
         ans2 = oracle_answer(QuotientOracle.free_reduction(), p, [("t", 1)])
         assert not ans2.trivial
+
+    def test_unknown_and_unhashable_letters_are_unknown_everywhere(self):
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3])
+        for bad in ("c", ["a"]):
+            word = [("a", 1), (bad, 1)]
+            with_relator = Presentation(p.generators, p.relators + (tuple(word),))
+            calls = [
+                lambda: word_exponent_vector(p, word),
+                lambda: exponent_matrix(with_relator),
+                lambda: coset_enumeration(with_relator, 100),
+                lambda: oracle_answer(QuotientOracle.abelianization(), p, word),
+                lambda: oracle_answer(QuotientOracle.finite_enumeration(100), p, word),
+                lambda: oracle_answer(QuotientOracle.free_reduction(), p, word),
+            ]
+            for call in calls:
+                with pytest.raises(UnknownLetter, match=re.escape(f"{bad!r} is not a")):
+                    call()
 
 
 def leibniz_det(m):

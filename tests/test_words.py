@@ -280,9 +280,9 @@ class TestWordConstruction:
 
     def test_unknown_letter(self):
         g = zoo.torus()
-        with pytest.raises(UnknownLetter):
+        with pytest.raises(UnknownLetter, match="'zz' is not a presentation generator"):
             word_from_presentation_letters(g, "zz")
-        with pytest.raises(UnknownLetter):
+        with pytest.raises(UnknownLetter, match=re.escape("['a'] is not a presentation generator")):
             word_from_presentation_letters(g, [(["a"], 1)])
 
     def test_tree_letter_expansion_is_trivial_loop(self):
