@@ -79,10 +79,10 @@ from .quotients import (
     InvariantFactors,
     OracleAnswer,
     QuotientOracle,
+    SmithForm,
     abelianization,
     coset_enumeration,
     oracle_answer,
-    smith_normal_form,
 )
 from .words import (
     LoopWord,

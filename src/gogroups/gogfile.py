@@ -114,10 +114,12 @@ def parse_group(desc, path):
     if not isinstance(body["elements"], list):
         _fail(f"{path}.elements", "elements must be a list of labels")
     labels = [_name(x, f"{path}.elements") for x in body["elements"]]
-    mul = body["mul"]
-    if not isinstance(mul, list) or not all(isinstance(r, list) for r in mul):
+    if not isinstance(body["mul"], list):
         _fail(f"{path}.mul", "mul must be a list of rows")
+    mul = [_int_list(r, f"{path}.mul", "mul rows") for r in body["mul"]]
     id_index = body.get("id", 0)
+    if type(id_index) is not int:
+        _fail(f"{path}.id", f"id must be an integer, got {id_index!r}")
     try:
         return FiniteTable.checked(tuple(labels), tuple(tuple(r) for r in mul), id_index)
     except (ValueError, TypeError) as exc:

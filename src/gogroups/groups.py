@@ -162,6 +162,12 @@ class FiniteTable(GroupDesc):
     mul_table: tuple
     id_index: int
     inv_table: tuple = field(init=False, compare=False, repr=False)
+    # the table's hash, computed once: the rank and spelling caches are keyed
+    # by equal tables, and rehashing an n x n table on every lookup is O(n^2)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         n = len(self.mul_table)
@@ -187,6 +193,7 @@ class FiniteTable(GroupDesc):
                 raise ValueError(f"element {i} lacks a two-sided inverse")
             inv[i] = js[0]
         object.__setattr__(self, "inv_table", tuple(inv))
+        object.__setattr__(self, "_hash", hash((self.mul_table, self.id_index)))
 
     @classmethod
     def checked(cls, labels, mul_table, id_index) -> "FiniteTable":
@@ -418,7 +425,7 @@ class Hom:
     generator.  ``Hom.matrix`` takes a free abelian map as dst.rank rows
     of src.rank ints, the file format's form, and stores its columns.
 
-    The image structure is derived on first use and kept: the verified
+    The image structure is derived on first use and kept: the certified
     Smith normal form of the image lattice (``_snf``) for free abelian
     targets, the Stallings-folded image subgroup (``_fold``) for free
     targets, shortest words over the images (``_witness``) for finite
@@ -468,12 +475,10 @@ class Hom:
         object.__setattr__(self, "data", data)
 
     @cached_property
-    def _snf(self):
-        """Free abelian targets: the verified SNF (U, D, V) of the matrix
+    def _snf(self) -> quotients.SmithForm:
+        """Free abelian targets: the certified Smith form of the matrix
         whose columns are the generator images."""
-        return quotients.smith_normal_form(
-            [[y[i] for y in self.data] for i in range(self.dst.rank)]
-        )
+        return quotients.SmithForm([[y[i] for y in self.data] for i in range(self.dst.rank)])
 
     @cached_property
     def _fold(self) -> FoldedSubgroup:
@@ -585,8 +590,7 @@ def hom_is_injective(h: Hom) -> bool:
     if isinstance(h.dst, FreeAbelian):
         if isinstance(h.src, FreeGroup) and h.src.rank >= 2:
             return False  # a commutator of distinct letters dies
-        _, d, v = h._snf
-        return sum(1 for i in range(min(len(d), len(v))) if d[i][i] != 0) == h.src.rank
+        return sum(1 for d in h._snf.diagonal if d != 0) == h.src.rank
     # finite target, infinite source
     return False
 
@@ -605,7 +609,7 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
             return MembershipAnswer(False)
         return MembershipAnswer(True, _letters_to_source_element(h, w))
     if isinstance(h.dst, FreeAbelian):
-        x = quotients.snf_solve(h._snf, y)
+        x = h._snf.solve(y)
         if x is None:
             return MembershipAnswer(False)
         if isinstance(h.src, FreeAbelian):
@@ -641,13 +645,8 @@ def cogenerator(h: Hom):
         return None
     if isinstance(h.dst, FreeGroup):
         return h._fold.cogenerator()
-    # free abelian target: the first SNF row whose diagonal entry is not 1
-    # (a zero or torsion row, or one past the columns) is outside the image
-    u, d, v = h._snf
-    for i in range(h.dst.rank):
-        if i >= len(v) or d[i][i] != 1:
-            return tuple(row[i] for row in quotients.mat_int_inverse(u))
-    return None
+    # free abelian target: the first cokernel generator of nonunit order
+    return next((y for d, y in h._snf.cokernel() if d != 1), None)
 
 
 def is_surjective(h: Hom) -> bool:

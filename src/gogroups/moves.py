@@ -287,19 +287,13 @@ def _image_in_abelianization(vectors, relator_rows, ambient):
         [vectors[j][i] for j in range(k)] + [row[i] for row in relator_rows]
         for i in range(ambient)
     ]
-    kernel = quotients.int_kernel(stacked)
-    projected = [vec[:k] for vec in kernel]
+    projected = [vec[:k] for vec in quotients.SmithForm(stacked).kernel()]
     p_matrix = [[vec[i] for vec in projected] for i in range(k)]
-    u, dmat, _ = quotients.smith_normal_form(p_matrix)
-    diag = [dmat[i][i] if i < len(projected) else 0 for i in range(k)]
-    u_inv = quotients.mat_int_inverse(u)
     torsion = []
     basis = []
     free_basis = []
     free = 0
-    for j in range(k):
-        dj = diag[j]
-        coeffs = [u_inv[i][j] for i in range(k)]
+    for dj, coeffs in quotients.SmithForm(p_matrix).cokernel():
         ambient_vec = tuple(
             sum(coeffs[i] * vectors[i][r] for i in range(k)) for r in range(ambient)
         )
@@ -322,7 +316,7 @@ def _coords_in_image(image: _AbelianImage, target, relator_rows, ambient):
             raise UnrepresentableImage("nonzero vector in a trivial image")
         return []
     matrix = [[c[i] for c in cols] for i in range(ambient)]
-    solution = quotients.solve_int(matrix, list(target))
+    solution = quotients.SmithForm(matrix).solve(list(target))
     if solution is None:
         raise UnrepresentableImage("vector does not lie in the expected image")
     coords = solution[: len(image.basis)]

@@ -1,6 +1,6 @@
 """Computable quotient services.
 
-Integer Smith normal form with transform matrices, abelianization of a
+Certified integer Smith normal form (``SmithForm``), abelianization of a
 presentation into invariant factors, and a capped HLT (relator-based
 Todd-Coxeter) coset enumeration over the trivial subgroup.  These are the
 oracle backends used by diagram conversion and by the cross-validation
@@ -12,6 +12,7 @@ plain lists of lists.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,40 +28,10 @@ def mat_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ra in a
-    ]
-
-
 def mat_vec(a: IntMatrix, x: list) -> list:
     if a and len(a[0]) != len(x):
         raise ValueError("matrix/vector shape mismatch")
     return [sum(row[k] * x[k] for k in range(len(x))) for row in a]
-
-
-def mat_det(a: IntMatrix) -> int:
-    """Determinant by Bareiss fraction-free elimination: every division
-    is exact, so all arithmetic stays in the integers."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * prev
 
 
 def _shape(m: IntMatrix) -> tuple:
@@ -73,44 +44,78 @@ def _shape(m: IntMatrix) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
+#
+# An elementary operation is ("row" | "col", "swap", i, j), (side, "neg", i)
+# or (side, "add", i, j, k): line i += k * line j, with j != i.  Each one is
+# invertible over Z, so any product of them is unimodular.
 
 
-def _snf_engine(m: IntMatrix):
-    """Return (U, D, V) with U @ m @ V == D in Smith normal form.
+def _apply(a: IntMatrix, op) -> None:
+    """Apply one elementary operation to ``a`` in place."""
+    side, name, i, *rest = op
+    if side == "row":
+        if name == "swap":
+            a[i], a[rest[0]] = a[rest[0]], a[i]
+        elif name == "neg":
+            a[i] = [-x for x in a[i]]
+        else:
+            a[i] = [x + rest[1] * y for x, y in zip(a[i], a[rest[0]])]
+    elif name == "swap":
+        for r in a:
+            r[i], r[rest[0]] = r[rest[0]], r[i]
+    elif name == "neg":
+        for r in a:
+            r[i] = -r[i]
+    else:
+        j, k = rest
+        for r in a:
+            r[i] += k * r[j]
+
+
+def _certify(m: IntMatrix, ops, d: IntMatrix) -> None:
+    """Raise AssertionError unless every entry of ``ops`` is an elementary
+    operation, replaying ``ops`` on a copy of m gives d exactly, and d is
+    diagonal with d1 | d2 | ... >= 0.  Explicit raises, so ``python -O``
+    keeps the check."""
+    rows, cols = _shape(m)
+    arity = {"swap": 2, "neg": 1, "add": 3}
+    a = [list(row) for row in m]
+    for op in ops:
+        if not (len(op) >= 3 and op[0] in ("row", "col") and arity.get(op[1]) == len(op) - 2):
+            raise AssertionError(f"SNF log entry {op!r} is not an elementary operation")
+        size = rows if op[0] == "row" else cols
+        lines = op[2:] if op[1] != "add" else op[2:4]
+        if not all(type(x) is int and 0 <= x < size for x in lines):
+            raise AssertionError(f"SNF log entry {op!r} indexes outside the matrix")
+        if op[1] == "add" and (op[2] == op[3] or type(op[4]) is not int):
+            raise AssertionError(f"SNF log entry {op!r} is not an elementary addition")
+        _apply(a, op)
+    if a != d:
+        raise AssertionError("SNF operation log does not replay to D")
+    if any(d[i][j] for i in range(rows) for j in range(cols) if i != j):
+        raise AssertionError("SNF result not diagonal")
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    for i, x in enumerate(diag):
+        if x < 0:
+            raise AssertionError("SNF diagonal entry negative")
+        if i + 1 < len(diag) and (diag[i + 1] % x != 0 if x else diag[i + 1] != 0):
+            raise AssertionError("SNF divisibility chain broken")
+
+
+def _eliminate(m: IntMatrix):
+    """Return (ops, D): a log of elementary operations carrying m to its
+    Smith normal form D.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     submatrix, which keeps entry growth modest; all arithmetic is exact.
     """
     rows, cols = _shape(m)
     a = [list(row) for row in m]
-    u = mat_identity(rows)
-    v = mat_identity(cols)
+    ops = []
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i, j, k):
-        # row i += k * row j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def col_add(i, j, k):
-        # col i += k * col j
-        for r in a:
-            r[i] += k * r[j]
-        for r in v:
-            r[i] += k * r[j]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    def step(*op):
+        _apply(a, op)
+        ops.append(op)
 
     t = 0
     while t < rows and t < cols:
@@ -124,23 +129,23 @@ def _snf_engine(m: IntMatrix):
             break
         i, j = best
         if i != t:
-            row_swap(t, i)
+            step("row", "swap", t, i)
         if j != t:
-            col_swap(t, j)
+            step("col", "swap", t, j)
         if a[t][t] < 0:
-            row_negate(t)
+            step("row", "neg", t)
         # clear row and column t; restart when a remainder shrinks the pivot
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t] != 0:
                 q = a[i][t] // a[t][t]
-                row_add(i, t, -q)
+                step("row", "add", i, t, -q)
                 if a[i][t] != 0:
                     dirty = True
         for j in range(t + 1, cols):
             if a[t][j] != 0:
                 q = a[t][j] // a[t][t]
-                col_add(j, t, -q)
+                step("col", "add", j, t, -q)
                 if a[t][j] != 0:
                     dirty = True
         if dirty:
@@ -155,87 +160,88 @@ def _snf_engine(m: IntMatrix):
             if offender is not None:
                 break
         if offender is not None:
-            row_add(t, offender, 1)
+            step("row", "add", t, offender, 1)
             continue
         t += 1
-    return u, a, v
+    return tuple(ops), a
 
 
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form with transforms: returns (U, D, V), U @ m @ V == D.
+class SmithForm:
+    """Smith normal form D = U @ m @ V of an integer matrix m.
 
-    D is diagonal with d1 | d2 | ... >= 0 and U, V unimodular; all three
-    claims are re-verified before returning.
+    The form keeps the elimination's operation log (``ops``) and is
+    certified by ``_certify`` when it is built.  ``diagonal`` holds
+    d1 | d2 | ... >= 0; U, V and U^-1 are built from the log the first time
+    they are read.
     """
-    u, d, v = _snf_engine(m)
-    rows, cols = _shape(m)
-    assert mat_mul(mat_mul(u, m), v) == d, "SNF transform product mismatch"
-    assert abs(mat_det(u)) == 1 and abs(mat_det(v)) == 1, "SNF transforms not unimodular"
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for i in range(len(diag) - 1):
-        if diag[i] != 0:
-            assert diag[i + 1] % diag[i] == 0, "SNF divisibility chain broken"
-        else:
-            assert diag[i + 1] == 0, "SNF zero diagonal not terminal"
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0, "SNF result not diagonal"
-    return u, d, v
 
+    def __init__(self, m: IntMatrix):
+        self.rows, self.cols = _shape(m)
+        self.ops, d = _eliminate(m)
+        _certify(m, self.ops, d)
+        self.diagonal = tuple(d[i][i] for i in range(min(self.rows, self.cols)))
 
-def snf_solve(snf, y: list):
-    """One integer solution x of m @ x == y, given m's Smith normal form
-    (U, D, V), or None when unsolvable; m has len(V) columns."""
-    u, d, v = snf
-    cols = len(v)
-    uy = mat_vec(u, y)
-    z = [0] * cols
-    for i in range(len(u)):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if uy[i] != 0:
-                return None
-        else:
-            if uy[i] % di != 0:
-                return None
-            z[i] = uy[i] // di
-    return mat_vec(v, z)
+    def _replayed(self, side: str, n: int) -> IntMatrix:
+        x = mat_identity(n)
+        for op in self.ops:
+            if op[0] == side:
+                _apply(x, op)
+        return x
 
+    @cached_property
+    def u(self) -> IntMatrix:
+        return self._replayed("row", self.rows)
 
-def solve_int(m: IntMatrix, y: list):
-    """One integer solution x of m @ x == y, or None when unsolvable."""
-    rows, _ = _shape(m)
-    if len(y) != rows:
-        raise ValueError("rhs length mismatch")
-    return snf_solve(_snf_engine(m), y)
+    @cached_property
+    def v(self) -> IntMatrix:
+        return self._replayed("col", self.cols)
 
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        """U^-1: each row operation's inverse, applied as a column operation
+        in log order."""
+        x = mat_identity(self.rows)
+        for side, name, i, *rest in self.ops:
+            if side == "row":
+                if name == "add":  # row i += k row j  ->  col j -= k col i
+                    i, rest = rest[0], [i, -rest[1]]
+                _apply(x, ("col", name, i, *rest))
+        return x
 
-def int_kernel(m: IntMatrix) -> list:
-    """Basis (list of vectors) of the integer kernel {x : m @ x == 0}."""
-    rows, cols = _shape(m)
-    _, d, v = _snf_engine(m)
-    basis = []
-    for j in range(cols):
-        dj = d[j][j] if j < rows else 0
-        if dj == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return basis
+    def solve(self, y: list):
+        """One integer solution x of m @ x == y, or None when unsolvable."""
+        if len(y) != self.rows:
+            raise ValueError("rhs length mismatch")
+        uy = mat_vec(self.u, y)
+        z = [0] * self.cols
+        for i in range(self.rows):
+            di = self.diagonal[i] if i < self.cols else 0
+            if di == 0:
+                if uy[i] != 0:
+                    return None
+            else:
+                if uy[i] % di != 0:
+                    return None
+                z[i] = uy[i] // di
+        return mat_vec(self.v, z)
 
+    def kernel(self) -> list:
+        """Basis (list of vectors) of the integer kernel {x : m @ x == 0}:
+        the columns of V past the nonzero diagonal."""
+        return [
+            [row[j] for row in self.v]
+            for j in range(self.cols)
+            if j >= self.rows or self.diagonal[j] == 0
+        ]
 
-def mat_int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix."""
-    n, c = _shape(m)
-    if n != c:
-        raise ValueError("not square")
-    u, d, v = _snf_engine(m)
-    for i in range(n):
-        if d[i][i] != 1:
-            raise ValueError("matrix not unimodular")
-    # U m V = I  =>  m^-1 = V U
-    inv = mat_mul(v, u)
-    assert mat_mul(inv, m) == mat_identity(n)
-    return inv
+    def cokernel(self) -> list:
+        """Z^rows / (column lattice of m) as a sum of cyclic groups Z/d_i:
+        one (d_i, generator) pair per row, with d_i = 0 past the diagonal and
+        the generator column i of U^-1."""
+        return [
+            (self.diagonal[i] if i < self.cols else 0, tuple(row[i] for row in self.u_inv))
+            for i in range(self.rows)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +275,7 @@ def exponent_matrix(presentation) -> IntMatrix:
 def abelianization(presentation) -> InvariantFactors:
     """Invariant factors of the abelianized presentation."""
     n_gens = len(presentation.generators)
-    m = exponent_matrix(presentation)
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(m), n_gens))]
-    nonzero = [x for x in diag if x != 0]
+    nonzero = [x for x in SmithForm(exponent_matrix(presentation)).diagonal if x != 0]
     torsion = tuple(x for x in nonzero if x != 1)
     return InvariantFactors(torsion, n_gens - len(nonzero))
 
@@ -389,10 +392,10 @@ class _Enumerator:
             queue.append(hi)
 
     def coincidence(self, a, b):
-        queue = []
+        queue = deque()
         self.merge(a, b, queue)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             for x in range(self.width):
                 delta = self.table[gamma][x]
                 if delta is None:
@@ -554,7 +557,7 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
         # vec must lie in the row lattice: solve transpose(m) @ x == vec
         m = exponent_matrix(presentation)
         mt = [[row[c] for row in m] for c in range(len(vec))]
-        trivial = solve_int(mt, vec) is not None
+        trivial = SmithForm(mt).solve(vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
     trivial = freely_reduce(word) == ()

@@ -256,6 +256,11 @@ class TestCommands:
             (loop % "{matrix: [[true]]}", ".edges.t.fwd]", "integers"),
             (loop % "{images: [[2.7]]}", ".edges.t.fwd]", "integers"),
             (loop % "{images: [[true]]}", ".edges.t.fwd]", "integers"),
+            # YAML booleans are not integers in a table's rows or identity
+            ("vertices: {v: {table: {elements: [e, a], mul: [[0, true], [true, 0]], id: false}}}\n",
+             ".vertices.v.mul]", "integers"),
+            ("vertices: {v: {table: {elements: [e, a], mul: [[0, 1], [1, 0]], id: false}}}\n",
+             ".vertices.v.id]", "integer"),
         ]
         for i, (text, key, reason) in enumerate(cases):
             path = tmp_path / f"bad{i}.gog"

@@ -10,6 +10,7 @@ from gogroups.groups import (
     FreeAbelian,
     FreeGroup,
     Hom,
+    _ft_generating_set,
     cogenerator,
     compose,
     cyclic_table,
@@ -28,7 +29,6 @@ from gogroups.groups import (
     subgroup_table,
 )
 from gogroups.gogfile import hom_descriptor
-from gogroups.quotients import mat_int_inverse
 
 
 class TestElements:
@@ -281,7 +281,7 @@ class TestComposeInverse:
         h = Hom.matrix(FreeAbelian(2), FreeAbelian(2), [[1, 1], [0, 1]])
         hinv = inverse(h)
         assert compose(hinv, h).data == ((1, 0), (0, 1))
-        # seeded unimodular rows, against the integer inverse of the rows
+        # seeded unimodular rows: rows @ inverse == I fixes the inverse
         rng = random.Random(29)
         for _ in range(40):
             n = rng.randint(1, 4)
@@ -294,7 +294,11 @@ class TestComposeInverse:
                     k = rng.randint(-3, 3)
                     rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
             z = FreeAbelian(n)
-            assert inverse(Hom.matrix(z, z, rows)) == Hom.matrix(z, z, mat_int_inverse(rows))
+            inv = inverse(Hom.matrix(z, z, rows)).data  # column j is inv[j]
+            for i in range(n):
+                assert [sum(a * b for a, b in zip(rows[i], inv[j])) for j in range(n)] == [
+                    int(i == j) for j in range(n)
+                ]
 
     def test_table_inverse(self):
         z4 = cyclic_table(4)
@@ -413,6 +417,18 @@ class TestRanks:
         assert geometric_rank_class(cyclic_table(8)) == 0
         assert geometric_rank_class(FreeGroup(3)) == 1
         assert geometric_rank_class(FreeGroup(0)) == 0
+
+    def test_equal_tables_share_one_generating_set_search(self):
+        # labels are not compared, so tables built apart with other labels are
+        # equal, hash equal, and hit one cache entry
+        mul = dihedral_table(7).mul_table
+        a = FiniteTable(tuple(f"x{i}" for i in range(14)), mul, 0)
+        b = FiniteTable(tuple(f"y{i}" for i in range(14)), tuple(map(list, mul)), 0)
+        assert a is not b and a == b and hash(a) == hash(b)
+        before = _ft_generating_set.cache_info()
+        assert a.generators() == b.generators()
+        after = _ft_generating_set.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
 
     def test_rank_monotone_under_image(self):
         # images of table homs never need more generators than the source

@@ -1,24 +1,26 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gogroups
 from gogroups.errors import CapExceeded, UnknownLetter
 from gogroups.gog import Letter, Presentation
 from gogroups.quotients import (
     InvariantFactors,
     QuotientOracle,
+    SmithForm,
     abelianization,
     coset_enumeration,
     exponent_matrix,
-    mat_det,
     mat_identity,
-    mat_mul,
+    mat_vec,
     oracle_answer,
-    smith_normal_form,
-    snf_solve,
-    solve_int,
     word_exponent_vector,
 )
 
@@ -28,31 +30,58 @@ def pres(names, relators):
     return Presentation(gens, tuple(tuple(r) for r in relators))
 
 
-def diag_of(d):
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for ra in a]
+
+
+def mat_det(a):
+    """Determinant by Bareiss fraction-free elimination: every division
+    is exact, so all arithmetic stays in the integers."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if m[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def dense_d(form):
+    """The rows x cols matrix D of a Smith form."""
+    return [
+        [form.diagonal[i] if i == j else 0 for j in range(form.cols)] for i in range(form.rows)
+    ]
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        u, d, v = smith_normal_form(mat_identity(2))
-        assert d == mat_identity(2)
+        assert SmithForm(mat_identity(2)).diagonal == (1, 1)
 
     def test_diag_2_3(self):
         m = [[2, 0], [0, 3]]
-        u, d, v = smith_normal_form(m)
-        assert diag_of(d) == [1, 6]
-        assert mat_mul(mat_mul(u, m), v) == d
+        f = SmithForm(m)
+        assert f.diagonal == (1, 6)
+        assert mat_mul(mat_mul(f.u, m), f.v) == dense_d(f)
 
     def test_doubling_map(self):
         # the index-2 sublattice: cokernel Z/2
-        _, d, _ = smith_normal_form([[2]])
-        assert d == [[2]]
+        f = SmithForm([[2]])
+        assert f.diagonal == (2,) and f.cokernel() == [(2, (1,))]
 
     def test_zero_and_empty(self):
-        _, d, _ = smith_normal_form([[0, 0], [0, 0]])
-        assert d == [[0, 0], [0, 0]]
-        u, d, v = smith_normal_form([])
-        assert (u, d, v) == ([], [], [])
+        f = SmithForm([[0, 0], [0, 0]])
+        assert f.diagonal == (0, 0) and f.ops == ()
+        f = SmithForm([])
+        assert (f.u, f.diagonal, f.v, f.u_inv, f.kernel()) == ([], (), [], [], [])
 
     def test_random_sweep(self):
         rng = random.Random(2024)
@@ -60,26 +89,93 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            u, d, v = smith_normal_form(m)
-            assert mat_mul(mat_mul(u, m), v) == d
-            assert abs(mat_det(u)) == 1 and abs(mat_det(v)) == 1
-            diag = diag_of(d)
+            f = SmithForm(m)
+            assert mat_mul(mat_mul(f.u, m), f.v) == dense_d(f)
+            assert abs(mat_det(f.u)) == 1 and abs(mat_det(f.v)) == 1
+            assert mat_mul(f.u_inv, f.u) == mat_identity(rows)
+            diag = f.diagonal
             for i in range(len(diag) - 1):
                 if diag[i]:
                     assert diag[i + 1] % diag[i] == 0
 
     def test_solve(self):
-        assert solve_int([[2]], [4]) == [2]
-        assert solve_int([[2]], [3]) is None
-        assert solve_int([[1, 1]], [5]) is not None
-        x = solve_int([[2, 0], [0, 3]], [4, -9])
-        assert x == [2, -3]
-        # a kept SNF answers the same; a zero-column matrix solves only 0
+        assert SmithForm([[2]]).solve([4]) == [2]
+        assert SmithForm([[2]]).solve([3]) is None
+        assert SmithForm([[1, 1]]).solve([5]) is not None
+        assert SmithForm([[2, 0], [0, 3]]).solve([4, -9]) == [2, -3]
         m = [[2, 4, 0], [1, 1, 3]]
-        for y in ([2, 1], [6, 5], [1, 0], [0, 0]):
-            assert snf_solve(smith_normal_form(m), y) == solve_int(m, y)
-        assert snf_solve(smith_normal_form([[], []]), [0, 0]) == []
-        assert snf_solve(smith_normal_form([[], []]), [0, 1]) is None
+        f = SmithForm(m)
+        for y in ([2, 1], [6, 5], [0, 0]):
+            assert mat_vec(m, f.solve(y)) == y
+        assert f.solve([1, 0]) is None
+        with pytest.raises(ValueError):
+            f.solve([1])
+        # a zero-column matrix solves only 0
+        assert SmithForm([[], []]).solve([0, 0]) == []
+        assert SmithForm([[], []]).solve([0, 1]) is None
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(31)
+        shapes = [(0, 0), (1, 0), (3, 0)] + [
+            (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(200)
+        ]
+        for rows, cols in shapes:
+            density = rng.choice([0.3, 0.7, 1.0])
+            m = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            f = SmithForm(m)
+            flat = [x for row in m for x in row]
+            theirs = smith_normal_form(sympy.Matrix(rows, cols, flat), domain=sympy.ZZ)
+            assert f.diagonal == tuple(abs(int(theirs[i, i])) for i in range(min(rows, cols))), m
+            assert mat_mul(f.u_inv, f.u) == mat_identity(rows)
+            kernel = f.kernel()
+            assert len(kernel) == cols - sum(1 for d in f.diagonal if d)
+            for x in kernel:
+                assert mat_vec(m, x) == [0] * rows
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            for y in (mat_vec(m, x), [rng.randint(-5, 5) for _ in range(rows)]):
+                solution = f.solve(y)
+                assert solution is None or mat_vec(m, solution) == y
+            assert f.solve(mat_vec(m, x)) is not None
+
+    def test_certificate_runs_under_optimize(self):
+        # the certificate is explicit raises, so python -O keeps it
+        script = """
+from gogroups.quotients import SmithForm, _certify
+assert False, "asserts must be off"
+def rejects(m, ops, d):
+    try:
+        _certify(m, ops, d)
+    except AssertionError:
+        return True
+    return False
+m = [[2, 4], [6, 8]]
+f = SmithForm(m)
+d = [[f.diagonal[0], 0], [0, f.diagonal[1]]]
+_certify(m, f.ops, d)
+# each prefix would replay without changing m, so only the elementary check rejects it
+for bad in [[("row", "add", 0, 0, 0)], [("row", "add", 0, 1, 0.0)],
+            [("row", "neg", -1), ("row", "neg", 1)],
+            [("col", "swap", 0, 1, 1), ("col", "swap", 0, 1)], [("side", "neg", 0)] * 2]:
+    if not rejects(m, tuple(bad) + f.ops, d):
+        raise SystemExit(f"accepted {bad!r}")
+# each of these fails exactly one check: the replay, diagonality, the chain, the sign
+for m, ops, d in [(m, (), d), ([[1, 1], [0, 1]], (), [[1, 1], [0, 1]]),
+                  ([[2, 0], [0, 3]], (), [[2, 0], [0, 3]]), ([[-1]], (), [[-1]])]:
+    if not rejects(m, ops, d):
+        raise SystemExit(f"accepted {(m, ops, d)!r}")
+"""
+        src = Path(gogroups.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestAbelianization:
@@ -285,20 +381,17 @@ class TestMatrixHelpers:
         assert mat_det([]) == 1
 
     def test_int_inverse_of_unimodular(self):
-        from gogroups.quotients import mat_int_inverse
-
-        m = [[1, 2], [0, 1]]
-        assert mat_int_inverse(m) == [[1, -2], [0, 1]]
-        with pytest.raises(ValueError):
-            mat_int_inverse([[2, 0], [0, 1]])
+        # U m V = I, so m^-1 = V U; a non-unimodular matrix has a diagonal
+        # entry other than 1
+        f = SmithForm([[1, 2], [0, 1]])
+        assert f.diagonal == (1, 1) and mat_mul(f.v, f.u) == [[1, -2], [0, 1]]
+        assert SmithForm([[2, 0], [0, 1]]).diagonal == (1, 2)
 
     def test_int_kernel(self):
-        from gogroups.quotients import int_kernel, mat_vec
-
-        basis = int_kernel([[1, 1, 0], [0, 0, 1]])
+        basis = SmithForm([[1, 1, 0], [0, 0, 1]]).kernel()
         assert len(basis) == 1
         assert mat_vec([[1, 1, 0], [0, 0, 1]], basis[0]) == [0, 0]
-        assert int_kernel([[2, 0], [0, 3]]) == []
+        assert SmithForm([[2, 0], [0, 3]]).kernel() == []
 
     def test_invariant_factors_validation(self):
         with pytest.raises(ValueError):
