@@ -49,9 +49,13 @@ class GraphOfGroups:
     (``validate_gog``), the classification (``classify``), the spanning
     tree (``tree_orbits``), the tree half-edge entering each vertex on its
     path from the basepoint (``tree_parent``), the default presentation
-    (``pi1_presentation`` without arguments) and the letter-loop cache
+    (``pi1_presentation`` without arguments), the letter-loop cache
     (``_letter_loops``: the loop word of each presentation letter and
-    sign, filled by ``words.letter_loop``).
+    sign, filled by ``words.letter_loop``) and the reduction kernel
+    (``_kernel``, a ``words.ReductionKernel``).  The kernel is what letter
+    expansion, ``validate_loop_word`` and ``reduce`` read: a loop word is
+    validated once, at entry, and every later product is a raw table
+    lookup, tuple sum or free-word product of elements known to be valid.
     """
 
     graph: AbstractGraph
@@ -169,6 +173,12 @@ class GraphOfGroups:
         kind, owner and index and on this graph's tree and basepoint, so
         one cache serves every presentation of the graph."""
         return {}
+
+    @cached_property
+    def _kernel(self):
+        from .words import ReductionKernel  # words builds on this module
+
+        return ReductionKernel(self)
 
     def replace(self, **kw) -> "GraphOfGroups":
         current = dict(

@@ -17,10 +17,27 @@ diagrams through convert_diagram first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
-from .gog import DiagramClass, GraphOfGroups, Presentation, classify, pi1_presentation
-from .groups import format_element, hom_apply, hom_member, parse_element, split_inverse
+from .folding import free_mul
+from .gog import (
+    DiagramClass,
+    GraphOfGroups,
+    Presentation,
+    classify,
+    pi1_presentation,
+    require_valid_gog,
+)
+from .groups import (
+    FiniteTable,
+    FreeAbelian,
+    format_element,
+    hom_apply,
+    hom_member,
+    parse_element,
+    split_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -43,21 +60,91 @@ class PinchFreeForm:
     pinch_free: bool
 
 
+class ReductionKernel:
+    """Everything letter expansion, word validation and pinch reduction
+    read of one graph, in plain dicts: built once, on first use, and kept
+    as ``GraphOfGroups._kernel``.
+
+    Per vertex: the group's bound ``check`` and its raw product (rows of
+    ``mul_table``, tuple addition, ``free_mul``), which checks no factor.
+    A word is checked once, by ``validate_loop_word``; after that only raw
+    products and hom images of checked elements arise, and they stay in
+    their groups.  Per half-edge: its (origin, terminus), and ``pinch[e]``,
+    which maps the middle element g of a subword e g bar(e) to
+    (preimage under f_bar(e), its image under f_e), or to None when g is
+    outside the image of f_bar(e).  For table homs that lookup is one
+    precomputed dict; for every other hom it asks ``hom_member`` and
+    ``hom_apply``.
+    """
+
+    __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "_tokens")
+
+    def __init__(self, g: GraphOfGroups):
+        require_valid_gog(g)
+        graph = g.graph
+        self.base = g.base
+        self.identity = g.vgroup[g.base].identity()
+        self.check = {v: group.check for v, group in g.vgroup.items()}
+        self.mul = {v: _raw_mul(group) for v, group in g.vgroup.items()}
+        self.bar = dict(graph.bar)
+        self.ends = {e: (graph.d0[e], graph.terminus(e)) for e in graph.edges}
+        self.pinch = {e: _pinch_lookup(g.emap[graph.bar[e]], g.emap[e]) for e in graph.edges}
+        self._tokens = {}
+
+    def token_index(self, pres: Presentation) -> dict:
+        """{(name, sign): (first element, later elements, edges)} of the
+        letter loops under ``pres``: one index per presentation object,
+        since two namings may give one name to different letters.  The
+        presentation is kept with its index, so its id is never reused."""
+        entry = self._tokens.get(id(pres))
+        if entry is None:
+            entry = self._tokens[id(pres)] = (pres, {})
+        return entry[1]
+
+
+def _raw_mul(group):
+    if isinstance(group, FiniteTable):
+        rows = group.mul_table
+        return lambda x, y: rows[x][y]
+    if isinstance(group, FreeAbelian):
+        return lambda x, y: tuple(map(add, x, y))
+    return free_mul
+
+
+def _pinch_lookup(inner, outer):
+    """middle -> (preimage under ``inner``, its image under ``outer``) | None."""
+    if inner.kind == "table":
+        return {y: (i, outer.data[i]) for y, i in inner._first_preimage.items()}.get
+
+    def lookup(middle):
+        answer = hom_member(inner, middle)
+        return (answer.preimage, hom_apply(outer, answer.preimage)) if answer.inside else None
+
+    return lookup
+
+
 def validate_loop_word(g: GraphOfGroups, w: LoopWord) -> None:
     """Path consistency: origins line up and elements live at their vertices."""
-    if w.base not in g.graph.vertices:
-        raise NonLoopWord(f"basepoint {w.base} is not a vertex")
+    kernel = g._kernel
+    checks, ends = kernel.check, kernel.ends
     at = w.base
+    try:
+        checks[at]
+    except (KeyError, TypeError):
+        raise NonLoopWord(f"basepoint {at} is not a vertex") from None
+    elements = w.elements
     for i, e in enumerate(w.edges):
-        if e not in g.graph.edges:
-            raise NonLoopWord(f"unknown half-edge {e}")
-        if g.graph.d0[e] != at:
+        try:
+            origin, terminus = ends[e]
+        except (KeyError, TypeError):
+            raise NonLoopWord(f"unknown half-edge {e}") from None
+        if origin != at:
             raise NonLoopWord(f"edge {e} does not start at {at}")
-        g.vgroup[at].check(w.elements[i])
-        at = g.graph.terminus(e)
+        checks[at](elements[i])
+        at = terminus
     if at != w.base:
         raise NonLoopWord(f"word ends at {at}, not at its basepoint {w.base}")
-    g.vgroup[at].check(w.elements[-1])
+    checks[at](elements[-1])
 
 
 def _require_reducible(g: GraphOfGroups) -> None:
@@ -84,10 +171,15 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     collect_steps=True returns (form, steps) where each step records
     (position, pinched edge, middle element, edge-group preimage,
     substituted element) for external replay.
+
+    ``validate_loop_word`` is the one check of the word's elements, at
+    entry; the pass itself reads only the graph's ``ReductionKernel``:
+    pinch lookups and raw products, closed on checked elements.
     """
     _require_reducible(g)
     validate_loop_word(g, w)
-    bar = g.graph.bar
+    kernel = g._kernel
+    bar, ends, muls, pinch = kernel.bar, kernel.ends, kernel.mul, kernel.pinch
     elements = [w.elements[0]]
     edges = []
     steps = []
@@ -95,15 +187,15 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
         if edges and incoming == bar[edges[-1]]:
             e = edges[-1]
             middle = elements[-1]
-            answer = hom_member(g.emap[incoming], middle)
-            if answer.inside:
-                substituted = hom_apply(g.emap[e], answer.preimage)
+            hit = pinch[e](middle)
+            if hit is not None:
+                preimage, substituted = hit
                 if collect_steps:
-                    steps.append((len(edges) - 1, e, middle, answer.preimage, substituted))
-                here = g.vgroup[g.graph.d0[e]]
+                    steps.append((len(edges) - 1, e, middle, preimage, substituted))
+                mul = muls[ends[e][0]]
                 edges.pop()
                 elements.pop()
-                elements[-1] = here.mul(here.mul(elements[-1], substituted), after)
+                elements[-1] = mul(mul(elements[-1], substituted), after)
                 continue
         edges.append(incoming)
         elements.append(after)
@@ -209,23 +301,30 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.  Tree
     letters expand to their tree paths, so the result is always
     path-consistent.  Linear in the length of the result: each letter's
-    loop comes from the graph's cache and is appended in place.  The
-    result is not validated again: every cached loop was validated when
-    built and runs from ``base`` to ``base``, and the joins use the
-    checked ``group.mul``.
+    loop is found by its token in the kernel's index for ``pres`` (on a
+    miss, ``letter_loop`` checks the token and builds or finds the loop)
+    and appended in place.  The result is not validated again: every
+    loop was validated when built and runs from ``base`` to ``base``, so
+    the joins use the base group's raw product.
     """
     if pres is None:
         pres = pi1_presentation(g)
     tokens = [split_inverse(t) for t in letters.split()] if isinstance(letters, str) else letters
-    group = g.vgroup[g.base]
-    elements = [group.identity()]
+    kernel = g._kernel
+    index = kernel.token_index(pres)
+    mul = kernel.mul[kernel.base]
+    elements = [kernel.identity]
     edges = []
     for name, sign in tokens:
-        loop = letter_loop(g, pres, name, sign)
-        elements[-1] = group.mul(elements[-1], loop.elements[0])
-        elements.extend(loop.elements[1:])
-        edges.extend(loop.edges)
-    return LoopWord(g.base, tuple(elements), tuple(edges))
+        try:
+            head, rest, path = index[name, sign]
+        except (KeyError, TypeError):
+            loop = letter_loop(g, pres, name, sign)
+            head, rest, path = index[name, sign] = loop.elements[0], loop.elements[1:], loop.edges
+        elements[-1] = mul(elements[-1], head)
+        elements.extend(rest)
+        edges.extend(path)
+    return LoopWord(kernel.base, tuple(elements), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

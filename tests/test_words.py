@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 import re
 import time
@@ -7,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 import zoo
-from gogroups.errors import NonLoopWord, UnknownLetter, UnsupportedClass
+from gogroups.errors import NonLoopWord, ShapeMismatch, UnknownLetter, UnsupportedClass
 from gogroups.gog import DiagramClass, classify, pi1_presentation, presentation_letters, validate_gog
+from gogroups.gogfile import parse_gog
 from gogroups.groups import hom_apply, hom_member
+from gogroups.moves import QuotientOracle, convert_diagram
 from gogroups.words import (
     LoopWord,
     concat_loops,
@@ -252,6 +255,34 @@ class TestReductionMachinery:
         form, steps = reduce(g, w, collect_steps=True)
         assert len(steps) <= len(w) // 2
 
+    def test_unknown_and_unhashable_half_edges_are_not_loop_words(self):
+        g = zoo.torus()
+        for e in ["s", ["t"], {"t": 1}]:
+            w = LoopWord("v", ((0,), (0,)), (e,))
+            for check in (validate_loop_word, reduce):
+                with pytest.raises(NonLoopWord, match=re.escape(f"unknown half-edge {e}")):
+                    check(g, w)
+        with pytest.raises(NonLoopWord, match=re.escape("basepoint ['v'] is not a vertex")):
+            validate_loop_word(g, LoopWord(["v"], ((0,),), ()))
+
+    @pytest.mark.parametrize("g, edges, bad, texts", [
+        # finite: the middle of s1^-1 p:#6 s1 sits between a pinchable pair
+        (zoo.finite_star(), ("s1^-1", "s1"), 6,
+         [f"6 is not an index into a table of size {n}" for n in (6, 2, 6)]),
+        (zoo.torus(), ("t", "t^-1"), (0, 1), ["(0, 1) is not a Z^1 element"] * 3),
+        (zoo.trefoil(), ("e", "e^-1"), (1, -1), ["(1, -1) is not a reduced F(1) word"] * 3),
+    ])
+    def test_reduce_checks_every_element_at_entry(self, g, edges, bad, texts):
+        # the one check of a word's elements is validate_loop_word at entry:
+        # a bad element at the first, a middle or the last position raises
+        # the group's own ShapeMismatch text before any pinch runs
+        at = [g.base, g.graph.terminus(edges[0]), g.base]
+        for position, text in enumerate(texts):
+            elements = [g.vgroup[v].identity() for v in at]
+            elements[position] = bad
+            with pytest.raises(ShapeMismatch, match="^" + re.escape(text) + "$"):
+                reduce(g, LoopWord(g.base, tuple(elements), edges))
+
     def test_reduce_rejects_diagrams(self):
         g = zoo.pushout46()
         base_loop = LoopWord("u", (0,), ())
@@ -325,6 +356,27 @@ class TestWordConstruction:
         # a second expansion reads the cache and gives the same word
         assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
         assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
+
+        # a naming that swaps x and y: each name expands to the other's
+        # loop, and the cache gains one entry per new (letter, sign)
+        def swapped(letter):
+            name = {"x": "y", "y": "x"}.get(letter.name, letter.name)
+            return dataclasses.replace(letter, name=name)
+
+        pres3 = pi1_presentation(g, naming=(
+            {v: tuple(swapped(l) for l in ls) for v, ls in vertex_letters.items()},
+            {o: swapped(l) for o, l in edge_letters.items()},
+        ))
+        for name, other in [("x", "y"), ("y", "x")]:
+            for s in (1, -1):
+                assert word_from_presentation_letters(g, [(name, s)], pres=pres3) == (
+                    word_from_presentation_letters(g, [(other, s)], pres=pres)
+                )
+        tokens3 = [(l.name, s) for l in pres3.generators for s in (1, -1)]
+        word_from_presentation_letters(g, tokens3, pres=pres3)
+        letters = {l for p in (pres, pres2, pres3) for l in p.generators}
+        assert set(g._letter_loops) == {(l, s) for l in letters for s in (1, -1)}
+        assert len(g._letter_loops) == 2 * len(letters) == 2 * (2 * len(pres.generators) + 2)
 
 
 def last_first_tree(g):
@@ -449,9 +501,12 @@ def restart_reduce(g, w):
 def test_one_pass_reduce_matches_restart_oracle():
     rng = random.Random(31)
     checked = 0
-    for g in zoo.graphs():
-        if classify(g) is not DiagramClass.GRAPH_OF_GROUPS:
-            continue
+    reducible = [g for g in zoo.graphs() if classify(g) is DiagramClass.GRAPH_OF_GROUPS]
+    pushout = parse_gog(str(pathlib.Path(__file__).parent / "fixtures" / "pushout46.gog"))
+    stored = [g.replace(tree=last_first_tree(g), base=max(g.graph.vertices)) for g in reducible]
+    converted = convert_diagram(pushout, QuotientOracle.finite_enumeration(5000))
+    for g in reducible + [converted] + stored:
+        assert classify(g) is DiagramClass.GRAPH_OF_GROUPS
         pres = pi1_presentation(g)
         letters = [(l.name, s) for l in pres.generators for s in (1, -1)]
         for k in range(60):
