@@ -14,8 +14,9 @@ replay agree letter for letter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import InvalidStructure, SpellingFailure, UnknownLetter, UnsupportedHom
@@ -43,19 +44,23 @@ class GraphOfGroups:
     """A graph of groups (or diagram) with a basepoint and an optional
     stored spanning tree.
 
+    The graph has one spanning tree, ``tree_orbits()``: the stored tree or
+    the deterministic default.  Its orbits give the tree relators of every
+    presentation of the graph, and its paths from the basepoint give every
+    letter loop, so the two always agree.
+
     Compared and hashed by identity: the dict-valued fields make
     structural hashing impractical.  Data derived from the fields is
     computed on first use and kept on the instance: the validation report
     (``validate_gog``), the classification (``classify``), the spanning
     tree (``tree_orbits``), the tree half-edge entering each vertex on its
     path from the basepoint (``tree_parent``), the default presentation
-    (``pi1_presentation`` without arguments), the letter-loop cache
-    (``_letter_loops``: the loop word of each presentation letter and
-    sign, filled by ``words.letter_loop``) and the reduction kernel
-    (``_kernel``, a ``words.ReductionKernel``).  The kernel is what letter
-    expansion, ``validate_loop_word`` and ``reduce`` read: a loop word is
-    validated once, at entry, and every later product is a raw table
-    lookup, tuple sum or free-word product of elements known to be valid.
+    (``pi1_presentation`` without a naming) and the reduction kernel
+    (``_kernel``, a ``words.ReductionKernel``, which also holds the letter
+    loops).  The kernel is what letter expansion, ``validate_loop_word``
+    and ``reduce`` read: a loop word is validated once, at entry, and
+    every later product is a raw table lookup, tuple sum or free-word
+    product of elements known to be valid.
     """
 
     graph: AbstractGraph
@@ -165,14 +170,7 @@ class GraphOfGroups:
 
     @cached_property
     def _pi1_default(self) -> "Presentation":
-        return _build_presentation(self, None, None)
-
-    @cached_property
-    def _letter_loops(self) -> dict:
-        """{(Letter, sign): loop word}.  A letter's loop depends only on its
-        kind, owner and index and on this graph's tree and basepoint, so
-        one cache serves every presentation of the graph."""
-        return {}
+        return _build_presentation(self, None)
 
     @cached_property
     def _kernel(self):
@@ -181,15 +179,7 @@ class GraphOfGroups:
         return ReductionKernel(self)
 
     def replace(self, **kw) -> "GraphOfGroups":
-        current = dict(
-            graph=self.graph,
-            vgroup=dict(self.vgroup),
-            egroup=dict(self.egroup),
-            emap=dict(self.emap),
-            base=self.base,
-            tree=self.tree,
-            provenance=self.provenance,
-        )
+        current = {f.name: getattr(self, f.name) for f in fields(self)}
         current.update(kw)
         return GraphOfGroups.make(**current)
 
@@ -251,19 +241,10 @@ class Presentation:
         try:
             return self._columns[name]
         except (KeyError, TypeError):
-            raise _unknown(name) from None
+            raise UnknownLetter(f"{name!r} is not a presentation generator") from None
 
     def letter(self, name: str) -> Letter:
-        # the lookup is repeated rather than calling column(): letter
-        # expansion makes one call per token
-        try:
-            return self.generators[self._columns[name]]
-        except (KeyError, TypeError):
-            raise _unknown(name) from None
-
-
-def _unknown(name) -> UnknownLetter:
-    return UnknownLetter(f"{name!r} is not a presentation generator")
+        return self.generators[self.column(name)]
 
 
 def presentation_letters(g: GraphOfGroups):
@@ -337,12 +318,14 @@ def edge_relators(g: GraphOfGroups, plus: str, naming) -> tuple:
     return tuple(out)
 
 
-def pi1_presentation(g: GraphOfGroups, tree=None, naming=None) -> Presentation:
+def pi1_presentation(g: GraphOfGroups, naming=None) -> Presentation:
     """Presentation of the fundamental group at ``g.base``.
 
     Generators: chosen generating sets of the vertex groups plus one letter
     per edge orbit.  Relators: (i) vertex-group defining relators, (ii) the
-    edge relations t_e f_bar(c) t_e^-1 f_e(c)^-1, (iii) t_e for tree orbits.
+    edge relations t_e f_bar(c) t_e^-1 f_e(c)^-1, (iii) t_e for the orbits
+    of the graph's one tree, ``g.tree_orbits()``, the tree whose paths the
+    letter loops walk; present another tree through ``g.replace(tree=...)``.
     Output is deterministic: everything is sorted, relators are freely
     reduced, and freely trivial relators are dropped.
 
@@ -350,59 +333,47 @@ def pi1_presentation(g: GraphOfGroups, tree=None, naming=None) -> Presentation:
     edge_letters) pair from a larger ambient graph, so that presentations
     of subgraphs glue letter-for-letter.
     """
-    if tree is None and naming is None:
+    if naming is None:
         return g._pi1_default
-    return _build_presentation(g, tree, naming)
+    return _build_presentation(g, naming)
 
 
-def _build_presentation(g: GraphOfGroups, tree, naming) -> Presentation:
+def _build_presentation(g: GraphOfGroups, naming) -> Presentation:
     require_valid_gog(g)
-    tree_ids = frozenset(tree) if tree is not None else g.tree_orbits()
     if naming is None:
         naming = presentation_letters(g)
     vertex_letters, edge_letters = naming
+    plus_ids = [o.plus for o in orbits(g.graph)]
 
-    generators = []
-    for v in sorted(g.graph.vertices):
-        generators.extend(vertex_letters.get(v, ()))
-    for o in orbits(g.graph):
-        generators.append(edge_letters[o.plus])
+    generators = [l for v in sorted(g.graph.vertices) for l in vertex_letters.get(v, ())]
+    generators.extend(edge_letters[plus] for plus in plus_ids)
 
     relators = []
     # (i) vertex-group relators
     for v in sorted(g.graph.vertices):
         group = g.vgroup[v]
         letters = vertex_letters.get(v, ())
-        names = [l.name for l in letters]
         if isinstance(group, FreeAbelian):
-            for i in range(group.rank):
-                for j in range(i + 1, group.rank):
-                    relators.append(
-                        ((names[i], 1), (names[j], 1), (names[i], -1), (names[j], -1))
-                    )
+            pairs = combinations([l.name for l in letters], 2)
+            relators.extend(((a, 1), (b, 1), (a, -1), (b, -1)) for a, b in pairs)
         elif isinstance(group, FiniteTable):
-            for x in group.elements():
-                if x == group.id_index:
-                    continue
-                wx = spell_in_letters(group, letters, x)
-                for y in group.elements():
-                    if y == group.id_index:
-                        continue
-                    wy = spell_in_letters(group, letters, y)
-                    wxy = spell_in_letters(group, letters, group.mul(x, y))
-                    rel = freely_reduce(wx + wy + invert_word(wxy))
+            spelled = [spell_in_letters(group, letters, x) for x in group.elements()]
+            others = [x for x in group.elements() if x != group.id_index]
+            for x in others:
+                for y in others:
+                    xy = group.mul_table[x][y]
+                    rel = freely_reduce(spelled[x] + spelled[y] + invert_word(spelled[xy]))
                     if rel:
                         relators.append(rel)
         # free vertex groups impose no relators
 
     # (ii) edge relations, oriented along the plus half-edge
-    for o in orbits(g.graph):
-        relators.extend(edge_relators(g, o.plus, naming))
+    for plus in plus_ids:
+        relators.extend(edge_relators(g, plus, naming))
 
-    # (iii) tree letters die
-    for o in orbits(g.graph):
-        if o.plus in tree_ids:
-            relators.append(((edge_letters[o.plus].name, 1),))
+    # (iii) the letters of the graph's tree die
+    tree = g.tree_orbits()
+    relators.extend(((edge_letters[plus].name, 1),) for plus in plus_ids if plus in tree)
 
     return Presentation(tuple(generators), tuple(relators))
 

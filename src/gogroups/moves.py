@@ -239,14 +239,8 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
         assert hom_is_injective(new_emap[o.minus])
 
     tag = f"converted: finite enumeration (cap {oracle.cap}), pi1 order {n} (exact)"
-    return GraphOfGroups.make(
-        d.graph,
-        new_vgroup,
-        new_egroup,
-        new_emap,
-        base=d.base,
-        tree=d.tree,
-        provenance=d.provenance + (tag,),
+    return d.replace(
+        vgroup=new_vgroup, egroup=new_egroup, emap=new_emap, provenance=d.provenance + (tag,)
     )
 
 
@@ -401,14 +395,8 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
         assert hom_is_injective(new_emap[o.minus])
 
     tag = f"converted: abelianization oracle ({oracle.soundness()})"
-    return GraphOfGroups.make(
-        d.graph,
-        new_vgroup,
-        new_egroup,
-        new_emap,
-        base=d.base,
-        tree=d.tree,
-        provenance=d.provenance + (tag,),
+    return d.replace(
+        vgroup=new_vgroup, egroup=new_egroup, emap=new_emap, provenance=d.provenance + (tag,)
     )
 
 

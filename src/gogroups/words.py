@@ -93,7 +93,8 @@ class ReductionKernel:
 
     def token_index(self, pres: Presentation) -> dict:
         """{(name, sign): (first element, later elements, edges)} of the
-        letter loops under ``pres``: one index per presentation object,
+        letter loops under ``pres``, filled by letter expansion: the
+        graph's one letter-loop cache.  One index per presentation object,
         since two namings may give one name to different letters.  The
         presentation is kept with its index, so its id is never reused."""
         entry = self._tokens.get(id(pres))
@@ -205,18 +206,15 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
 
 def is_trivial(g: GraphOfGroups, w: LoopWord) -> bool:
     """True iff the pinch-free form is a bare identity element."""
-    form = reduce(g, w)
-    word = form.word
+    word = reduce(g, w).word
     return len(word) == 0 and g.vgroup[word.base].is_identity(word.elements[0])
 
 
 def inverse_loop(g: GraphOfGroups, w: LoopWord) -> LoopWord:
-    positions = [w.base]
-    for e in w.edges:
-        positions.append(g.graph.terminus(e))
-    elements = tuple(
-        g.vgroup[positions[i]].inv(w.elements[i]) for i in reversed(range(len(w.elements)))
-    )
+    validate_loop_word(g, w)
+    positions = [w.base] + [g.graph.terminus(e) for e in w.edges]
+    pairs = zip(reversed(positions), reversed(w.elements))
+    elements = tuple(g.vgroup[v].inv(x) for v, x in pairs)
     edges = tuple(g.graph.bar[e] for e in reversed(w.edges))
     return LoopWord(w.base, elements, edges)
 
@@ -255,22 +253,13 @@ def tree_path(g: GraphOfGroups, v: str) -> tuple:
 
 
 def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> LoopWord:
-    """The loop word a single presentation letter denotes; built once per
-    graph, letter and sign, and kept in the graph's letter-loop cache."""
+    """The loop word a single presentation letter denotes: out along the
+    graph's tree from ``base``, the letter's middle (a vertex generator,
+    or its edge with identities on both sides), back along the tree.  A
+    loop by construction, so it is not validated again."""
     letter = pres.letter(name)
     if sign not in (1, -1):
         raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1")
-    key = (letter, sign)
-    loop = g._letter_loops.get(key)
-    if loop is None:
-        loop = g._letter_loops[key] = _build_letter_loop(g, letter, sign)
-    return loop
-
-
-def _build_letter_loop(g: GraphOfGroups, letter, sign: int) -> LoopWord:
-    """Out along the tree from ``base``, the letter's middle (a vertex
-    generator, or its edge with identities on both sides), back along the
-    tree."""
     if letter.kind == "vertex":
         v = letter.owner
         x = g.vgroup[v].generators()[letter.index]
@@ -289,9 +278,7 @@ def _build_letter_loop(g: GraphOfGroups, letter, sign: int) -> LoopWord:
     elements.extend(g.vgroup[g.graph.terminus(e)].identity() for e in edges)
     if letter.kind == "vertex":
         elements[len(down)] = x
-    word = LoopWord(g.base, tuple(elements), edges)
-    validate_loop_word(g, word)
-    return word
+    return LoopWord(g.base, tuple(elements), edges)
 
 
 def word_from_presentation_letters(g, letters, pres: Presentation = None) -> LoopWord:
@@ -301,11 +288,11 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.  Tree
     letters expand to their tree paths, so the result is always
     path-consistent.  Linear in the length of the result: each letter's
-    loop is found by its token in the kernel's index for ``pres`` (on a
-    miss, ``letter_loop`` checks the token and builds or finds the loop)
-    and appended in place.  The result is not validated again: every
-    loop was validated when built and runs from ``base`` to ``base``, so
-    the joins use the base group's raw product.
+    loop is found by its token in the kernel's index for ``pres``, the one
+    letter-loop cache (on a miss, ``letter_loop`` checks the token and
+    builds the loop), and appended in place.  The result is not
+    validated: every loop runs from ``base`` to ``base`` along the tree,
+    so the joins use the base group's raw product.
     """
     if pres is None:
         pres = pi1_presentation(g)

@@ -8,7 +8,7 @@ letters die; non-tree orbit letters survive; vertex letters survive
 
 import zoo
 from gogroups.gog import DiagramClass, classify, pi1_presentation
-from gogroups.words import is_trivial, word_from_presentation_letters
+from gogroups.words import is_trivial, validate_loop_word, word_from_presentation_letters
 
 
 def graph_of_groups_fixtures():
@@ -32,8 +32,15 @@ def graph_of_groups_fixtures():
     ]
 
 
+def with_stored_trees():
+    """Each fixture, then each with a non-default stored tree and base."""
+    fixtures = graph_of_groups_fixtures()
+    return fixtures + [zoo.rebased(g) for g in fixtures]
+
+
 def test_every_relator_is_trivial():
-    for g in graph_of_groups_fixtures():
+    # tree relators and letter loops come from the same tree, stored or not
+    for g in with_stored_trees():
         assert classify(g) is DiagramClass.GRAPH_OF_GROUPS
         pres = pi1_presentation(g)
         for rel in pres.relators:
@@ -42,10 +49,14 @@ def test_every_relator_is_trivial():
 
 
 def test_tree_letters_die_and_others_survive():
-    for g in graph_of_groups_fixtures():
+    for g in with_stored_trees():
         pres = pi1_presentation(g)
         tree = g.tree_orbits()
         for letter in pres.generators:
+            # letter loops are built along the tree and not validated there
+            for sign in (1, -1):
+                loop = word_from_presentation_letters(g, [(letter.name, sign)], pres=pres)
+                validate_loop_word(g, loop)
             w = word_from_presentation_letters(g, [(letter.name, 1)], pres=pres)
             if letter.kind == "edge":
                 expect_trivial = letter.owner in tree

@@ -211,12 +211,9 @@ class TestPresentation:
     def test_bar_side_relator_is_conjugate_inverse(self):
         # the relation family read from bar(e) is t^-1 (inverse relation) t
         for g in [zoo.torus(), zoo.klein(), zoo.amalgam23()]:
-            p = pi1_presentation(g, tree=frozenset())
             for o in g.orbits():
-                t = o.plus
                 f_plus, f_minus = g.emap[o.plus], g.emap[o.minus]
                 shared = g.egroup[o.plus]
-                letters = {l.owner: l for l in p.generators if l.kind == "edge"}
                 from gogroups.gog import presentation_letters, spell_in_letters
 
                 vletters, eletters = presentation_letters(g)

@@ -312,7 +312,7 @@ class TestDecompose:
         assert [l.name for l in dec.left.generators] == ["x"]
         assert [l.name for l in dec.right.generators] == ["y"]
         assert sorted_presentation(reassemble(dec)) == sorted_presentation(
-            pi1_presentation(g, tree=dec.tree_used)
+            pi1_presentation(g.replace(tree=dec.tree_used))
         )
 
     def test_loop_is_hnn(self):
@@ -321,7 +321,7 @@ class TestDecompose:
         assert dec.shape == "hnn"
         assert dec.right is None
         assert sorted_presentation(reassemble(dec)) == sorted_presentation(
-            pi1_presentation(g, tree=dec.tree_used)
+            pi1_presentation(g.replace(tree=dec.tree_used))
         )
 
     def test_triangle_nonbridge_is_hnn(self):
@@ -342,7 +342,7 @@ class TestDecompose:
         # the base is the path's fundamental group on all three vertices
         assert {l.name for l in dec.left.generators} >= {"za", "zb", "zc"}
         assert sorted_presentation(reassemble(dec)) == sorted_presentation(
-            pi1_presentation(g, tree=dec.tree_used)
+            pi1_presentation(g.replace(tree=dec.tree_used))
         )
 
     def test_attaching_data_reported(self):
@@ -357,7 +357,7 @@ class TestDecompose:
         dec = decompose_along_edge(g, "s1")
         assert dec.shape == "amalgam"
         assert sorted_presentation(reassemble(dec)) == sorted_presentation(
-            pi1_presentation(g, tree=dec.tree_used)
+            pi1_presentation(g.replace(tree=dec.tree_used))
         )
 
 

@@ -18,6 +18,7 @@ from gogroups.words import (
     concat_loops,
     equal,
     format_loop_word,
+    identity_loop,
     inverse_loop,
     is_trivial,
     parse_loop_word,
@@ -257,9 +258,13 @@ class TestReductionMachinery:
 
     def test_unknown_and_unhashable_half_edges_are_not_loop_words(self):
         g = zoo.torus()
+
+        def equal_to_identity(g, w):
+            return equal(g, identity_loop(g), w)
+
         for e in ["s", ["t"], {"t": 1}]:
             w = LoopWord("v", ((0,), (0,)), (e,))
-            for check in (validate_loop_word, reduce):
+            for check in (validate_loop_word, reduce, inverse_loop, equal_to_identity):
                 with pytest.raises(NonLoopWord, match=re.escape(f"unknown half-edge {e}")):
                     check(g, w)
         with pytest.raises(NonLoopWord, match=re.escape("basepoint ['v'] is not a vertex")):
@@ -334,8 +339,9 @@ class TestWordConstruction:
             word_from_presentation_letters(g, tokens)
         )
 
-    def test_namings_share_the_letter_loop_cache(self):
-        # the same letters under two namings expand to the same loops
+    def test_namings_expand_to_the_same_loops_each_indexed_once(self):
+        # the same letters under two namings expand to the same loops, and
+        # each presentation's token index holds one entry per token
         g = zoo.trefoil()
         vertex_letters, edge_letters = presentation_letters(g)
 
@@ -352,13 +358,13 @@ class TestWordConstruction:
         tokens2 = [(name + "_2", s) for name, s in tokens]
         w = word_from_presentation_letters(g, tokens, pres=pres)
         assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
-        assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
-        # a second expansion reads the cache and gives the same word
+        for p, ts in [(pres, tokens), (pres2, tokens2)]:
+            assert len(g._kernel.token_index(p)) == len(set(ts)) == 2 * len(pres.generators)
+        # a second expansion reads the index and gives the same word
         assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
-        assert len(g._letter_loops) == 2 * 2 * len(pres.generators)
+        assert len(g._kernel.token_index(pres2)) == len(set(tokens2))
 
-        # a naming that swaps x and y: each name expands to the other's
-        # loop, and the cache gains one entry per new (letter, sign)
+        # a naming that swaps x and y: each name expands to the other's loop
         def swapped(letter):
             name = {"x": "y", "y": "x"}.get(letter.name, letter.name)
             return dataclasses.replace(letter, name=name)
@@ -373,34 +379,14 @@ class TestWordConstruction:
                     word_from_presentation_letters(g, [(other, s)], pres=pres)
                 )
         tokens3 = [(l.name, s) for l in pres3.generators for s in (1, -1)]
-        word_from_presentation_letters(g, tokens3, pres=pres3)
-        letters = {l for p in (pres, pres2, pres3) for l in p.generators}
-        assert set(g._letter_loops) == {(l, s) for l in letters for s in (1, -1)}
-        assert len(g._letter_loops) == 2 * len(letters) == 2 * (2 * len(pres.generators) + 2)
-
-
-def last_first_tree(g):
-    """A spanning tree other than the default: orbits taken greedily from
-    the largest plus id down, skipping any that would close a cycle."""
-    component = {v: v for v in g.graph.vertices}
-
-    def find(v):
-        while component[v] != v:
-            v = component[v]
-        return v
-
-    tree = set()
-    for o in reversed(g.orbits()):
-        a, b = find(g.graph.d0[o.plus]), find(g.graph.d0[o.minus])
-        if a != b:
-            component[a] = b
-            tree.add(o.plus)
-    return frozenset(tree)
+        for _ in range(2):
+            word_from_presentation_letters(g, tokens3, pres=pres3)
+            assert len(g._kernel.token_index(pres3)) == len(set(tokens3))
 
 
 def test_tree_paths_walk_the_tree_from_base():
     for g in zoo.graphs():
-        stored = g.replace(tree=last_first_tree(g), base=max(g.graph.vertices))
+        stored = zoo.rebased(g)
         for h in (g, stored):
             assert validate_gog(h).ok
             tree = h.tree_orbits()
@@ -503,7 +489,7 @@ def test_one_pass_reduce_matches_restart_oracle():
     checked = 0
     reducible = [g for g in zoo.graphs() if classify(g) is DiagramClass.GRAPH_OF_GROUPS]
     pushout = parse_gog(str(pathlib.Path(__file__).parent / "fixtures" / "pushout46.gog"))
-    stored = [g.replace(tree=last_first_tree(g), base=max(g.graph.vertices)) for g in reducible]
+    stored = [zoo.rebased(g) for g in reducible]
     converted = convert_diagram(pushout, QuotientOracle.finite_enumeration(5000))
     for g in reducible + [converted] + stored:
         assert classify(g) is DiagramClass.GRAPH_OF_GROUPS

@@ -300,3 +300,27 @@ def graphs():
         klein4_star(),
         torus_whisker(),
     ]
+
+
+def last_first_tree(g):
+    """A spanning tree other than the default: orbits taken greedily from
+    the largest plus id down, skipping any that would close a cycle."""
+    component = {v: v for v in g.graph.vertices}
+
+    def find(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    tree = set()
+    for o in reversed(g.orbits()):
+        a, b = find(g.graph.d0[o.plus]), find(g.graph.d0[o.minus])
+        if a != b:
+            component[a] = b
+            tree.add(o.plus)
+    return frozenset(tree)
+
+
+def rebased(g):
+    """g with ``last_first_tree`` stored and its largest vertex as base."""
+    return g.replace(tree=last_first_tree(g), base=max(g.graph.vertices))
