@@ -2,8 +2,8 @@
 
 Subcommands work on a .gog file and print deterministic text reports:
 identical inputs give byte-identical outputs.  Exit codes: 0 success,
-1 violated preconditions, 2 parse/usage errors, 3 inconclusive oracles
-(enumeration cap hit).
+1 violated preconditions, 2 parse/usage errors (a non-positive cap
+included), 3 inconclusive oracles (enumeration cap hit).
 """
 
 from __future__ import annotations
@@ -28,19 +28,24 @@ from .quotients import abelianization, coset_enumeration
 from .words import format_loop_word, is_trivial, parse_loop_word, reduce as reduce_word
 
 
+def _cap(text: str) -> int:
+    """An enumeration cap: a positive integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0  # not an integer: rejected below
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"enumeration cap {text!r} is not a positive integer")
+    return cap
+
+
 def _oracle(text: str) -> QuotientOracle:
     if text == "abel":
         return QuotientOracle.abelianization()
     if text == "free":
         return QuotientOracle.free_reduction()
     if text.startswith("enum:"):
-        try:
-            cap = int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad enumeration cap in {text!r}")
-        if cap < 1:
-            raise argparse.ArgumentTypeError("enumeration cap must be positive")
-        return QuotientOracle.finite_enumeration(cap)
+        return QuotientOracle.finite_enumeration(_cap(text.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
         f"unknown oracle {text!r}: expected abel, enum:CAP, or free"
     )
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decide abelianness for graphs of free abelian groups")
     add("rank-bound", cmd_rank_bound, "statement-level geometric rank bound")
     add("enumerate", cmd_enumerate, "coset enumeration of pi1 over the trivial subgroup",
-        cap={"required": True, "type": int, "help": "max cosets ever defined"})
+        cap={"required": True, "type": _cap, "help": "max cosets ever defined"})
     return parser
 
 

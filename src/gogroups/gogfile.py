@@ -211,7 +211,7 @@ def parse_hom(desc, src, dst, path):
 def hom_descriptor(h):
     if isinstance(h.src, FreeAbelian) and isinstance(h.dst, FreeAbelian):
         return {"matrix": [[y[i] for y in h.data] for i in range(h.dst.rank)]}
-    if h.kind == "table":
+    if isinstance(h.src, FiniteTable):
         return {"map": [h.dst.labels[i] for i in h.data]}
     entries = []
     for img in h.data:

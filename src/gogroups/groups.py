@@ -408,46 +408,34 @@ class MembershipAnswer:
     preimage: object = None
 
 
-def _hom_kind(src: GroupDesc, dst: GroupDesc) -> str:
-    if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
-        return "table"
-    return "images"
-
-
 @dataclass(frozen=True)
 class Hom:
     """Homomorphism between two group descriptions.
 
-    The form of ``data`` follows from the two classes, named by ``kind``:
-    "table" (finite to finite) is the full element map by index; "images"
-    (any other pair: a free source, or a free abelian source of rank <= 1
-    or onto a free abelian target) is one codomain element per source
-    generator.  ``Hom.matrix`` takes a free abelian map as dst.rank rows
-    of src.rank ints, the file format's form, and stores its columns.
+    The form of ``data`` follows from the source class: a table hom (a
+    finite source, so a finite target) is the full element map by index;
+    any other source (free, or free abelian of rank <= 1 or onto a free
+    abelian target) has one codomain element per source generator.
+    ``Hom.matrix`` takes a free abelian map as dst.rank rows of src.rank
+    ints, the file format's form, and stores its columns.
 
     The image structure is derived on first use and kept: the certified
     Smith normal form of the image lattice (``_snf``) for free abelian
     targets, the Stallings-folded image subgroup (``_fold``) for free
     targets, shortest words over the images (``_witness``) for finite
-    targets of image homs, and least preimages (``_first_preimage``) for
-    table homs.
+    targets of infinite sources, and least preimages (``_first_preimage``)
+    for table homs.
     """
 
     src: GroupDesc
     dst: GroupDesc
     data: tuple
 
-    @cached_property
-    def kind(self) -> str:
-        # cached: every pinch reads it in hom_member and apply
-        return _hom_kind(self.src, self.dst)
-
     def __post_init__(self):
-        # not self.kind: on CPython 3.11 the first cached value moves the
-        # attributes into a plain dict and slows every later read, and homs
-        # built in bulk for rank searches never read their kind
         data = tuple(self.data)
-        if _hom_kind(self.src, self.dst) == "table":
+        if isinstance(self.src, FiniteTable):
+            if not isinstance(self.dst, FiniteTable):
+                raise UnsupportedHom("use a full element map for finite sources")
             n = self.src.order()
             if len(data) != n:
                 raise ShapeMismatch("element map must cover the whole source")
@@ -460,8 +448,6 @@ class Hom:
                     if data[self.src.mul_table[i][j]] != self.dst.mul_table[data[i]][data[j]]:
                         raise ShapeMismatch(f"not multiplicative at ({i},{j})")
         else:
-            if isinstance(self.src, FiniteTable):
-                raise UnsupportedHom("use a full element map for finite sources")
             if isinstance(self.src, FreeAbelian) and self.src.rank > 1 and not isinstance(
                 self.dst, FreeAbelian
             ):
@@ -558,7 +544,7 @@ class Hom:
 
     def apply(self, x):
         self.src.check(x)
-        if self.kind == "table":
+        if isinstance(self.src, FiniteTable):
             return self.data[x]
         if isinstance(self.src, FreeAbelian):
             if isinstance(self.dst, FreeAbelian):
@@ -582,7 +568,7 @@ def hom_is_injective(h: Hom) -> bool:
     """Kernel triviality, decided per class pair."""
     if h.src.order() == 1:
         return True
-    if h.kind == "table":
+    if isinstance(h.src, FiniteTable):
         return sum(1 for y in h.data if y == h.dst.id_index) == 1
     if isinstance(h.dst, FreeGroup):
         # covers a Z source too: a nonempty word generates a rank-1 subgroup
@@ -600,7 +586,7 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
     h.dst.check(y)
     if isinstance(h.dst, FreeAbelian) and h.dst.rank == 0:
         return MembershipAnswer(True, h.src.identity())
-    if h.kind == "table":
+    if isinstance(h.src, FiniteTable):
         i = h._first_preimage.get(y)
         return MembershipAnswer(False) if i is None else MembershipAnswer(True, i)
     if isinstance(h.dst, FreeGroup):
@@ -638,7 +624,7 @@ def _letters_to_source_element(h: Hom, letters):
 def cogenerator(h: Hom):
     """An element of the target outside im(h); None exactly when surjective."""
     if isinstance(h.dst, FiniteTable):
-        image = h._first_preimage if h.kind == "table" else h._witness
+        image = h._first_preimage if isinstance(h.src, FiniteTable) else h._witness
         for y in h.dst.elements():
             if y not in image:
                 return y
@@ -674,7 +660,7 @@ def inverse(h: Hom) -> Hom:
     """Inverse of an isomorphism (checked)."""
     if not is_isomorphism(h):
         raise ShapeMismatch("hom is not an isomorphism")
-    if h.kind == "table":
+    if isinstance(h.src, FiniteTable):
         return Hom.table(h.dst, h.src, [h._first_preimage[y] for y in h.dst.elements()])
     images = []
     for y in h.dst.generators():

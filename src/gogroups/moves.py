@@ -165,31 +165,15 @@ def _perm_mul(p, q):
     return tuple(q[c] for c in p)
 
 
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOfGroups:
-    pres = pi1_presentation(d)
-    table = quotients.coset_enumeration(pres, oracle.cap)
+    table = quotients.coset_enumeration(pi1_presentation(d), oracle.cap)
     n = table.order
     vertex_letters, edge_letters = presentation_letters(d)
-
-    def letter_perm(name):
-        column = 2 * pres.column(name)
-        return tuple(row[column] for row in table.table)
 
     identity = tuple(range(n))
 
     def perm_of(v: str, x) -> tuple:
-        p = identity
-        for gi, sign in d.vgroup[v].spell(x):
-            q = letter_perm(vertex_letters[v][gi].name)
-            p = _perm_mul(p, q if sign > 0 else _perm_inv(q))
-        return p
+        return table.permutation(spell_in_letters(d.vgroup[v], vertex_letters.get(v, ()), x))
 
     def closure(perms, names):
         def label(_p, word):
@@ -201,7 +185,7 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
     vertex_index = {}
     for v in sorted(d.graph.vertices):
         letters = vertex_letters.get(v, ())
-        perms = [letter_perm(l.name) for l in letters]
+        perms = [table.permutation(((l.name, 1),)) for l in letters]
         vtable, elems = closure(perms, [l.name for l in letters])
         new_vgroup[v] = vtable
         vertex_index[v] = {p: i for i, p in enumerate(elems)}
@@ -215,12 +199,13 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
         gen_perms = [perm_of(origin, d.emap[o.plus].apply(c)) for c in shared.generators()]
         etable, eelems = closure(gen_perms, [f"c{i + 1}" for i in range(len(gen_perms))])
         new_egroup[o.plus] = etable
-        t_perm = letter_perm(edge_letters[o.plus].name)
+        t = edge_letters[o.plus].name
+        t_perm = table.permutation(((t, 1),))
         if o.plus in d.tree_orbits():
             assert t_perm == identity, "tree letter does not die in the quotient"
         plus_map = []
         minus_map = []
-        t_inv = _perm_inv(t_perm)
+        t_inv = table.permutation(((t, -1),))
         for p in eelems:
             if p not in vertex_index[origin]:
                 raise UnrepresentableImage(

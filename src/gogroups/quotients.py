@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded, OracleIncomplete, UnknownLetter
+from .errors import CapExceeded, OracleIncomplete
 
 IntMatrix = list  # list[list[int]]; rows of equal length
 
@@ -292,64 +292,69 @@ def word_exponent_vector(presentation, word) -> list:
 # coset enumeration (relator-based HLT over the trivial subgroup)
 
 
+def _table_columns(presentation, word) -> list:
+    """A word of (name, sign) pairs as coset-table columns: generator i is
+    column 2i and its inverse 2i+1."""
+    column = presentation.column
+    return [2 * column(name) + (0 if sign > 0 else 1) for name, sign in word]
+
+
 @dataclass
 class CosetTable:
     """Completed or partial coset table for a presentation.
 
-    Columns follow ``alphabet``: generator 2i is generators[i], 2i+1 its
-    inverse.  Rows are compressed to live cosets, numbered in discovery
-    order; ``order`` is the group order when the enumeration completed.
+    Row entries are read through ``_table_columns``: column 2i is the
+    presentation's generator i, 2i+1 its inverse.  Rows are compressed to
+    live cosets, numbered in discovery order; ``order`` is the group order
+    when the enumeration completed.
     """
 
-    generator_names: tuple
+    presentation: object  # a gog.Presentation
     table: list
     completed: bool
     order: int = None
     cosets_defined: int = 0
 
-    @cached_property
-    def _column_index(self) -> dict:
-        return {n: i for i, n in enumerate(self.generator_names)}
-
     def action(self, coset: int, word) -> int:
         """Apply a word (list of (name, sign)) to a coset."""
-        index = self._column_index
+        table = self.table
         c = coset
-        for name, sign in word:
-            try:
-                col = 2 * index[name] + (0 if sign > 0 else 1)
-            except (KeyError, TypeError):  # an unhashable name names no generator
-                raise UnknownLetter(f"word letter {name!r} is not a generator") from None
-            c = self.table[c][col]
+        for col in _table_columns(self.presentation, word):
+            c = table[c][col]
             if c is None:
                 raise OracleIncomplete("coset table is not closed under the word")
         return c
 
+    def permutation(self, word) -> tuple:
+        """The word's action on every coset of a completed table: entry c
+        is ``action(c, word)``."""
+        if not self.completed:
+            raise OracleIncomplete("coset table is not complete")
+        table = self.table
+        image = range(len(table))
+        for col in _table_columns(self.presentation, word):
+            image = [table[c][col] for c in image]
+        return tuple(image)
+
     def dump(self) -> str:
         lines = [f"cosets={len(self.table)} completed={str(self.completed).lower()}"]
-        for row in self.table:
-            entries = [str(row[2 * i]) for i in range(len(self.generator_names))]
-            lines.append(" ".join(entries))
+        gens = range(len(self.presentation.generators))
+        lines += (" ".join(str(row[2 * i]) for i in gens) for row in self.table)
         return "\n".join(lines) + "\n"
 
-    def replay_check(self, presentation) -> bool:
+    def replay_check(self) -> bool:
         """Every relator must fix every coset, and columns must be bijections."""
         if not self.completed:
             return False
-        n = len(self.table)
-        for gi in range(len(self.generator_names)):
-            fwd = [row[2 * gi] for row in self.table]
-            bwd = [row[2 * gi + 1] for row in self.table]
-            if sorted(fwd) != list(range(n)) or sorted(bwd) != list(range(n)):
+        table = self.table
+        identity = list(range(len(table)))
+        for gi in range(len(self.presentation.generators)):
+            # generator gi permutes the cosets, and its inverse column undoes it
+            fwd = [row[2 * gi] for row in table]
+            if sorted(fwd) != identity or [table[c][2 * gi + 1] for c in fwd] != identity:
                 return False
-            for c in range(n):
-                if bwd[fwd[c]] != c:
-                    return False
-        for rel in presentation.relators:
-            for c in range(n):
-                if self.action(c, rel) != c:
-                    return False
-        return True
+        distinct = dict.fromkeys(self.presentation.relators)
+        return all(list(self.permutation(rel)) == identity for rel in distinct)
 
 
 class _Enumerator:
@@ -437,17 +442,13 @@ class _Enumerator:
 def coset_enumeration(presentation, cap: int) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raises CapExceeded when the
     number of cosets ever defined would pass ``cap``."""
-    names = tuple(g.name for g in presentation.generators)
-    relators = []
-    for rel in presentation.relators:
-        seq = [2 * presentation.column(name) + (0 if sign > 0 else 1) for name, sign in rel]
-        if seq:
-            relators.append(seq)
-    if not relators and names:
+    n_gens = len(presentation.generators)
+    relators = [_table_columns(presentation, rel) for rel in presentation.relators if rel]
+    if not relators and n_gens:
         # no relators and at least one generator: free, never closes
-        raise CapExceeded(f"free presentation on {len(names)} letters cannot close (cap {cap})")
+        raise CapExceeded(f"free presentation on {n_gens} letters cannot close (cap {cap})")
 
-    st = _Enumerator(2 * len(names), max(cap, 1))
+    st = _Enumerator(2 * n_gens, cap)
     alpha = 0
     while alpha < len(st.table):
         if st.is_live(alpha):
@@ -472,14 +473,14 @@ def coset_enumeration(presentation, cap: int) -> CosetTable:
         rows.append(row)
     completed = all(entry is not None for row in rows for entry in row)
     result = CosetTable(
-        generator_names=names,
+        presentation=presentation,
         table=rows,
         completed=completed,
         order=len(rows) if completed else None,
         cosets_defined=st.defined,
     )
     if completed:
-        assert result.replay_check(presentation), "completed coset table failed replay"
+        assert result.replay_check(), "completed coset table failed replay"
     return result
 
 

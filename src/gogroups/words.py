@@ -16,6 +16,7 @@ diagrams through convert_diagram first.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from operator import add
 
@@ -96,11 +97,13 @@ class ReductionKernel:
         letter loops under ``pres``, filled by letter expansion: the
         graph's one letter-loop cache.  One index per presentation object,
         since two namings may give one name to different letters.  The
-        presentation is kept with its index, so its id is never reused."""
-        entry = self._tokens.get(id(pres))
-        if entry is None:
-            entry = self._tokens[id(pres)] = (pres, {})
-        return entry[1]
+        index is dropped when its presentation is collected, before the
+        presentation's id can be reused."""
+        index = self._tokens.get(id(pres))
+        if index is None:
+            index = self._tokens[id(pres)] = {}
+            weakref.finalize(pres, self._tokens.pop, id(pres), None)
+        return index
 
 
 def _raw_mul(group):
@@ -114,7 +117,7 @@ def _raw_mul(group):
 
 def _pinch_lookup(inner, outer):
     """middle -> (preimage under ``inner``, its image under ``outer``) | None."""
-    if inner.kind == "table":
+    if isinstance(inner.src, FiniteTable):
         return {y: (i, outer.data[i]) for y, i in inner._first_preimage.items()}.get
 
     def lookup(middle):

@@ -305,6 +305,17 @@ class TestCommands:
         code, _, err = run(capsys, "enumerate", "--cap", "50", fixture("torus.gog"))
         assert code == 3
 
+    def test_non_positive_caps_are_usage_errors(self, capsys):
+        for argv in (["enumerate", "--cap", "0"], ["enumerate", "--cap", "-5"],
+                     ["convert", "--oracle", "enum:0"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + [fixture("finite-star.gog")])
+            out = capsys.readouterr()
+            assert exit_info.value.code == 2 and out.out == ""
+            lines = out.err.splitlines()
+            assert [line.startswith("usage: ") for line in lines] == [True, False]
+            assert "is not a positive integer" in lines[1]
+
     def test_byte_identical_reports(self, capsys):
         for argv in (
             ["pi1", fixture("z3f2-diagram.gog")],

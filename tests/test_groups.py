@@ -113,7 +113,7 @@ class TestHomApply:
             rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
             h = Hom.matrix(src, dst, rows)
             columns = [tuple(row[j] for row in rows) for j in range(m)]
-            assert h == Hom.images(src, dst, columns) and h.kind == "images"
+            assert h == Hom.images(src, dst, columns)
             assert hom_descriptor(h) == {"matrix": rows}
 
     def test_multiplicative_randomized(self):
@@ -371,7 +371,11 @@ def test_hom_services_agree_on_every_zoo_edge_map():
         if isinstance(h.dst, FiniteTable):
             image = {h.dst.id_index}
             frontier = list(image)
-            step = list(h.data) if h.kind == "images" else [h.apply(x) for x in h.src.elements()]
+            step = (
+                list(h.data)
+                if not isinstance(h.src, FiniteTable)
+                else [h.apply(x) for x in h.src.elements()]
+            )
             while frontier:
                 y = frontier.pop()
                 for z in step:

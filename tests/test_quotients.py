@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import gogroups
-from gogroups.errors import CapExceeded, UnknownLetter
+from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
 from gogroups.gog import Letter, Presentation
 from gogroups.quotients import (
+    CosetTable,
     InvariantFactors,
     QuotientOracle,
     SmithForm,
@@ -233,7 +234,7 @@ class TestCosetEnumeration:
         p = pres(["a"], [[("a", 1)] * 4])
         table = coset_enumeration(p, 100)
         assert table.completed and table.order == 4
-        assert table.replay_check(p)
+        assert table.replay_check()
 
     def test_pushout_order_six(self):
         # <a, b | a^4, b^6, a b^-3> collapses to <b | b^6>
@@ -277,10 +278,34 @@ class TestCosetEnumeration:
         assert table.action(0, [("a", -1)]) == table.action(0, [("a", 1)])
         assert table.action(0, [("b", -1)]) == table.action(0, [("b", 1), ("b", 1)])
         for _ in range(2):
-            with pytest.raises(UnknownLetter, match="'c' is not a generator"):
+            with pytest.raises(UnknownLetter, match="'c' is not a presentation generator"):
                 table.action(0, [("a", 1), ("c", 1)])
-        with pytest.raises(UnknownLetter, match=re.escape("['a'] is not a generator")):
+        with pytest.raises(UnknownLetter, match=re.escape("['a'] is not a presentation generator")):
             table.action(0, [(["a"], 1)])
+
+    def test_replay_rejects_non_bijections_and_unsatisfied_relators(self):
+        z4 = pres(["a"], [[("a", 1)] * 4])
+        shift = [[(c + 1) % 4, (c - 1) % 4] for c in range(4)]
+        assert CosetTable(z4, shift, True, 4).replay_check()
+        # a column that is not a bijection
+        collapsed = [row[:] for row in shift]
+        collapsed[0][0] = 2
+        assert not CosetTable(z4, collapsed, True, 4).replay_check()
+        # a bijective Z/4 table against a relator it does not satisfy
+        assert not CosetTable(pres(["a"], [[("a", 1)] * 2]), shift, True, 4).replay_check()
+
+    def test_permutation_is_the_action_on_every_coset(self):
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 2])
+        table = coset_enumeration(p, 100)
+        words = [(), (("a", 1),), (("b", -1),), (("a", 1), ("b", 1), ("b", 1), ("a", -1))]
+        for word in words:
+            assert table.permutation(word) == tuple(
+                table.action(c, word) for c in range(table.order)
+            )
+        for i, name in enumerate(["a", "b"]):
+            assert table.permutation(((name, 1),)) == tuple(row[2 * i] for row in table.table)
+        with pytest.raises(OracleIncomplete):
+            CosetTable(p, [[None] * 4], False).permutation((("a", 1),))
 
     def test_klein_four(self):
         p = pres(

@@ -383,6 +383,14 @@ class TestWordConstruction:
             word_from_presentation_letters(g, tokens3, pres=pres3)
             assert len(g._kernel.token_index(pres3)) == len(set(tokens3))
 
+    def test_token_indexes_die_with_their_presentations(self):
+        g = zoo.trefoil()
+        for _ in range(3000):
+            pres = pi1_presentation(g, naming=presentation_letters(g))
+            word_from_presentation_letters(g, [(pres.generators[0].name, 1)], pres=pres)
+        # the last fresh presentation, and at most the default one
+        assert len(g._kernel._tokens) <= 2
+
 
 def test_tree_paths_walk_the_tree_from_base():
     for g in zoo.graphs():
