@@ -225,26 +225,37 @@ def invert_word(word) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relator words.  Every letter lookup reads one index,
-    ``{name: column}`` (first generator of a name wins), through
-    ``column`` or ``letter``; both raise UnknownLetter for any other name,
-    an unhashable one included."""
+    """Generators and relator words, compiled once.  Letter (name, sign) of
+    generator i has code 2i, or 2i + 1 with sign -1; ``encode`` is the one
+    reader and raises UnknownLetter on any other letter.  ``relator_codes``
+    keeps each distinct nonempty relator once, in order of first occurrence."""
 
     generators: tuple  # of Letter
     relators: tuple    # of Word
 
     @cached_property
-    def _columns(self) -> dict:
-        return {g.name: i for i, g in reversed(tuple(enumerate(self.generators)))}
+    def _codes(self) -> dict:
+        gens = reversed(tuple(enumerate(self.generators)))  # the first of a name wins
+        return {(g.name, sign): 2 * i + (sign < 0) for i, g in gens for sign in (1, -1)}
 
-    def column(self, name: str) -> int:
+    def encode(self, word) -> list:
+        """The codes of a word of (name, sign) letters."""
+        codes = self._codes
         try:
-            return self._columns[name]
+            return [codes[name, sign] for name, sign in word]
         except (KeyError, TypeError):
-            raise UnknownLetter(f"{name!r} is not a presentation generator") from None
+            for name, sign in word:  # the first miss names the fault
+                if not any(g.name == name for g in self.generators):
+                    raise UnknownLetter(f"{name!r} is not a presentation generator") from None
+                if sign not in (1, -1):
+                    bad = (name, sign)
+                    raise UnknownLetter(f"{bad!r}: a letter's sign must be 1 or -1") from None
+            raise
 
-    def letter(self, name: str) -> Letter:
-        return self.generators[self.column(name)]
+    @cached_property
+    def relator_codes(self) -> tuple:
+        encoded = dict.fromkeys(tuple(self.encode(rel)) for rel in self.relators)
+        return tuple(code for code in encoded if code)
 
 
 def presentation_letters(g: GraphOfGroups):

@@ -4,7 +4,8 @@ Certified integer Smith normal form (``SmithForm``), abelianization of a
 presentation into invariant factors, and a capped HLT (relator-based
 Todd-Coxeter) coset enumeration over the trivial subgroup.  These are the
 oracle backends used by diagram conversion and by the cross-validation
-tests of the pinch reducer.
+tests of the pinch reducer.  They read words only through
+``Presentation.encode`` and ``relator_codes`` (each distinct relator once).
 
 Everything here works over arbitrary-precision Python ints; matrices are
 plain lists of lists.
@@ -283,8 +284,8 @@ def abelianization(presentation) -> InvariantFactors:
 def word_exponent_vector(presentation, word) -> list:
     """Exponent sum of each generator in ``word``, by column."""
     vec = [0] * len(presentation.generators)
-    for name, sign in word:
-        vec[presentation.column(name)] += sign
+    for code in presentation.encode(word):
+        vec[code >> 1] += -1 if code & 1 else 1
     return vec
 
 
@@ -292,19 +293,12 @@ def word_exponent_vector(presentation, word) -> list:
 # coset enumeration (relator-based HLT over the trivial subgroup)
 
 
-def _table_columns(presentation, word) -> list:
-    """A word of (name, sign) pairs as coset-table columns: generator i is
-    column 2i and its inverse 2i+1."""
-    column = presentation.column
-    return [2 * column(name) + (0 if sign > 0 else 1) for name, sign in word]
-
-
 @dataclass
 class CosetTable:
     """Completed or partial coset table for a presentation.
 
-    Row entries are read through ``_table_columns``: column 2i is the
-    presentation's generator i, 2i+1 its inverse.  Rows are compressed to
+    Columns are the presentation's letter codes (``Presentation.encode``):
+    column 2i is generator i, 2i+1 its inverse.  Rows are compressed to
     live cosets, numbered in discovery order; ``order`` is the group order
     when the enumeration completed.
     """
@@ -318,23 +312,26 @@ class CosetTable:
     def action(self, coset: int, word) -> int:
         """Apply a word (list of (name, sign)) to a coset."""
         table = self.table
-        c = coset
-        for col in _table_columns(self.presentation, word):
-            c = table[c][col]
-            if c is None:
+        for col in self.presentation.encode(word):
+            coset = table[coset][col]
+            if coset is None:
                 raise OracleIncomplete("coset table is not closed under the word")
-        return c
+        return coset
 
     def permutation(self, word) -> tuple:
         """The word's action on every coset of a completed table: entry c
         is ``action(c, word)``."""
         if not self.completed:
             raise OracleIncomplete("coset table is not complete")
+        return tuple(self._images(self.presentation.encode(word)))
+
+    def _images(self, codes) -> list:
+        """The image of every coset under a word of letter codes."""
         table = self.table
         image = range(len(table))
-        for col in _table_columns(self.presentation, word):
+        for col in codes:
             image = [table[c][col] for c in image]
-        return tuple(image)
+        return list(image)
 
     def dump(self) -> str:
         lines = [f"cosets={len(self.table)} completed={str(self.completed).lower()}"]
@@ -346,15 +343,12 @@ class CosetTable:
         """Every relator must fix every coset, and columns must be bijections."""
         if not self.completed:
             return False
-        table = self.table
-        identity = list(range(len(table)))
-        for gi in range(len(self.presentation.generators)):
-            # generator gi permutes the cosets, and its inverse column undoes it
-            fwd = [row[2 * gi] for row in table]
-            if sorted(fwd) != identity or [table[c][2 * gi + 1] for c in fwd] != identity:
+        identity = list(range(len(self.table)))
+        for x in range(0, 2 * len(self.presentation.generators), 2):
+            # generator x/2 permutes the cosets, and its inverse column undoes it
+            if sorted(self._images((x,))) != identity or self._images((x, x + 1)) != identity:
                 return False
-        distinct = dict.fromkeys(self.presentation.relators)
-        return all(list(self.permutation(rel)) == identity for rel in distinct)
+        return all(self._images(codes) == identity for codes in self.presentation.relator_codes)
 
 
 class _Enumerator:
@@ -443,7 +437,7 @@ def coset_enumeration(presentation, cap: int) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raises CapExceeded when the
     number of cosets ever defined would pass ``cap``."""
     n_gens = len(presentation.generators)
-    relators = [_table_columns(presentation, rel) for rel in presentation.relators if rel]
+    relators = presentation.relator_codes
     if not relators and n_gens:
         # no relators and at least one generator: free, never closes
         raise CapExceeded(f"free presentation on {n_gens} letters cannot close (cap {cap})")
@@ -464,13 +458,7 @@ def coset_enumeration(presentation, cap: int) -> CosetTable:
 
     live = [c for c in range(len(st.table)) if st.is_live(c)]
     renumber = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = []
-        for x in range(st.width):
-            entry = st.table[c][x]
-            row.append(None if entry is None else renumber[st.rep(entry)])
-        rows.append(row)
+    rows = [[None if e is None else renumber[st.rep(e)] for e in st.table[c]] for c in live]
     completed = all(entry is not None for row in rows for entry in row)
     result = CosetTable(
         presentation=presentation,
@@ -479,8 +467,8 @@ def coset_enumeration(presentation, cap: int) -> CosetTable:
         order=len(rows) if completed else None,
         cosets_defined=st.defined,
     )
-    if completed:
-        assert result.replay_check(), "completed coset table failed replay"
+    if completed and not result.replay_check():
+        raise AssertionError("completed coset table failed replay")
     return result
 
 

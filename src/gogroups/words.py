@@ -260,9 +260,7 @@ def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> L
     graph's tree from ``base``, the letter's middle (a vertex generator,
     or its edge with identities on both sides), back along the tree.  A
     loop by construction, so it is not validated again."""
-    letter = pres.letter(name)
-    if sign not in (1, -1):
-        raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1")
+    letter = pres.generators[pres.encode(((name, sign),))[0] >> 1]
     if letter.kind == "vertex":
         v = letter.owner
         x = g.vgroup[v].generators()[letter.index]

@@ -1,16 +1,20 @@
+import hashlib
 import itertools
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import zoo
 import gogroups
 from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
-from gogroups.gog import Letter, Presentation
+from gogroups.gog import GraphOfGroups, Letter, Presentation, pi1_presentation
+from gogroups.groups import cyclic_table, dihedral_table
 from gogroups.quotients import (
     CosetTable,
     InvariantFactors,
@@ -29,6 +33,10 @@ from gogroups.quotients import (
 def pres(names, relators):
     gens = tuple(Letter(n, "vertex", "v", i) for i, n in enumerate(names))
     return Presentation(gens, tuple(tuple(r) for r in relators))
+
+
+def one_vertex(group):
+    return GraphOfGroups.make(zoo._graph(["v"], []), {"v": group}, {}, {})
 
 
 def mat_mul(a, b):
@@ -170,6 +178,18 @@ for m, ops, d in [(m, (), d), ([[1, 1], [0, 1]], (), [[1, 1], [0, 1]]),
                   ([[2, 0], [0, 3]], (), [[2, 0], [0, 3]]), ([[-1]], (), [[-1]])]:
     if not rejects(m, ops, d):
         raise SystemExit(f"accepted {(m, ops, d)!r}")
+# a completed coset table that fails its replay is refused, not returned
+from gogroups import quotients
+from gogroups.gog import Letter, Presentation
+quotients.CosetTable.replay_check = lambda self: False
+z2 = Presentation((Letter("a", "vertex", "v", 0),), ((("a", 1), ("a", 1)),))
+try:
+    quotients.coset_enumeration(z2, 10)
+except AssertionError as exc:
+    if "failed replay" not in str(exc):
+        raise
+else:
+    raise SystemExit("a table that failed replay was returned")
 """
         src = Path(gogroups.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -229,7 +249,47 @@ class TestAbelianization:
             assert abelianization(noisy) == expected
 
 
+# (graph, cosets_defined, first 16 hex digits of sha256(dump())), computed
+# before enumeration scanned each distinct relator once
+ENUMERATION_DIGESTS = [
+    (zoo.pushout46, 46, "04a433c816a99f15"),
+    (zoo.finite_star, 66, "74899c4989e03333"),
+    (zoo.chain48, 59, "e20fd68056604b7c"),
+    (zoo.chain39, 67, "d7e990b7f9454311"),
+    (zoo.k4_leaf, 16, "fc9ed32b9d01bc81"),
+    (zoo.klein4_star, 28, "33e2583114f720c1"),
+    (lambda: one_vertex(cyclic_table(24, "g")), 24, "fd2cc84f9bb6f725"),
+    (lambda: one_vertex(cyclic_table(48, "g")), 48, "7d2fed5b3f1c55b2"),
+    (lambda: one_vertex(cyclic_table(96, "g")), 96, "1100a7beb00f72b8"),
+    (lambda: one_vertex(dihedral_table(6)), 12, "a073b68447a03e10"),
+]
+
+
 class TestCosetEnumeration:
+    @pytest.mark.parametrize("build, defined, digest", ENUMERATION_DIGESTS)
+    def test_enumeration_digests_are_pinned(self, build, defined, digest):
+        table = coset_enumeration(pi1_presentation(build()), 1000)
+        assert table.cosets_defined == defined
+        assert hashlib.sha256(table.dump().encode()).hexdigest()[:16] == digest
+
+    def test_relator_copies_are_scanned_once(self):
+        # a table adds one product relator per pair of elements; on Z/192 the
+        # 9,216 that do not freely cancel are all g^192 or g^-192
+        p = pi1_presentation(one_vertex(cyclic_table(192, "g")))
+        assert (len(p.relators), len(p.relator_codes)) == (9216, 2)
+        start = time.perf_counter()
+        table = coset_enumeration(p, 1000)
+        elapsed = time.perf_counter() - start
+        assert (table.order, table.cosets_defined) == (192, 192)
+        assert elapsed < 2, elapsed
+        z96 = pi1_presentation(one_vertex(cyclic_table(96, "g")))
+        oracle = QuotientOracle.finite_enumeration(1000)
+        start = time.perf_counter()
+        answers = [oracle_answer(oracle, z96, [("g", 1)] * k).trivial for k in (96, 48, 1)]
+        elapsed = time.perf_counter() - start
+        assert answers == [True, False, False]
+        assert elapsed < 2, elapsed
+
     def test_cyclic_four(self):
         p = pres(["a"], [[("a", 1)] * 4])
         table = coset_enumeration(p, 100)
@@ -354,20 +414,30 @@ class TestOracles:
         assert not ans2.trivial
 
     def test_unknown_and_unhashable_letters_are_unknown_everywhere(self):
-        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3])
-        for bad in ("c", ["a"]):
-            word = [("a", 1), (bad, 1)]
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 3])
+        table = coset_enumeration(p, 100)
+        faults = [
+            (("c", 1), "'c' is not a presentation generator"),
+            ((["a"], 1), "['a'] is not a presentation generator"),
+            (("c", 2), "'c' is not a presentation generator"),
+            (("a", 0), "('a', 0): a letter's sign must be 1 or -1"),
+            (("a", 2), "('a', 2): a letter's sign must be 1 or -1"),
+        ]
+        for bad, message in faults:
+            word = [("a", 1), bad]
             with_relator = Presentation(p.generators, p.relators + (tuple(word),))
             calls = [
                 lambda: word_exponent_vector(p, word),
                 lambda: exponent_matrix(with_relator),
                 lambda: coset_enumeration(with_relator, 100),
+                lambda: table.action(0, word),
+                lambda: table.permutation(word),
                 lambda: oracle_answer(QuotientOracle.abelianization(), p, word),
                 lambda: oracle_answer(QuotientOracle.finite_enumeration(100), p, word),
                 lambda: oracle_answer(QuotientOracle.free_reduction(), p, word),
             ]
             for call in calls:
-                with pytest.raises(UnknownLetter, match=re.escape(f"{bad!r} is not a")):
+                with pytest.raises(UnknownLetter, match=re.escape(message)):
                     call()
 
 
