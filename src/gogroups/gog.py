@@ -54,13 +54,14 @@ class GraphOfGroups:
     computed on first use and kept on the instance: the validation report
     (``validate_gog``), the classification (``classify``), the spanning
     tree (``tree_orbits``), the tree half-edge entering each vertex on its
-    path from the basepoint (``tree_parent``), the default presentation
-    (``pi1_presentation`` without a naming) and the reduction kernel
-    (``_kernel``, a ``words.ReductionKernel``, which also holds the letter
-    loops).  The kernel is what letter expansion, ``validate_loop_word``
-    and ``reduce`` read: a loop word is validated once, at entry, and
-    every later product is a raw table lookup, tuple sum or free-word
-    product of elements known to be valid.
+    path from the basepoint (``tree_parent``), the letter naming
+    (``_naming``), the default presentation (``pi1_presentation`` without
+    a naming) and the reduction kernel (``_kernel``, a
+    ``words.ReductionKernel``, which also holds the letter loops, built
+    from the naming and the tree alone).  The kernel is what letter
+    expansion, ``validate_loop_word`` and ``reduce`` read: a loop word is
+    validated once, at entry, and every later product is a raw table
+    lookup, tuple sum or free-word product of elements known to be valid.
     """
 
     graph: AbstractGraph
@@ -169,8 +170,12 @@ class GraphOfGroups:
         return result
 
     @cached_property
+    def _naming(self) -> tuple:
+        return presentation_letters(self)
+
+    @cached_property
     def _pi1_default(self) -> "Presentation":
-        return _build_presentation(self, None)
+        return _build_presentation(self, self._naming)
 
     @cached_property
     def _kernel(self):
@@ -254,7 +259,11 @@ class Presentation:
 
     @cached_property
     def relator_codes(self) -> tuple:
-        encoded = dict.fromkeys(tuple(self.encode(rel)) for rel in self.relators)
+        try:
+            distinct = dict.fromkeys(self.relators)
+        except TypeError:  # an unhashable letter: encode names it
+            distinct = self.relators
+        encoded = dict.fromkeys(tuple(self.encode(rel)) for rel in distinct)
         return tuple(code for code in encoded if code)
 
 
@@ -351,8 +360,6 @@ def pi1_presentation(g: GraphOfGroups, naming=None) -> Presentation:
 
 def _build_presentation(g: GraphOfGroups, naming) -> Presentation:
     require_valid_gog(g)
-    if naming is None:
-        naming = presentation_letters(g)
     vertex_letters, edge_letters = naming
     plus_ids = [o.plus for o in orbits(g.graph)]
 

@@ -30,7 +30,6 @@ from .gog import (
     Presentation,
     edge_relators,
     pi1_presentation,
-    presentation_letters,
     require_valid_gog,
     spell_in_letters,
 )
@@ -168,7 +167,7 @@ def _perm_mul(p, q):
 def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOfGroups:
     table = quotients.coset_enumeration(pi1_presentation(d), oracle.cap)
     n = table.order
-    vertex_letters, edge_letters = presentation_letters(d)
+    vertex_letters, edge_letters = d._naming
 
     identity = tuple(range(n))
 
@@ -344,7 +343,7 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
     pres = pi1_presentation(d)
     relator_rows = quotients.exponent_matrix(pres)
     ambient = len(pres.generators)
-    vertex_letters, _ = presentation_letters(d)
+    vertex_letters, _ = d._naming
 
     def word_vector(v, x):
         return quotients.word_exponent_vector(
@@ -454,7 +453,7 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     if plus not in g.graph.edges:
         raise InvalidStructure(f"no edge orbit {plus}")
     plus = EdgeOrbit.of(g.graph, plus).plus
-    naming = presentation_letters(g)
+    naming = g._naming
     glue = edge_relators(g, plus, naming)
     parts = _components(g, plus)
     assert len(parts) <= 2, "edge removal split the graph into >2 pieces"

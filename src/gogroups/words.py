@@ -16,7 +16,6 @@ diagrams through convert_diagram first.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from operator import add
 
@@ -27,7 +26,6 @@ from .gog import (
     GraphOfGroups,
     Presentation,
     classify,
-    pi1_presentation,
     require_valid_gog,
 )
 from .groups import (
@@ -75,10 +73,12 @@ class ReductionKernel:
     (preimage under f_bar(e), its image under f_e), or to None when g is
     outside the image of f_bar(e).  For table homs that lookup is one
     precomputed dict; for every other hom it asks ``hom_member`` and
-    ``hom_apply``.
+    ``hom_apply``.  Per letter, filled only by letter expansion, so raw
+    syllables never name letters: ``loops[name, sign]`` = (first element,
+    later elements, edges), the graph's one letter-loop table.
     """
 
-    __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "_tokens")
+    __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
 
     def __init__(self, g: GraphOfGroups):
         require_valid_gog(g)
@@ -90,20 +90,7 @@ class ReductionKernel:
         self.bar = dict(graph.bar)
         self.ends = {e: (graph.d0[e], graph.terminus(e)) for e in graph.edges}
         self.pinch = {e: _pinch_lookup(g.emap[graph.bar[e]], g.emap[e]) for e in graph.edges}
-        self._tokens = {}
-
-    def token_index(self, pres: Presentation) -> dict:
-        """{(name, sign): (first element, later elements, edges)} of the
-        letter loops under ``pres``, filled by letter expansion: the
-        graph's one letter-loop cache.  One index per presentation object,
-        since two namings may give one name to different letters.  The
-        index is dropped when its presentation is collected, before the
-        presentation's id can be reused."""
-        index = self._tokens.get(id(pres))
-        if index is None:
-            index = self._tokens[id(pres)] = {}
-            weakref.finalize(pres, self._tokens.pop, id(pres), None)
-        return index
+        self.loops = {}
 
 
 def _raw_mul(group):
@@ -255,12 +242,16 @@ def tree_path(g: GraphOfGroups, v: str) -> tuple:
     return tuple(reversed(path))
 
 
-def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> LoopWord:
-    """The loop word a single presentation letter denotes: out along the
+def letter_loop(g: GraphOfGroups, name: str, sign: int) -> LoopWord:
+    """The loop word a letter of the graph's naming denotes: out along the
     graph's tree from ``base``, the letter's middle (a vertex generator,
     or its edge with identities on both sides), back along the tree.  A
     loop by construction, so it is not validated again."""
-    letter = pres.generators[pres.encode(((name, sign),))[0] >> 1]
+    vertex_letters, edge_letters = g._naming
+    letters = (*(l for ls in vertex_letters.values() for l in ls), *edge_letters.values())
+    letter = next((l for l in letters if l.name == name), None)
+    if letter is None or sign not in (1, -1):
+        Presentation(letters, ()).encode(((name, sign),))  # raises UnknownLetter
     if letter.kind == "vertex":
         v = letter.owner
         x = g.vgroup[v].generators()[letter.index]
@@ -283,32 +274,34 @@ def letter_loop(g: GraphOfGroups, pres: Presentation, name: str, sign: int) -> L
 
 
 def word_from_presentation_letters(g, letters, pres: Presentation = None) -> LoopWord:
-    """Expand presentation letters into a base-pointed loop word.
+    """Expand letters of the graph's naming into a base-pointed loop word.
 
     ``letters`` is a string of whitespace-separated tokens (name or
-    name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.  Tree
-    letters expand to their tree paths, so the result is always
-    path-consistent.  Linear in the length of the result: each letter's
-    loop is found by its token in the kernel's index for ``pres``, the one
-    letter-loop cache (on a miss, ``letter_loop`` checks the token and
-    builds the loop), and appended in place.  The result is not
-    validated: every loop runs from ``base`` to ``base`` along the tree,
-    so the joins use the base group's raw product.
+    name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.
+    Expansion never builds a presentation: ``pres`` may only be the
+    graph's own ``pi1_presentation(g)``, already built, else
+    UnknownLetter.  Tree letters expand to their tree paths, so the result
+    is always path-consistent.  Linear in the length of the result: each
+    letter's loop is found in the kernel's ``loops`` (on a miss,
+    ``letter_loop`` checks the token and builds the loop) and appended in
+    place.  The result is not validated: every loop runs from ``base`` to
+    ``base`` along the tree, so the joins use the base group's raw
+    product.
     """
-    if pres is None:
-        pres = pi1_presentation(g)
+    if pres is not None and pres is not vars(g).get("_pi1_default"):
+        raise UnknownLetter("letters expand under the graph's own presentation only")
     tokens = [split_inverse(t) for t in letters.split()] if isinstance(letters, str) else letters
     kernel = g._kernel
-    index = kernel.token_index(pres)
+    loops = kernel.loops
     mul = kernel.mul[kernel.base]
     elements = [kernel.identity]
     edges = []
     for name, sign in tokens:
         try:
-            head, rest, path = index[name, sign]
+            head, rest, path = loops[name, sign]
         except (KeyError, TypeError):
-            loop = letter_loop(g, pres, name, sign)
-            head, rest, path = index[name, sign] = loop.elements[0], loop.elements[1:], loop.edges
+            loop = letter_loop(g, name, sign)
+            head, rest, path = loops[name, sign] = loop.elements[0], loop.elements[1:], loop.edges
         elements[-1] = mul(elements[-1], head)
         elements.extend(rest)
         edges.extend(path)
@@ -341,7 +334,7 @@ def format_loop_word(g: GraphOfGroups, w: LoopWord) -> str:
     return " ".join(tokens)
 
 
-def parse_loop_word(g: GraphOfGroups, text: str, pres: Presentation = None) -> LoopWord:
+def parse_loop_word(g: GraphOfGroups, text: str) -> LoopWord:
     """Parse either grammar.
 
     Tokens containing ':' select the raw syllable grammar (v:<element>
@@ -352,7 +345,7 @@ def parse_loop_word(g: GraphOfGroups, text: str, pres: Presentation = None) -> L
     if not tokens:
         return identity_loop(g)
     if not any(":" in t for t in tokens):
-        return word_from_presentation_letters(g, text, pres=pres)
+        return word_from_presentation_letters(g, text)
     base = g.base
     elements = []
     edges = []

@@ -301,6 +301,17 @@ class TestCommands:
         assert out.splitlines()[0] == "reduced: v:g1.g2"
         assert elapsed < 2.0, f"reduce took {elapsed:.2f} s"
 
+    def test_letter_words_on_a_large_table_build_no_presentation(self, capsys, tmp_path):
+        # Z/512 has about 65,000 product relators; expanding letters reads
+        # only the graph's naming, so no relator is spelled
+        path = tmp_path / "z512.gog"
+        path.write_text("vertices:\n  v: {cyclic: 512}\nedges: {}\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "trivial", "--word", "a a a", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (0, "false\n")
+        assert elapsed < 2.0, f"trivial took {elapsed:.2f} s"
+
     def test_enumerate_cap_exit_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--cap", "50", fixture("torus.gog"))
         assert code == 3

@@ -9,9 +9,16 @@ import pytest
 
 import zoo
 from gogroups.errors import NonLoopWord, ShapeMismatch, UnknownLetter, UnsupportedClass
-from gogroups.gog import DiagramClass, classify, pi1_presentation, presentation_letters, validate_gog
+from gogroups.gog import (
+    DiagramClass,
+    GraphOfGroups,
+    classify,
+    pi1_presentation,
+    presentation_letters,
+    validate_gog,
+)
 from gogroups.gogfile import parse_gog
-from gogroups.groups import hom_apply, hom_member
+from gogroups.groups import _ft_generating_set, cyclic_table, direct_product, hom_apply, hom_member
 from gogroups.moves import QuotientOracle, convert_diagram
 from gogroups.words import (
     LoopWord,
@@ -339,57 +346,49 @@ class TestWordConstruction:
             word_from_presentation_letters(g, tokens)
         )
 
-    def test_namings_expand_to_the_same_loops_each_indexed_once(self):
-        # the same letters under two namings expand to the same loops, and
-        # each presentation's token index holds one entry per token
+    def test_other_presentations_are_unknown_and_each_token_is_one_loop(self):
+        # letters expand under the graph's one naming: any presentation but
+        # the graph's own is refused, and the loop table holds one entry per
+        # distinct token expanded
         g = zoo.trefoil()
         vertex_letters, edge_letters = presentation_letters(g)
 
         def renamed(letter):
             return dataclasses.replace(letter, name=letter.name + "_2")
 
-        other = (
-            {v: tuple(renamed(l) for l in ls) for v, ls in vertex_letters.items()},
-            {o: renamed(l) for o, l in edge_letters.items()},
-        )
         pres = pi1_presentation(g)
-        pres2 = pi1_presentation(g, naming=other)
-        tokens = [(l.name, s) for l in pres.generators for s in (1, -1)] * 2
-        tokens2 = [(name + "_2", s) for name, s in tokens]
-        w = word_from_presentation_letters(g, tokens, pres=pres)
-        assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
-        for p, ts in [(pres, tokens), (pres2, tokens2)]:
-            assert len(g._kernel.token_index(p)) == len(set(ts)) == 2 * len(pres.generators)
-        # a second expansion reads the index and gives the same word
-        assert word_from_presentation_letters(g, tokens2, pres=pres2) == w
-        assert len(g._kernel.token_index(pres2)) == len(set(tokens2))
+        others = [
+            pi1_presentation(g, naming=(
+                {v: tuple(renamed(l) for l in ls) for v, ls in vertex_letters.items()},
+                {o: renamed(l) for o, l in edge_letters.items()},
+            )),
+            pi1_presentation(g, naming=(vertex_letters, edge_letters)),  # equal, not the same
+        ]
+        tokens = [(l.name, s) for l in pres.generators for s in (1, -1)]
+        for other in others:
+            for ts in (tokens, [(name + "_2", s) for name, s in tokens]):
+                with pytest.raises(UnknownLetter, match="the graph's own presentation"):
+                    word_from_presentation_letters(g, ts, pres=other)
+        assert g._kernel.loops == {}
+        word_from_presentation_letters(g, [("x", 1), ("x", 1), ("y", -1)])
+        assert set(g._kernel.loops) == {("x", 1), ("y", -1)}
+        w = word_from_presentation_letters(g, tokens * 2, pres=pres)
+        assert len(g._kernel.loops) == len(set(tokens)) == 2 * len(pres.generators)
+        assert word_from_presentation_letters(g, tokens * 2) == w
+        assert len(g._kernel.loops) == len(set(tokens))
 
-        # a naming that swaps x and y: each name expands to the other's loop
-        def swapped(letter):
-            name = {"x": "y", "y": "x"}.get(letter.name, letter.name)
-            return dataclasses.replace(letter, name=name)
-
-        pres3 = pi1_presentation(g, naming=(
-            {v: tuple(swapped(l) for l in ls) for v, ls in vertex_letters.items()},
-            {o: swapped(l) for o, l in edge_letters.items()},
-        ))
-        for name, other in [("x", "y"), ("y", "x")]:
-            for s in (1, -1):
-                assert word_from_presentation_letters(g, [(name, s)], pres=pres3) == (
-                    word_from_presentation_letters(g, [(other, s)], pres=pres)
-                )
-        tokens3 = [(l.name, s) for l in pres3.generators for s in (1, -1)]
-        for _ in range(2):
-            word_from_presentation_letters(g, tokens3, pres=pres3)
-            assert len(g._kernel.token_index(pres3)) == len(set(tokens3))
-
-    def test_token_indexes_die_with_their_presentations(self):
-        g = zoo.trefoil()
-        for _ in range(3000):
-            pres = pi1_presentation(g, naming=presentation_letters(g))
-            word_from_presentation_letters(g, [(pres.generators[0].name, 1)], pres=pres)
-        # the last fresh presentation, and at most the default one
-        assert len(g._kernel._tokens) <= 2
+    def test_raw_syllables_compute_no_generators(self):
+        # a kernel for raw syllables never names letters, so reducing on a
+        # table whose generating-set search is slow, (Z/2)^6, does not run it
+        table = cyclic_table(2)
+        for _ in range(5):
+            table = direct_product(table, cyclic_table(2))
+        g = GraphOfGroups.make(zoo._graph(["v"], []), {"v": table}, {}, {})
+        before = _ft_generating_set.cache_info().currsize
+        w = parse_loop_word(g, "v:#3 v:#5")
+        assert reduce(g, w).word == LoopWord("v", (table.mul(3, 5),), ())
+        assert not is_trivial(g, w)
+        assert _ft_generating_set.cache_info().currsize == before
 
 
 def test_tree_paths_walk_the_tree_from_base():
