@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import pathlib
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -346,7 +348,7 @@ class TestWordConstruction:
             word_from_presentation_letters(g, tokens)
         )
 
-    def test_other_presentations_are_unknown_and_each_token_is_one_loop(self):
+    def test_namings_expand_to_the_same_loops_each_indexed_once(self):
         # letters expand under the graph's one naming: any presentation but
         # the graph's own is refused, and the loop table holds one entry per
         # distinct token expanded
@@ -376,6 +378,24 @@ class TestWordConstruction:
         assert len(g._kernel.loops) == len(set(tokens)) == 2 * len(pres.generators)
         assert word_from_presentation_letters(g, tokens * 2) == w
         assert len(g._kernel.loops) == len(set(tokens))
+
+    def test_token_indexes_die_with_their_presentations(self):
+        # expansion keeps no state per presentation: fresh presentations are
+        # refused, none is kept alive, and the loop table stays one entry per
+        # token however many presentations come and go
+        g = zoo.trefoil()
+        name = pi1_presentation(g).generators[0].name
+        refs = []
+        for _ in range(3000):
+            pres = pi1_presentation(g, naming=presentation_letters(g))
+            with pytest.raises(UnknownLetter, match="the graph's own presentation"):
+                word_from_presentation_letters(g, [(name, 1)], pres=pres)
+            word_from_presentation_letters(g, [(name, 1)])
+            refs.append(weakref.ref(pres))
+        del pres
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert set(g._kernel.loops) == {(name, 1)}
 
     def test_raw_syllables_compute_no_generators(self):
         # a kernel for raw syllables never names letters, so reducing on a
