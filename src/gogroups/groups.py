@@ -14,6 +14,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import getitem, itemgetter
 
 from . import quotients
 from .errors import ShapeMismatch, UnsupportedHom
@@ -174,24 +175,25 @@ class FiniteTable(GroupDesc):
         if n == 0:
             raise ValueError("empty table")
         _check_table_size(n)
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         object.__setattr__(self, "mul_table", tuple(tuple(row) for row in self.mul_table))
         if len(self.labels) != n or any(len(row) != n for row in self.mul_table):
             raise ValueError("table shape mismatch")
-        if any(not (0 <= v < n) for row in self.mul_table for v in row):
+        t = self.mul_table
+        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
             raise ValueError("table entry out of range")
         if not (0 <= self.id_index < n):
             raise ValueError("identity index out of range")
         e = self.id_index
-        for i in range(n):
-            if self.mul_table[e][i] != i or self.mul_table[i][e] != i:
-                raise ValueError("identity row/column violated")
-        inv = [None] * n
-        for i in range(n):
-            js = [j for j in range(n) if self.mul_table[i][j] == e]
-            if len(js) != 1 or self.mul_table[js[0]][i] != e:
+        indices = tuple(range(n))
+        if t[e] != indices or tuple(map(itemgetter(e), t)) != indices:
+            raise ValueError("identity row/column violated")
+        inv = []
+        for i, row in enumerate(t):
+            # exactly one right inverse, and it is a left inverse too
+            if row.count(e) != 1 or t[row.index(e)][i] != e:
                 raise ValueError(f"element {i} lacks a two-sided inverse")
-            inv[i] = js[0]
+            inv.append(row.index(e))
         object.__setattr__(self, "inv_table", tuple(inv))
         object.__setattr__(self, "_hash", hash((self.mul_table, self.id_index)))
 
@@ -243,37 +245,132 @@ class FiniteTable(GroupDesc):
         return _ft_spellings(self)[x]
 
 
-def _ft_closure(table: FiniteTable, gens: tuple) -> tuple:
-    """Subgroup generated by gens, in BFS discovery order (identity first)."""
-    seen = {table.id_index}
-    order = [table.id_index]
-    queue = deque([table.id_index])
+def _ft_closure(table: FiniteTable, gens: tuple, seed: tuple | None = None) -> tuple:
+    """Subgroup generated by gens and the closed subgroup ``seed`` (a
+    closure as this returns it, default trivial), identity first.
+
+    The seed's elements come first; then, in BFS discovery order, each
+    element met outside the result so far brings its whole left coset of
+    the seed.  With the trivial seed that is plain BFS discovery order.
+    """
+    mul = table.mul_table
+    seed = seed or (table.id_index,)
+    order = list(seed)
+    seen = set(order)
     step = []
     for g in gens:
         step.extend((g, table.inv_table[g]))
-    while queue:
-        x = queue.popleft()
+    for x in order:
+        row = mul[x]
         for g in step:
-            y = table.mul_table[x][g]
+            y = row[g]
             if y not in seen:
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
+                coset = [mul[y][h] for h in seed]
+                seen.update(coset)
+                order.extend(coset)
     return tuple(order)
+
+
+def _ft_span(table: FiniteTable, elements, seed: tuple | None = None) -> tuple:
+    """Subgroup generated by ``elements`` and the closed subgroup ``seed``:
+    one seeded closure per element outside the span so far."""
+    span = seed or (table.id_index,)
+    inside = set(span)
+    for x in elements:
+        if x not in inside:
+            span = _ft_closure(table, (x,), span)
+            inside = set(span)
+    return span
+
+
+def _ft_rank_bound(table: FiniteTable) -> int:
+    """max over primes p | n of log_p [G : G'G^p], the rank of the largest
+    elementary abelian quotient.  It is at most d(G), and equal to it on
+    abelian tables and on p-groups (Burnside basis theorem: G'G^p is the
+    Frattini subgroup of a p-group).  O(n^2) table reads."""
+    mul, inv = table.mul_table, table.inv_table
+    n = len(mul)
+    commutators = set()
+    for x in range(n):
+        # x^-1 y^-1 x y for every y, one row at a time
+        left = map(mul[inv[x]].__getitem__, inv)
+        commutators.update(map(getitem, map(mul.__getitem__, left), mul[x]))
+    derived = _ft_span(table, commutators)
+    bound = 0
+    for p in range(2, n + 1):
+        if n % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        # every x^p, by square and multiply over the whole table at once
+        powers, base, k = [table.id_index] * n, list(range(n)), p
+        while k:
+            if k & 1:
+                powers = list(map(getitem, map(mul.__getitem__, powers), base))
+            base = list(map(getitem, map(mul.__getitem__, base), base))
+            k >>= 1
+        index, rank = n // len(_ft_span(table, powers, derived)), 0
+        while index > 1:
+            index //= p
+            rank += 1
+        bound = max(bound, rank)
+    return bound
 
 
 @lru_cache(maxsize=None)
 def _ft_generating_set(table: FiniteTable) -> tuple:
-    """First minimal generating subset, scanning subsets in index order."""
+    """First minimal generating subset: of the least size, the first in
+    ``itertools.combinations`` order of the non-identity indices.
+
+    Size 1 tries each element's cyclic closure.  Past it, the size starts at
+    ``_ft_rank_bound`` (at most d(G)) and the subsets of each size are
+    walked depth first in that order, each prefix's closure extended by one
+    seeded BFS per element.  Two kinds of prefix are skipped with every
+    subset through them:
+    - one whose last element lies in the closure of the rest: at a size
+      k <= d(G) its subsets generate what k - 1 elements generate, so none
+      is the answer;
+    - one whose closure equals an earlier sibling's (same prefix, smaller
+      last element): each of its subsets generates what the sibling's
+      subset with the same tail generates, and that one was tried first.
+    """
     n = len(table.mul_table)
     if n == 1:
         return ()
     candidates = [i for i in range(n) if i != table.id_index]
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(candidates, k):
-            if len(_ft_closure(table, subset)) == n:
-                return subset
+    for g in candidates:
+        if len(_ft_closure(table, (g,))) == n:
+            return (g,)
+    for k in range(max(2, _ft_rank_bound(table)), n):
+        found = _ft_first_extension(table, candidates, (), (table.id_index,), 0, k)
+        if found:
+            return found
     raise AssertionError("no generating set found")
+
+
+def _ft_first_extension(table, candidates, prefix, closure, start, k):
+    """First k-subset, in combinations order, that extends ``prefix`` (with
+    closure ``closure``) by ``candidates[start:]`` and generates the table;
+    None when none does."""
+    n = len(table.mul_table)
+    inside = set(closure)
+    last = len(prefix) + 1 == k
+    met = set()
+    for i in range(start, len(candidates) - (k - len(prefix)) + 1):
+        g = candidates[i]
+        if g in inside:
+            continue
+        grown = _ft_closure(table, (g,), closure)
+        if last:
+            if len(grown) == n:
+                return prefix + (g,)
+            continue
+        key = frozenset(grown)
+        if key in met:
+            continue
+        met.add(key)
+        found = _ft_first_extension(table, candidates, prefix + (g,), grown, i + 1, k)
+        if found:
+            return found
+    return None
 
 
 def _ft_words(table: FiniteTable, gens) -> dict:
@@ -302,6 +399,15 @@ def _ft_spellings(table: FiniteTable) -> tuple:
     if len(words) != len(table.mul_table):
         raise AssertionError("generating set does not generate")
     return tuple(words[i] for i in range(len(table.mul_table)))
+
+
+def _picker(indices):
+    """``pick(seq) == tuple(seq[i] for i in indices)``, gathered in one C
+    call (``itemgetter`` of one index returns the bare item)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 # -- table builders ----------------------------------------------------------
@@ -389,13 +495,25 @@ def table_from_closure(generators, op, identity, label_of):
 
 
 def subgroup_table(parent: FiniteTable, gen_indices):
-    """Subgroup generated inside ``parent``; returns (table, inclusion list)."""
-    return table_from_closure(
-        tuple(sorted(set(gen_indices))),
-        lambda x, y: parent.mul_table[x][y],
-        parent.id_index,
-        lambda x, _w: parent.labels[x],
-    )
+    """Subgroup generated inside ``parent``; returns (table, inclusion list).
+
+    Elements are numbered in BFS discovery order over the sorted distinct
+    generators, as ``table_from_closure`` numbers them, and keep their
+    parent labels; each row is read off the parent's row in one pass."""
+    gens = sorted(set(gen_indices))
+    mul = parent.mul_table
+    elems = [parent.id_index]
+    index = {parent.id_index: 0}
+    for x in elems:
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    pick = _picker(elems)
+    sub = tuple(_picker(pick(mul[x]))(index) for x in elems)
+    return FiniteTable(pick(parent.labels), sub, 0), elems
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +561,14 @@ class Hom:
                 self.dst.check(y)
             if data[self.src.id_index] != self.dst.id_index:
                 raise ShapeMismatch("identity must map to identity")
-            for i in range(n):
-                for j in range(n):
-                    if data[self.src.mul_table[i][j]] != self.dst.mul_table[data[i]][data[j]]:
-                        raise ShapeMismatch(f"not multiplicative at ({i},{j})")
+            # row i: data[i * j] against data[i] * data[j] for every j at once,
+            # scanning a row for its first bad j only once it fails
+            image = _picker(data)
+            for i, row in enumerate(self.src.mul_table):
+                target = self.dst.mul_table[data[i]]
+                if _picker(row)(data) != image(target):
+                    j = next(j for j in range(n) if data[row[j]] != target[data[j]])
+                    raise ShapeMismatch(f"not multiplicative at ({i},{j})")
         else:
             if isinstance(self.src, FreeAbelian) and self.src.rank > 1 and not isinstance(
                 self.dst, FreeAbelian
@@ -675,7 +797,9 @@ def inverse(h: Hom) -> Hom:
 
 
 def group_rank(g: GroupDesc) -> int:
-    """Minimal number of generators."""
+    """Minimal number of generators.  For a table, the size of the first
+    minimal generating subset (``_ft_generating_set``), the set whose
+    labels name the table's letters in ``pi1``."""
     if isinstance(g, (FreeAbelian, FreeGroup)):
         return g.rank
     return len(_ft_generating_set(g))

@@ -12,6 +12,7 @@ from gogroups.cli import main
 from gogroups.errors import GogParseError
 from gogroups.gog import classify, pi1_presentation, presentation_to_text
 from gogroups.gogfile import parse_gog, parse_gog_text, serialize_gog
+from gogroups.groups import _ft_generating_set
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -311,6 +312,22 @@ class TestCommands:
         elapsed = time.perf_counter() - start
         assert (code, out) == (0, "false\n")
         assert elapsed < 2.0, f"trivial took {elapsed:.2f} s"
+
+    def test_pi1_on_an_elementary_abelian_table_within_budget(self, capsys, tmp_path):
+        # pi1 names the table's generators; the first 6-subset of the 63
+        # non-identity elements of (Z/2)^6 was found by trying every smaller
+        # subset first, which took well over 40 s
+        _ft_generating_set.cache_clear()
+        labels = ", ".join(f"x{i}" for i in range(64))
+        rows = ", ".join("[" + ", ".join(str(i ^ j) for j in range(64)) + "]" for i in range(64))
+        path = tmp_path / "z2-6.gog"
+        path.write_text(f"vertices:\n  v: {{table: {{elements: [{labels}], mul: [{rows}]}}}}\nedges: {{}}\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pi1", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.split("--")[0].split() == ["x1", "x2", "x4", "x8", "x16", "x32"]
+        assert elapsed < 2.0, f"pi1 took {elapsed:.2f} s"
 
     def test_enumerate_cap_exit_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--cap", "50", fixture("torus.gog"))

@@ -1,16 +1,20 @@
 import itertools
 import random
+import time
 
 import pytest
 
 import zoo
+from gogroups.analysis import product_rank_family
 from gogroups.errors import ShapeMismatch, UnsupportedHom
 from gogroups.groups import (
     FiniteTable,
     FreeAbelian,
     FreeGroup,
     Hom,
+    _ft_closure,
     _ft_generating_set,
+    _ft_rank_bound,
     cogenerator,
     compose,
     cyclic_table,
@@ -64,6 +68,36 @@ class TestElements:
             # left-identity only fails the identity axiom
             FiniteTable(("e", "a"), ((0, 1), (0, 1)), 0)
 
+    def test_table_error_texts(self):
+        cases = [
+            ((), (), 0, "empty table"),
+            (("e",), ((0,), (0,)), 0, "table shape mismatch"),
+            (("e", "a"), ((0, 1), (1,)), 0, "table shape mismatch"),
+            (("e", "a"), ((0, 1), (1, 2)), 0, "table entry out of range"),
+            (("e", "a"), ((0, -1), (1, 0)), 0, "table entry out of range"),
+            (("e", "a"), ((0, 1), (1, 0)), 2, "identity index out of range"),
+            (("e", "a"), ((0, 1), (0, 1)), 0, "identity row/column violated"),
+            (("e", "a"), ((0, 0), (1, 0)), 0, "identity row/column violated"),
+            # row 1 has no right inverse
+            (("e", "a", "b"), ((0, 1, 2), (1, 1, 2), (2, 0, 1)), 0,
+             "element 1 lacks a two-sided inverse"),
+            # row 1 has two right inverses
+            (("e", "a", "b"), ((0, 1, 2), (1, 0, 0), (2, 0, 1)), 0,
+             "element 1 lacks a two-sided inverse"),
+            # 1 * 2 = e but 2 * 1 != e: a one-sided inverse
+            (("e", "a", "b"), ((0, 1, 2), (1, 2, 0), (2, 2, 1)), 0,
+             "element 1 lacks a two-sided inverse"),
+            # rows 0 and 1 pass; the first failing row is named
+            (("e", "a", "b", "c"), ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 2, 1), (3, 2, 0, 1)), 0,
+             "element 2 lacks a two-sided inverse"),
+            # the identity need not be index 0
+            (("a", "e"), ((0, 0), (0, 1)), 1, "element 0 lacks a two-sided inverse"),
+        ]
+        for labels, mul, e, message in cases:
+            with pytest.raises(ValueError) as info:
+                FiniteTable(labels, mul, e)
+            assert str(info.value) == message, (mul, e)
+
     def test_checked_catches_nonassociative(self):
         # a "subtraction mod 3" table: has identity-ish row but fails associativity
         mul = [[(i - j) % 3 for j in range(3)] for i in range(3)]
@@ -103,6 +137,42 @@ class TestHomApply:
         ):
             with pytest.raises(ShapeMismatch) as info:
                 Hom.matrix(src, dst, rows)
+            assert str(info.value) == message
+
+    def test_table_hom_names_the_first_non_multiplicative_pair(self):
+        # the first failing (i, j) in row-major order, found by a full scan
+        rng = random.Random(11)
+        stock = [cyclic_table(4), cyclic_table(6), dihedral_table(3), dihedral_table(4),
+                 direct_product(cyclic_table(2), cyclic_table(2))]
+        checked = 0
+        for _ in range(200):
+            src, dst = rng.choice(stock), rng.choice(stock)
+            data = [rng.randrange(dst.order()) for _ in src.elements()]
+            data[src.id_index] = dst.id_index
+            first = next(
+                ((i, j) for i in src.elements() for j in src.elements()
+                 if data[src.mul_table[i][j]] != dst.mul_table[data[i]][data[j]]),
+                None,
+            )
+            if first is None:
+                Hom.table(src, dst, data)
+                continue
+            with pytest.raises(ShapeMismatch) as info:
+                Hom.table(src, dst, data)
+            assert str(info.value) == "not multiplicative at ({},{})".format(*first)
+            checked += 1
+        assert checked > 150
+        # 1 -> 1 but 1 + 1 -> 3: row 0 holds, row 1 fails at its second column
+        z4 = cyclic_table(4)
+        with pytest.raises(ShapeMismatch, match=r"^not multiplicative at \(1,1\)$"):
+            Hom.table(z4, z4, [0, 1, 3, 2])
+        for data, message in (
+            ([0, 1, 2], "element map must cover the whole source"),
+            ([0, 1, 2, 4], "4 is not an index into a table of size 4"),
+            ([1, 0, 3, 2], "identity must map to identity"),
+        ):
+            with pytest.raises(ShapeMismatch) as info:
+                Hom.table(z4, z4, data)
             assert str(info.value) == message
 
     def test_matrix_rows_are_stored_as_generator_images(self):
@@ -448,6 +518,126 @@ class TestRanks:
                     assert group_rank(image) <= group_rank(src)
                     checked += 1
         assert checked > 100
+
+
+def _reference_generating_set(table):
+    """The contract by brute force: the first subset, in
+    itertools.combinations order of the non-identity indices, of the least
+    size that generates; each subset's closure is a fresh search."""
+    n, e = table.order(), table.id_index
+    candidates = [i for i in table.elements() if i != e]
+    for k in range(n):
+        for subset in itertools.combinations(candidates, k):
+            seen, frontier = {e}, [e]
+            while frontier:
+                row = table.mul_table[frontier.pop()]
+                for g in subset:
+                    if row[g] not in seen:
+                        seen.add(row[g])
+                        frontier.append(row[g])
+            if len(seen) == n:
+                return subset
+    raise AssertionError("no subset generates")
+
+
+def _permuted(table, rng):
+    """An equal group on shuffled indices, identity included."""
+    perm = list(table.elements())
+    rng.shuffle(perm)
+    pos = {x: k for k, x in enumerate(perm)}
+    mul = [[pos[table.mul_table[x][y]] for y in perm] for x in perm]
+    return FiniteTable(tuple(table.labels[x] for x in perm), mul, pos[table.id_index])
+
+
+def _search_corpus():
+    """The targets of the rank sweeps, cyclic and dihedral tables, their
+    pairwise products up to order 48, seeded subgroup tables and copies on
+    permuted indices."""
+    z2, z3, z4 = cyclic_table(2), cyclic_table(3), cyclic_table(4)
+    stock = [cyclic_table(n) for n in range(2, 17)] + [
+        direct_product(z2, z2), direct_product(z4, z2), direct_product(z2, direct_product(z2, z2)),
+        direct_product(z3, z3), dihedral_table(3), dihedral_table(4), dihedral_table(6),
+        dihedral_table(8),
+    ]
+    small = [cyclic_table(n) for n in range(1, 33)] + [dihedral_table(n) for n in range(1, 13)]
+    products = [direct_product(a, b) for a, b in itertools.combinations_with_replacement(small, 2)
+                if a.order() * b.order() <= 48]
+    rng = random.Random(13)
+    subgroups = []
+    for t in stock + products[::3]:
+        for _ in range(2):
+            picks = rng.sample(list(t.elements()), min(t.order(), rng.randint(1, 3)))
+            subgroups.append(subgroup_table(t, picks)[0])
+    permuted = [_permuted(t, rng) for t in stock + small + products[::2] + subgroups[::4]]
+    return stock + small + products + subgroups + permuted
+
+
+class TestGeneratingSetSearch:
+    def test_matches_the_brute_force_reference(self):
+        corpus = _search_corpus()
+        assert len(corpus) > 600
+        ranks = set()
+        for t in corpus:
+            assert _ft_generating_set.__wrapped__(t) == _reference_generating_set(t), t.labels
+            ranks.add(group_rank(t))
+        assert ranks == {0, 1, 2, 3, 4}
+
+    def test_rank_bound_is_a_lower_bound_and_exact_on_abelian_and_p_groups(self):
+        exact = 0
+        for t in _search_corpus():
+            bound, rank, n = _ft_rank_bound(t), group_rank(t), t.order()
+            assert bound <= rank, t.labels
+            abelian = all(row == col for row, col in zip(t.mul_table, zip(*t.mul_table)))
+            p = next((p for p in range(2, n + 1) if n % p == 0), 1)
+            p_group = all(q % p == 0 for q in range(2, n + 1) if n % q == 0)
+            if abelian or p_group:
+                assert bound == rank, t.labels
+                exact += 1
+        assert exact > 200
+        # S3's largest elementary abelian quotient is Z/2: the bound is 1, d is 2
+        assert _ft_rank_bound(dihedral_table(3)) == 1 < group_rank(dihedral_table(3))
+
+    def test_seeded_closure_is_the_joint_closure(self):
+        rng = random.Random(8)
+        for t in _search_corpus()[::5]:
+            for _ in range(3):
+                a = tuple(rng.sample(list(t.elements()), min(t.order(), 2)))
+                b = tuple(rng.sample(list(t.elements()), min(t.order(), 2)))
+                seed = _ft_closure(t, a)
+                grown = _ft_closure(t, b, seed)
+                assert grown[: len(seed)] == seed
+                assert len(set(grown)) == len(grown)
+                assert set(grown) == set(_ft_closure(t, a + b))
+        assert _ft_closure(cyclic_table(6), (2,)) == (0, 2, 4)
+
+    @pytest.mark.parametrize("build, rank", [
+        (lambda: _power(cyclic_table(2), 8), 8),
+        (lambda: direct_product(dihedral_table(4), _power(cyclic_table(2), 3)), 5),
+    ], ids=["Z2^8", "D4xZ2^3"])
+    def test_cliff_tables_within_budget(self, build, rank):
+        # trying every smaller subset first never finishes on (Z/2)^8; on
+        # D4 x (Z/2)^3 the bound, 5, lets the search skip sizes 2 to 4
+        table = build()
+        _ft_generating_set.cache_clear()
+        start = time.perf_counter()
+        assert group_rank(table) == rank
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"group_rank took {elapsed:.2f} s"
+
+    def test_product_rank_family_within_budget(self):
+        _ft_generating_set.cache_clear()
+        start = time.perf_counter()
+        g = product_rank_family(4, cyclic_table(4))
+        elapsed = time.perf_counter() - start
+        assert group_rank(g) == 5
+        assert elapsed < 1.0, f"product_rank_family took {elapsed:.2f} s"
+
+
+def _power(table, k):
+    result = table
+    for _ in range(k - 1):
+        result = direct_product(result, table)
+    return result
 
 
 def _all_homs(src, dst, limit):

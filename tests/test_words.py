@@ -398,8 +398,8 @@ class TestWordConstruction:
         assert set(g._kernel.loops) == {(name, 1)}
 
     def test_raw_syllables_compute_no_generators(self):
-        # a kernel for raw syllables never names letters, so reducing on a
-        # table whose generating-set search is slow, (Z/2)^6, does not run it
+        # a kernel for raw syllables never names letters, so reducing a raw
+        # word on (Z/2)^6 never runs the generating-set search at all
         table = cyclic_table(2)
         for _ in range(5):
             table = direct_product(table, cyclic_table(2))
