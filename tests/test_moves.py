@@ -1,10 +1,14 @@
+import difflib
+import hashlib
+import pathlib
 import random
 
 import pytest
 
 import zoo
-from gogroups.errors import LoopContraction, NotIso, OracleIncomplete
+from gogroups.errors import GogError, LoopContraction, NotIso, OracleIncomplete
 from gogroups.gog import DiagramClass, GraphOfGroups, classify, pi1_presentation
+from gogroups.gogfile import serialize_gog
 from gogroups.graph import AbstractGraph
 from gogroups.groups import FreeAbelian, Hom, cyclic_table
 from gogroups.moves import (
@@ -419,39 +423,48 @@ class TestAbelianConversionRandomized:
         # pi1 = Z^rank(root) is abelian, so the abelianization oracle is
         # exact and conversion must preserve the invariant factors
         rng = random.Random(4242)
-        done = 0
-        while done < 30:
-            n = rng.randint(2, 4)
-            vertices = [f"v{i}" for i in range(n)]
-            ranks = {v: rng.randint(0, 2) for v in vertices}
-            half_edges = [
-                (f"e{i}", vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)
-            ]
-            bar, d0 = {}, {}
-            for name, a, b in half_edges:
-                bar[name], bar[f"{name}^-1"] = f"{name}^-1", name
-                d0[name], d0[f"{name}^-1"] = a, b
-            graph = AbstractGraph.make(vertices, bar, d0)
-            vgroup = {v: FreeAbelian(ranks[v]) for v in vertices}
-            egroup, emap = {}, {}
-            for name, parent, child in half_edges:
-                shared = FreeAbelian(ranks[child])
-                egroup[name] = shared
-                emap[f"{name}^-1"] = Hom.matrix(
-                    shared, vgroup[child],
-                    [[1 if i == j else 0 for j in range(shared.rank)] for i in range(ranks[child])],
-                )
-                emap[name] = Hom.matrix(
-                    shared, vgroup[parent],
-                    [[rng.randint(-2, 2) for _ in range(shared.rank)] for _ in range(ranks[parent])],
-                )
-            g = GraphOfGroups.make(
-                graph, vgroup, egroup, emap,
-                tree=frozenset(name for name, _, _ in half_edges),
-            )
+        for _ in range(30):
+            g, root_rank = zoo.random_elimination_tree(rng)
             expected = abelianization(pi1_presentation(g))
-            assert expected.torsion == () and expected.free_rank == ranks["v0"]
+            assert expected.torsion == () and expected.free_rank == root_rank
             converted = convert_diagram(g, QuotientOracle.abelianization(asserted_abelian=True))
             assert classify(converted) is DiagramClass.GRAPH_OF_GROUPS
             assert abelianization(pi1_presentation(converted)) == expected
-            done += 1
+
+
+ABEL_DIGESTS = pathlib.Path(__file__).parent / "golden" / "abel-convert-digests.txt"
+
+
+def abel_cases():
+    """(case id, diagram) for every line of the abel-convert digest file:
+    seeded cyclic trees, pushouts, two-vertex and loop diagrams over
+    products of cyclic tables, and the elimination trees above."""
+    families = (
+        ("tree", 1, 8, lambda rng: zoo.random_cyclic_tree(rng, rng.randint(2, 3))),
+        ("pushout", 2, 30, zoo.random_pushout),
+        ("pair", 3, 30, zoo.random_product_diagram),
+        ("loop", 4, 30, lambda rng: zoo.random_product_diagram(rng, loop=True)),
+        ("elim", 4242, 30, lambda rng: zoo.random_elimination_tree(rng)[0]),
+    )
+    for name, seed, count, build in families:
+        rng = random.Random(seed)
+        for i in range(count):
+            yield f"{name}#{i}", build(rng)
+
+
+def abel_digest_line(case, d):
+    """'<case>: <sha256 of the abel-converted graph's serialization>', or
+    the error class and text when conversion refuses."""
+    try:
+        text = serialize_gog(convert_diagram(d, QuotientOracle.abelianization()))
+    except GogError as exc:
+        return f"{case}: {type(exc).__name__}: {exc}"
+    return f"{case}: {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+class TestAbelianConversionDigests:
+    def test_abel_convert_digests(self):
+        expected = ABEL_DIGESTS.read_text().splitlines()
+        got = [abel_digest_line(case, d) for case, d in abel_cases()]
+        changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
+        assert not changed, f"abel conversions differ from {ABEL_DIGESTS.name}:\n" + "\n".join(changed)

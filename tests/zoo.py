@@ -1,8 +1,11 @@
 """Programmatic constructions of the fixture corpus, shared across tests.
 
 The .gog files under tests/fixtures mirror these; test_cli checks that
-parsing each file reproduces the same presentation.
+parsing each file reproduces the same presentation.  The seeded families
+at the end each take a ``random.Random`` and build one diagram from it.
 """
+
+import itertools
 
 from gogroups.graph import AbstractGraph
 from gogroups.gog import GraphOfGroups
@@ -324,3 +327,125 @@ def last_first_tree(g):
 def rebased(g):
     """g with ``last_first_tree`` stored and its largest vertex as base."""
     return g.replace(tree=last_first_tree(g), base=max(g.graph.vertices))
+
+
+# ---------------------------------------------------------------------------
+# seeded families
+
+
+def _random_map(rng, factors, dst):
+    """Element map of a random hom into the abelian table dst from the
+    product of Z/f over ``factors``, in ``direct_product`` index order:
+    each factor's generator goes to an element whose order divides f."""
+    images = [rng.choice([x for x in dst.elements() if dst.power(x, f) == dst.id_index])
+              for f in factors]
+    mapping = []
+    for digits in itertools.product(*(range(f) for f in factors)):
+        y = dst.id_index
+        for x, k in zip(images, digits):
+            y = dst.mul(y, dst.power(x, k))
+        mapping.append(y)
+    return mapping
+
+
+def _product(factors, letters):
+    """The product of cyclic tables Z/f, one letter per factor."""
+    group = cyclic_table(factors[0], letters[0])
+    for f, letter in zip(factors[1:], letters[1:]):
+        group = direct_product(group, cyclic_table(f, letter))
+    return group
+
+
+def _random_edges(rng, half_edges, vgroup, edge_factors):
+    """Edge groups and random edge maps for (name, origin, terminus)
+    triples, each edge group the product of Z/f over edge_factors(name)."""
+    egroup, emap = {}, {}
+    for name, origin, terminus in half_edges:
+        factors = edge_factors(name)
+        shared = _product(factors, "cd")
+        egroup[name] = shared
+        emap[name] = Hom.table(shared, vgroup[origin], _random_map(rng, factors, vgroup[origin]))
+        emap[f"{name}^-1"] = Hom.table(
+            shared, vgroup[terminus], _random_map(rng, factors, vgroup[terminus])
+        )
+    return egroup, emap
+
+
+def random_cyclic_tree(rng, n):
+    """A tree of n cyclic tables of orders 8-48; each edge group is cyclic,
+    of an order dividing its child's, with random (often non-injective)
+    maps into both ends."""
+    vertices = [f"v{i}" for i in range(n)]
+    orders = [rng.randint(8, 48) for _ in vertices]
+    vgroup = {v: cyclic_table(orders[i], f"g{i}") for i, v in enumerate(vertices)}
+    half_edges = [(f"e{i}", vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+
+    def edge_factors(name):
+        child = orders[int(name[1:])]
+        return [rng.choice([d for d in range(2, child + 1) if child % d == 0])]
+
+    egroup, emap = _random_edges(rng, half_edges, vgroup, edge_factors)
+    return GraphOfGroups.make(_graph(vertices, half_edges), vgroup, egroup, emap)
+
+
+def random_pushout(rng):
+    """Z/a <-id- Z/a -> Z/b with a random right map, injective or not."""
+    a, b = rng.randint(2, 12), rng.randint(2, 12)
+    za, zb, ze = cyclic_table(a, "a"), cyclic_table(b, "b"), cyclic_table(a, "c")
+    return GraphOfGroups.make(
+        _graph(["u", "v"], [("e", "u", "v")]),
+        {"u": za, "v": zb},
+        {"e": ze},
+        {"e": Hom.table(ze, za, list(range(a))),
+         "e^-1": Hom.table(ze, zb, _random_map(rng, [a], zb))},
+    )
+
+
+def random_product_diagram(rng, loop=False):
+    """Two vertices joined by one or two edges, or with ``loop`` one vertex
+    with a loop edge; each group is a product of one or two cyclic tables
+    of orders 2-6, and each edge map a random hom."""
+    vertices = ["v"] if loop else ["u", "v"]
+    vgroup = {
+        v: _product([rng.randint(2, 6) for _ in range(rng.randint(1, 2))], "pq")
+        for v in vertices
+    }
+    if loop:
+        half_edges = [("t", "v", "v")]
+    else:
+        half_edges = [(f"e{i}", "u", "v") for i in range(rng.randint(1, 2))]
+
+    def edge_factors(name):
+        return [rng.randint(2, 6) for _ in range(rng.randint(1, 2))]
+
+    egroup, emap = _random_edges(rng, half_edges, vgroup, edge_factors)
+    return GraphOfGroups.make(_graph(vertices, half_edges), vgroup, egroup, emap)
+
+
+def random_elimination_tree(rng):
+    """A tree of free abelian groups of rank 0-2 on 2-4 vertices, every
+    child group mapped identically into the edge group and the edge group
+    into the parent by a random matrix.  pi1 = Z^rank(root), which the
+    function returns beside the graph."""
+    n = rng.randint(2, 4)
+    vertices = [f"v{i}" for i in range(n)]
+    ranks = {v: rng.randint(0, 2) for v in vertices}
+    half_edges = [(f"e{i}", vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+    vgroup = {v: FreeAbelian(ranks[v]) for v in vertices}
+    egroup, emap = {}, {}
+    for name, parent, child in half_edges:
+        shared = FreeAbelian(ranks[child])
+        egroup[name] = shared
+        emap[f"{name}^-1"] = Hom.matrix(
+            shared, vgroup[child],
+            [[1 if i == j else 0 for j in range(shared.rank)] for i in range(ranks[child])],
+        )
+        emap[name] = Hom.matrix(
+            shared, vgroup[parent],
+            [[rng.randint(-2, 2) for _ in range(shared.rank)] for _ in range(ranks[parent])],
+        )
+    g = GraphOfGroups.make(
+        _graph(vertices, half_edges), vgroup, egroup, emap,
+        tree=frozenset(name for name, _, _ in half_edges),
+    )
+    return g, ranks["v0"]
