@@ -30,6 +30,8 @@ parse is the identity on canonical form.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import yaml
 
 from .errors import GogParseError
@@ -64,6 +66,13 @@ def _name(value, path):
     if isinstance(value, (dict, list)):
         _fail(path, "names must be scalar")
     return str(value)
+
+
+def _distinct_labels(labels, path):
+    """Refuse a repeated element label: maps are written by label."""
+    repeated = [x for x, n in Counter(labels).items() if n > 1]
+    if repeated:
+        _fail(path, f"duplicate element label {repeated[0]!r}")
 
 
 def _int_list(value, path, what):
@@ -104,9 +113,11 @@ def parse_group(desc, path):
             _fail(path, "cyclic takes a positive order")
         letter = _name(desc.get("letter", "a"), path)
         try:
-            return cyclic_table(value, letter)
+            group = cyclic_table(value, letter)
         except ValueError as exc:
             _fail(path, str(exc))
+        _distinct_labels(group.labels, path)
+        return group
     body = _require_mapping(value, path)
     missing = {"elements", "mul"} - set(body)
     if missing:
@@ -114,6 +125,7 @@ def parse_group(desc, path):
     if not isinstance(body["elements"], list):
         _fail(f"{path}.elements", "elements must be a list of labels")
     labels = [_name(x, f"{path}.elements") for x in body["elements"]]
+    _distinct_labels(labels, f"{path}.elements")
     if not isinstance(body["mul"], list):
         _fail(f"{path}.mul", "mul must be a list of rows")
     mul = [_int_list(r, f"{path}.mul", "mul rows") for r in body["mul"]]

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import quotients
@@ -230,16 +231,24 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
 
 @dataclass(frozen=True)
 class _AbelianImage:
-    """Image of a subgroup in the abelianized fundamental group.
+    """Image of a subgroup in the abelianized fundamental group: one
+    lattice, read by every question asked of it.
 
     torsion: invariant factors (>= 2) of the image; free: free rank;
     basis: one ambient exponent vector per kept cyclic/free factor,
-    torsion factors first.
+    torsion factors first.  The image is computed from ``form``, the Smith
+    form of its k generator vectors beside the relator rows (None when
+    k = 0); ``lead`` holds the first k rows of that form's V, and
+    ``factor_rows`` the rows of the cokernel form's U that give the kept
+    factors, in ``basis`` order.
     """
 
     torsion: tuple
     free: int
     basis: tuple
+    form: quotients.SmithForm = None
+    lead: list = ()
+    factor_rows: list = ()
 
     def group(self) -> GroupDesc:
         if self.torsion and self.free:
@@ -254,88 +263,68 @@ class _AbelianImage:
             return g
         return FreeAbelian(self.free)
 
+    def coords(self, target) -> list:
+        """Coordinates of an ambient vector over ``basis``, torsion ones
+        reduced mod their factor.  The form's U-side step gives z, ``lead``
+        maps it to coefficients of the generator vectors, and
+        ``factor_rows`` map those onto the kept factors."""
+        if self.form is None:
+            if any(target):
+                raise UnrepresentableImage("nonzero vector in a trivial image")
+            return []
+        z = self.form.scaled(target)
+        if z is None:
+            raise UnrepresentableImage("vector does not lie in the expected image")
+        coords = quotients.mat_vec(self.factor_rows, quotients.mat_vec(self.lead, z))
+        for i, dk in enumerate(self.torsion):
+            coords[i] %= dk
+        return coords
+
 
 def _image_in_abelianization(vectors, relator_rows, ambient):
     """Structure of the subgroup of Z^ambient / (row lattice) generated by
-    the given vectors."""
+    the given vectors.  The kernel of the stacked matrix [vectors | relator
+    rows], cut to its first k entries, spans the relations among the
+    vectors, and the cokernel of those relations is the image."""
     k = len(vectors)
     if k == 0:
         return _AbelianImage((), 0, ())
-    stacked = [
+    stacked = quotients.SmithForm([
         [vectors[j][i] for j in range(k)] + [row[i] for row in relator_rows]
         for i in range(ambient)
-    ]
-    projected = [vec[:k] for vec in quotients.SmithForm(stacked).kernel()]
-    p_matrix = [[vec[i] for vec in projected] for i in range(k)]
-    torsion = []
-    basis = []
-    free_basis = []
-    free = 0
-    for dj, coeffs in quotients.SmithForm(p_matrix).cokernel():
-        ambient_vec = tuple(
-            sum(coeffs[i] * vectors[i][r] for i in range(k)) for r in range(ambient)
-        )
-        if dj == 1:
-            continue
-        if dj == 0:
-            free += 1
-            free_basis.append(ambient_vec)
-        else:
-            torsion.append(dj)
-            basis.append(ambient_vec)
-    return _AbelianImage(tuple(torsion), free, tuple(basis) + tuple(free_basis))
+    ])
+    lead = stacked.v_rows(k)
+    # the kernel is spanned by the columns of V past the nonzero diagonal
+    rank = sum(1 for dj in stacked.diagonal if dj)
+    relations = quotients.SmithForm([row[rank:] for row in lead])
+    # the diagonal puts every factor 1 first, then torsion, then free ones
+    kept = [(i, dj, coeffs) for i, (dj, coeffs) in enumerate(relations.cokernel()) if dj != 1]
+    basis = tuple(
+        tuple(sum(c * vec[r] for c, vec in zip(coeffs, vectors)) for r in range(ambient))
+        for _, _, coeffs in kept
+    )
+    torsion = tuple(dj for _, dj, _ in kept if dj)
+    return _AbelianImage(torsion, len(kept) - len(torsion), basis, stacked, lead,
+                         [relations.u[i] for i, _, _ in kept])
 
 
-def _coords_in_image(image: _AbelianImage, target, relator_rows, ambient):
-    """Coordinates of an ambient vector over the image's kept basis."""
-    cols = [list(b) for b in image.basis] + [list(r) for r in relator_rows]
-    if not cols:
-        if any(target):
-            raise UnrepresentableImage("nonzero vector in a trivial image")
-        return []
-    matrix = [[c[i] for c in cols] for i in range(ambient)]
-    solution = quotients.SmithForm(matrix).solve(list(target))
-    if solution is None:
-        raise UnrepresentableImage("vector does not lie in the expected image")
-    coords = solution[: len(image.basis)]
-    for i, dk in enumerate(image.torsion):
-        coords[i] %= dk
-    return coords
-
-
-def _mixed_radix_index(coords, factors):
-    idx = 0
-    for c, dk in zip(coords, factors):
-        idx = idx * dk + (c % dk)
-    return idx
-
-
-def _inclusion_hom(edge: _AbelianImage, vertex: _AbelianImage, relator_rows, ambient,
-                   edge_group, vertex_group):
+def _inclusion_hom(edge: _AbelianImage, vertex: _AbelianImage, edge_group, vertex_group):
     if isinstance(edge_group, FreeAbelian) and edge_group.rank == 0:
         return Hom.trivial(edge_group, vertex_group)
-    coords = [
-        _coords_in_image(vertex, b, relator_rows, ambient) for b in edge.basis
-    ]
+    coords = [vertex.coords(b) for b in edge.basis]
     if isinstance(vertex_group, FreeAbelian):
         if edge.torsion:
             raise UnrepresentableImage("torsion edge image in a free abelian vertex image")
         return Hom.images(edge_group, vertex_group, [tuple(c) for c in coords])
     if edge.free:
         raise UnrepresentableImage("free edge image in a finite vertex image")
+    # edge elements in index order: mixed-radix digits over the edge factors
     mapping = []
-    for idx in range(edge_group.order()):
-        digits = []
-        rest = idx
-        for dk in reversed(edge.torsion):
-            digits.append(rest % dk)
-            rest //= dk
-        digits.reverse()
-        total = [0] * len(vertex.torsion)
-        for digit, col in zip(digits, coords):
-            for i in range(len(total)):
-                total[i] = (total[i] + digit * col[i]) % vertex.torsion[i]
-        mapping.append(_mixed_radix_index(total, vertex.torsion))
+    for digits in itertools.product(*(range(dk) for dk in edge.torsion)):
+        idx = 0
+        for i, dk in enumerate(vertex.torsion):
+            idx = idx * dk + sum(digit * col[i] for digit, col in zip(digits, coords)) % dk
+        mapping.append(idx)
     return Hom.table(edge_group, vertex_group, mapping)
 
 
@@ -369,14 +358,9 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
         image = _image_in_abelianization(vectors, relator_rows, ambient)
         edge_group = image.group()
         new_egroup[o.plus] = edge_group
-        new_emap[o.plus] = _inclusion_hom(
-            image, vertex_images[origin], relator_rows, ambient, edge_group, new_vgroup[origin]
-        )
-        new_emap[o.minus] = _inclusion_hom(
-            image, vertex_images[terminus], relator_rows, ambient, edge_group, new_vgroup[terminus]
-        )
-        assert hom_is_injective(new_emap[o.plus])
-        assert hom_is_injective(new_emap[o.minus])
+        for half, end in ((o.plus, origin), (o.minus, terminus)):
+            new_emap[half] = _inclusion_hom(image, vertex_images[end], edge_group, new_vgroup[end])
+            assert hom_is_injective(new_emap[half])
 
     tag = f"converted: abelianization oracle ({oracle.soundness()})"
     return d.replace(

@@ -173,7 +173,7 @@ class SmithForm:
     The form keeps the elimination's operation log (``ops``) and is
     certified by ``_certify`` when it is built.  ``diagonal`` holds
     d1 | d2 | ... >= 0; U, V and U^-1 are built from the log the first time
-    they are read.
+    they are read, and ``v_rows`` replays the leading rows of V alone.
     """
 
     def __init__(self, m: IntMatrix):
@@ -182,8 +182,7 @@ class SmithForm:
         _certify(m, self.ops, d)
         self.diagonal = tuple(d[i][i] for i in range(min(self.rows, self.cols)))
 
-    def _replayed(self, side: str, n: int) -> IntMatrix:
-        x = mat_identity(n)
+    def _replayed(self, side: str, x: IntMatrix) -> IntMatrix:
         for op in self.ops:
             if op[0] == side:
                 _apply(x, op)
@@ -191,11 +190,16 @@ class SmithForm:
 
     @cached_property
     def u(self) -> IntMatrix:
-        return self._replayed("row", self.rows)
+        return self._replayed("row", mat_identity(self.rows))
 
     @cached_property
     def v(self) -> IntMatrix:
-        return self._replayed("col", self.cols)
+        return self.v_rows(self.cols)
+
+    def v_rows(self, k: int) -> IntMatrix:
+        """Rows 0..k-1 of V and no others: the column operations replayed
+        on the first k rows of the identity."""
+        return self._replayed("col", [[int(i == j) for j in range(self.cols)] for i in range(k)])
 
     @cached_property
     def u_inv(self) -> IntMatrix:
@@ -209,22 +213,22 @@ class SmithForm:
                 _apply(x, ("col", name, i, *rest))
         return x
 
-    def solve(self, y: list):
-        """One integer solution x of m @ x == y, or None when unsolvable."""
+    def scaled(self, y: list):
+        """The U-side step of ``solve``: z with D @ z == U @ y, or None when
+        there is none, that is when m @ x == y has no integer solution."""
         if len(y) != self.rows:
             raise ValueError("rhs length mismatch")
-        uy = mat_vec(self.u, y)
-        z = [0] * self.cols
-        for i in range(self.rows):
-            di = self.diagonal[i] if i < self.cols else 0
-            if di == 0:
-                if uy[i] != 0:
-                    return None
-            else:
-                if uy[i] % di != 0:
-                    return None
-                z[i] = uy[i] // di
-        return mat_vec(self.v, z)
+        uy, d = mat_vec(self.u, y), self.diagonal
+        # row i reads d_i z_i == (U y)_i, with d_i = 0 past the diagonal
+        if any(uy[i] % d[i] if i < len(d) and d[i] else uy[i] for i in range(self.rows)):
+            return None
+        return [uy[i] // d[i] if i < len(d) and d[i] else 0 for i in range(self.cols)]
+
+    def solve(self, y: list):
+        """One integer solution x = V @ z of m @ x == y, z = ``scaled(y)``,
+        or None when unsolvable."""
+        z = self.scaled(y)
+        return None if z is None else mat_vec(self.v, z)
 
     def kernel(self) -> list:
         """Basis (list of vectors) of the integer kernel {x : m @ x == 0}:
@@ -546,7 +550,7 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
         # vec must lie in the row lattice: solve transpose(m) @ x == vec
         m = exponent_matrix(presentation)
         mt = [[row[c] for row in m] for c in range(len(vec))]
-        trivial = SmithForm(mt).solve(vec) is not None
+        trivial = SmithForm(mt).scaled(vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
     trivial = freely_reduce(word) == ()

@@ -242,6 +242,19 @@ class TestCommands:
         code, _, err = run(capsys, "validate", str(tmp_path / "missing.gog"))
         assert code == 2
 
+    def test_duplicate_element_labels_exit_two(self, capsys, tmp_path):
+        # maps are written by label, so a repeated label would make a
+        # serialized graph of groups re-parse as a different diagram
+        for i, (group, key) in enumerate((
+            ("{cyclic: 2, letter: e}", ".vertices.v]"),
+            ("{table: {elements: [e, e], mul: [[0, 1], [1, 0]]}}", ".vertices.v.elements]"),
+        )):
+            path = tmp_path / f"dup{i}.gog"
+            path.write_text(f"vertices:\n  v: {group}\nedges: {{}}\n")
+            code, out, err = run(capsys, "validate", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"parse error: [{path}{key} duplicate element label 'e'\n"
+
     def test_malformed_files_exit_two(self, capsys, tmp_path):
         loop = (
             "vertices:\n  v: {free_abelian: [a]}\n"
@@ -328,6 +341,21 @@ class TestCommands:
         assert code == 0
         assert out.split("--")[0].split() == ["x1", "x2", "x4", "x8", "x16", "x32"]
         assert elapsed < 2.0, f"pi1 took {elapsed:.2f} s"
+
+    def test_convert_abel_on_two_large_tables_within_budget(self, capsys, tmp_path):
+        # each inclusion once solved a second lattice of the image basis
+        # beside all 4,610 relator rows, and read a dense V of it: 36 s
+        path = tmp_path / "z96-pair.gog"
+        path.write_text(
+            "vertices:\n  u: {cyclic: 96, letter: a}\n  v: {cyclic: 96, letter: b}\n"
+            "edges:\n  e:\n    origin: u\n    terminus: v\n    group: {cyclic: 2, letter: c}\n"
+            "    fwd: {map: [0, 48]}\n    back: {map: [0, 48]}\n"
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "convert", "--oracle", "abel", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0 and "converted: abelianization oracle" in out
+        assert elapsed < 5.0, f"convert took {elapsed:.2f} s"
 
     def test_enumerate_cap_exit_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--cap", "50", fixture("torus.gog"))

@@ -6,8 +6,9 @@ import random
 import pytest
 
 import zoo
-from gogroups.errors import GogError, LoopContraction, NotIso, OracleIncomplete
-from gogroups.gog import DiagramClass, GraphOfGroups, classify, pi1_presentation
+from gogroups import moves, quotients
+from gogroups.errors import GogError, LoopContraction, NotIso, OracleIncomplete, UnrepresentableImage
+from gogroups.gog import DiagramClass, GraphOfGroups, classify, pi1_presentation, spell_in_letters
 from gogroups.gogfile import serialize_gog
 from gogroups.graph import AbstractGraph
 from gogroups.groups import FreeAbelian, Hom, cyclic_table
@@ -19,7 +20,14 @@ from gogroups.moves import (
     decompose_along_edge,
     reassemble,
 )
-from gogroups.quotients import abelianization, coset_enumeration
+from gogroups.quotients import (
+    SmithForm,
+    abelianization,
+    coset_enumeration,
+    exponent_matrix,
+    oracle_answer,
+    word_exponent_vector,
+)
 
 
 def sorted_presentation(p):
@@ -468,3 +476,80 @@ class TestAbelianConversionDigests:
         got = [abel_digest_line(case, d) for case, d in abel_cases()]
         changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
         assert not changed, f"abel conversions differ from {ABEL_DIGESTS.name}:\n" + "\n".join(changed)
+
+
+def reference_coords(image, target, relator_rows, ambient):
+    """Coordinates of an ambient vector over the image's kept basis, solved
+    as the conversion once did: over a second lattice, the basis beside
+    every relator row, whose solution is read through a dense V."""
+    cols = [list(b) for b in image.basis] + [list(r) for r in relator_rows]
+    if not cols:
+        if any(target):
+            raise UnrepresentableImage("nonzero vector in a trivial image")
+        return []
+    matrix = [[c[i] for c in cols] for i in range(ambient)]
+    solution = SmithForm(matrix).solve(list(target))
+    if solution is None:
+        raise UnrepresentableImage("vector does not lie in the expected image")
+    coords = solution[: len(image.basis)]
+    for i, dk in enumerate(image.torsion):
+        coords[i] %= dk
+    return coords
+
+
+def abelian_inclusions(d):
+    """(edge image, vertex image, relator rows, ambient size) for both
+    sides of every orbit of d, the images built as the abel conversion
+    builds them."""
+    pres = pi1_presentation(d)
+    rows, ambient = exponent_matrix(pres), len(pres.generators)
+    vertex_letters, _ = d._naming
+
+    def image(v, elements):
+        letters = vertex_letters.get(v, ())
+        vectors = [word_exponent_vector(pres, spell_in_letters(d.vgroup[v], letters, x))
+                   for x in elements]
+        return moves._image_in_abelianization(vectors, rows, ambient)
+
+    vertex = {v: image(v, d.vgroup[v].generators()) for v in d.graph.vertices}
+    for o in d.orbits():
+        shared = d.egroup[o.plus].generators()
+        edge = image(d.graph.d0[o.plus], [d.emap[o.plus].apply(c) for c in shared])
+        for half in (o.plus, o.minus):
+            yield edge, vertex[d.graph.d0[half]], rows, ambient
+
+
+class TestAbelianImages:
+    def test_coords_agree_with_the_basis_and_relator_solve(self):
+        checked = 0
+        for case, d in abel_cases():
+            for edge, vertex, rows, ambient in abelian_inclusions(d):
+                for b in edge.basis:
+                    assert vertex.coords(b) == reference_coords(vertex, b, rows, ambient), case
+                    checked += 1
+        assert checked > 100
+
+    def test_conversion_and_oracle_read_no_dense_v(self, monkeypatch):
+        built = []
+
+        class CountedForm(SmithForm):
+            def __init__(self, m):
+                super().__init__(m)
+                built.append(self)
+
+            @property
+            def v(self):
+                raise AssertionError("a dense V was read")
+
+        monkeypatch.setattr(quotients, "SmithForm", CountedForm)
+        oracle = QuotientOracle.abelianization()
+        for d in (zoo.pushout46(), zoo.finite_star(), zoo.random_product_diagram(random.Random(3))):
+            del built[:]
+            convert_diagram(d, oracle)
+            # one stacked and one cokernel form per image with generators
+            images = sum(1 for v in d.graph.vertices if d.vgroup[v].generators())
+            images += sum(1 for o in d.orbits() if d.egroup[o.plus].generators())
+            assert len(built) == 2 * images
+            pres = pi1_presentation(d)
+            for letter in pres.generators:
+                oracle_answer(oracle, pres, ((letter.name, 1),))

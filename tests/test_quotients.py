@@ -123,6 +123,22 @@ class TestSmithNormalForm:
         assert SmithForm([[], []]).solve([0, 0]) == []
         assert SmithForm([[], []]).solve([0, 1]) is None
 
+    def test_scaled_and_leading_rows_of_v(self):
+        # solve = V @ scaled(y); v_rows(k) replays V's first k rows alone
+        rng = random.Random(2026)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            f = SmithForm(m)
+            assert [f.v_rows(k) for k in range(cols + 1)] == [f.v[:k] for k in range(cols + 1)]
+            for y in (mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)]),
+                      [rng.randint(-5, 5) for _ in range(rows)]):
+                z = f.scaled(y)
+                assert (z is None) == (f.solve(y) is None)
+                if z is not None:
+                    assert mat_vec(dense_d(f), z) == mat_vec(f.u, y)
+                    assert mat_vec(f.v, z) == f.solve(y)
+
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form

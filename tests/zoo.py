@@ -423,10 +423,9 @@ def random_product_diagram(rng, loop=False):
 
 
 def random_elimination_tree(rng):
-    """A tree of free abelian groups of rank 0-2 on 2-4 vertices, every
-    child group mapped identically into the edge group and the edge group
-    into the parent by a random matrix.  pi1 = Z^rank(root), which the
-    function returns beside the graph."""
+    """A tree of free abelian groups of rank 0-2 on 2-4 vertices; each
+    edge group maps identically onto its child and by a random matrix into
+    its parent.  pi1 = Z^rank(root), which is returned beside the graph."""
     n = rng.randint(2, 4)
     vertices = [f"v{i}" for i in range(n)]
     ranks = {v: rng.randint(0, 2) for v in vertices}
