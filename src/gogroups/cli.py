@@ -9,14 +9,13 @@ included), 3 inconclusive oracles (enumeration cap hit).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-
-import yaml
 
 from .analysis import rank_bound, recognize_abelian
 from .errors import GogError, GogParseError, OracleIncomplete
 from .gog import classify, pi1_presentation, presentation_to_text, relator_to_text, validate_gog
-from .gogfile import group_descriptor, hom_descriptor, parse_gog, serialize_gog
+from .gogfile import dump_yaml, group_descriptor, hom_descriptor, parse_gog, serialize_gog
 from .moves import (
     QuotientOracle,
     collapse_tree,
@@ -52,7 +51,7 @@ def _oracle(text: str) -> QuotientOracle:
 
 
 def _flow(data) -> str:
-    return yaml.safe_dump(data, default_flow_style=True, width=10 ** 6).strip()
+    return dump_yaml(data, default_flow_style=True, width=10 ** 6).strip()
 
 
 def cmd_validate(args):
@@ -149,7 +148,9 @@ def cmd_enumerate(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gog`` parser: built on the first call, shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="gog",
         description="Graphs of groups: presentations, word problems, moves, and rank analysis.",

@@ -26,10 +26,15 @@ indices]}``, ``{images: [...]}`` with entries matching the target class
 Parsing is strict and reports the offending key path; serialization is
 canonical (sorted keys, shorthands expanded), so parse -> serialize ->
 parse is the identity on canonical form.
+
+YAML is read and written through libyaml when PyYAML was built with it,
+and through PyYAML's pure-Python classes otherwise; this module is the
+only one that knows which.
 """
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 
 import yaml
@@ -48,6 +53,67 @@ from .groups import (
 )
 
 _REVERSE_SUFFIX = "^-1"
+
+if yaml.__with_libyaml__:
+    YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    YAML_LOADER, YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
+# libyaml composes nested collections by C recursion: on an 8 MB stack,
+# 20,000 nested flow lists loaded and 25,000 crashed the interpreter.
+# Each level needs one of the indicator characters [ { - ? : of its own,
+# so a text with at most this many of them is nested at most this deep.
+_LIBYAML_MAX_INDICATORS = 5000
+
+
+def _load_yaml(text):
+    """The one YAML document in ``text``.
+
+    libyaml reads it when it can.  PyYAML's own parser reads what libyaml
+    refuses, so no text stops parsing and a syntax error keeps PyYAML's
+    message and line; it also reads text too deeply nested for libyaml.
+    """
+    if sum(map(text.count, "[{-?:")) <= _LIBYAML_MAX_INDICATORS:
+        try:
+            return yaml.load(text, Loader=YAML_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate has no UTF-8 for libyaml
+            pass
+    return yaml.safe_load(text)
+
+
+def _libyaml_writes_alike(data):
+    """Whether libyaml lays ``data`` out exactly as PyYAML's emitter does.
+
+    They differ on double-quoted scalars, which libyaml folds at the line
+    width only at spaces, and on the keys PyYAML writes after an explicit
+    ``?``: the empty string, and strings of 123 characters or more (its
+    128-character limit counts the ``!!str`` tag).  A string of printable
+    ASCII is never double-quoted.  PyYAML also ends a top-level scalar
+    with ``...``.
+    """
+    if not isinstance(data, (dict, list)):
+        return False
+    todo = [data]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            if not (x.isascii() and x.isprintable()):
+                return False
+        elif isinstance(x, list):
+            if {*map(type, x)} - {int}:  # table rows hold only ints: skip them whole
+                todo.extend(x)
+        elif isinstance(x, dict):
+            if not all(isinstance(k, str) and 0 < len(k) < 123 for k in x):
+                return False
+            todo.extend(x)
+            todo.extend(x.values())
+    return True
+
+
+def dump_yaml(data, **style) -> str:
+    """``data`` as YAML text, byte-identical to PyYAML's own emitter."""
+    dumper = YAML_DUMPER if _libyaml_writes_alike(data) else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, **style)
 
 
 def _fail(path, message):
@@ -78,7 +144,7 @@ def _distinct_labels(labels, path):
 def _int_list(value, path, what):
     """``value`` as a list of ints; bools and floats are not integers."""
     if not isinstance(value, list) or not all(type(x) is int for x in value):
-        _fail(path, f"{what} must be a list of integers, got {value!r}")
+        _fail(path, f"{what} must be a list of integers, got {reprlib.repr(value)}")
     return value
 
 
@@ -131,7 +197,7 @@ def parse_group(desc, path):
     mul = [_int_list(r, f"{path}.mul", "mul rows") for r in body["mul"]]
     id_index = body.get("id", 0)
     if type(id_index) is not int:
-        _fail(f"{path}.id", f"id must be an integer, got {id_index!r}")
+        _fail(f"{path}.id", f"id must be an integer, got {reprlib.repr(id_index)}")
     try:
         return FiniteTable.checked(tuple(labels), tuple(tuple(r) for r in mul), id_index)
     except (ValueError, TypeError) as exc:
@@ -163,7 +229,7 @@ def _parse_image(dst, entry, path):
         vec = tuple(_int_list(entry, path, "vector images"))
         dst.check(vec)
         return vec
-    if isinstance(entry, bool):
+    if isinstance(entry, (bool, dict, set)):
         _fail(path, "invalid image entry")
     if isinstance(entry, int):
         dst.check(entry)
@@ -171,7 +237,7 @@ def _parse_image(dst, entry, path):
     try:
         return parse_element(dst, str(entry))
     except Exception as exc:
-        _fail(path, f"bad image {entry!r}: {exc}")
+        _fail(path, f"bad image {reprlib.repr(entry)}: {exc}")
 
 
 def parse_hom(desc, src, dst, path):
@@ -242,7 +308,7 @@ def hom_descriptor(h):
 
 def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
@@ -313,9 +379,10 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
 
     provenance = ()
     if "provenance" in doc and doc["provenance"] is not None:
-        if not isinstance(doc["provenance"], list):
+        entries = doc["provenance"]
+        if not isinstance(entries, list) or any(isinstance(x, (list, dict, set)) for x in entries):
             _fail(f"{path}.provenance", "provenance must be a list of strings")
-        provenance = tuple(str(x) for x in doc["provenance"])
+        provenance = tuple(str(x) for x in entries)
 
     if not vgroup:
         _fail(f"{path}.vertices", "at least one vertex required")
@@ -359,4 +426,4 @@ def serialize_gog(g: GraphOfGroups) -> str:
         doc["tree"] = sorted(g.tree)
     if g.provenance:
         doc["provenance"] = list(g.provenance)
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None, width=100)
+    return dump_yaml(doc, sort_keys=True, default_flow_style=None, width=100)

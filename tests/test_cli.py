@@ -2,13 +2,19 @@ import contextlib
 import difflib
 import hashlib
 import io
+import os
 import pathlib
+import random
+import subprocess
+import sys
 import time
 
 import pytest
+import yaml
 
 import zoo
-from gogroups.cli import main
+from gogroups import gogfile
+from gogroups.cli import build_parser, main
 from gogroups.errors import GogParseError
 from gogroups.gog import classify, pi1_presentation, presentation_to_text
 from gogroups.gogfile import parse_gog, parse_gog_text, serialize_gog
@@ -55,6 +61,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GOLDEN_CASES = [
+    (["pi1", fixture("torus.gog")], "torus-pi1.txt"),
+    (["recognize-abelian", fixture("klein.gog")], "klein-recognize.txt"),
+    (["convert", "--oracle", "enum:5000", fixture("pushout46.gog")], "pushout46-convert.txt"),
+    (["decompose", "--edge", "e", fixture("trefoil.gog")], "trefoil-decompose.txt"),
+    (["enumerate", "--cap", "100", fixture("finite-star.gog")], "finite-star-enumerate.txt"),
+]
+
+
+def assert_golden_outputs(capsys):
+    for argv, golden in GOLDEN_CASES:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(), golden
+
+
+def assert_cli_digests():
+    expected = (GOLDEN / "cli-digests.txt").read_text().splitlines()
+    got = [digest_line(name, argv) for name, argv in digest_runs()]
+    changed = [d for d in difflib.ndiff(expected, got) if d[:2] in ("- ", "+ ")]
+    assert not changed, "CLI reports differ from tests/golden/cli-digests.txt:\n" + "\n".join(changed)
+
+
+def nested_anchors(levels):
+    """A flow list of ``levels`` anchors, each listing the one before it
+    twice: O(levels) bytes of YAML, 2^levels leaves once expanded."""
+    items = ["&x0 [a, a]"] + [f"&x{i} [*x{i - 1}, *x{i - 1}]" for i in range(1, levels)]
+    return "[" + ", ".join(items) + "]"
+
+
+# serialize_gog's and cli._flow's layouts
+BLOCK_STYLE = {"sort_keys": True, "default_flow_style": None, "width": 100}
+FLOW_STYLE = {"default_flow_style": True, "width": 10 ** 6}
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
 
 
 class TestParsing:
@@ -132,9 +175,36 @@ edges:
         assert "edges.t.terminus" in str(err.value)
 
     def test_yaml_syntax_error_carries_line(self):
+        text = "vertices:\n  v: {free_abelian: [a]\n"
         with pytest.raises(GogParseError) as err:
-            parse_gog_text("vertices:\n  v: {free_abelian: [a]\n")
+            parse_gog_text(text)
         assert err.value.line is not None
+        # PyYAML's own message, not libyaml's
+        with pytest.raises(yaml.YAMLError) as pyyaml_err:
+            yaml.safe_load(text)
+        assert str(err.value) == f"[<gog>: line {err.value.line}] not valid YAML: {pyyaml_err.value}"
+
+    @needs_libyaml
+    def test_libyaml_grammar_with_pyyaml_fallback(self):
+        edge = (
+            "vertices:\n  v: {free_abelian: [a]}\n"
+            "edges:\n  t:\n    origin: v\n    terminus: v\n"
+            "    group: {free_abelian: [c]}\n    fwd:%s\n    back: {matrix: [[1]]}\n"
+        )
+        # a tab after the colon: libyaml reads it, PyYAML's parser does not
+        tab = edge % "\t{matrix: [[1]]}"
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(tab)
+        # a flow key without a space after its colon: only PyYAML reads it
+        no_space = edge % " {matrix:[[1]]}"
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(no_space, Loader=yaml.CSafeLoader)
+        plain = serialize_gog(parse_gog_text(edge % " {matrix: [[1]]}"))
+        for text in (tab, no_space):
+            assert serialize_gog(parse_gog_text(text)) == plain
+        # libyaml cannot take a lone surrogate; PyYAML's reader refuses it
+        with pytest.raises(GogParseError, match="special characters are not allowed"):
+            parse_gog_text("vertices: \ud800\n")
 
     def test_bad_matrix_shape(self):
         bad = """
@@ -275,6 +345,15 @@ class TestCommands:
              ".vertices.v.mul]", "integers"),
             ("vertices: {v: {table: {elements: [e, a], mul: [[0, 1], [1, 0]], id: false}}}\n",
              ".vertices.v.id]", "integer"),
+            # aliases: a few hundred bytes that expand to 2^30 leaves, so no
+            # check may walk, print or quote the expanded value
+            (f"vertices: {{v: {{free_abelian: 1}}}}\nprovenance: {nested_anchors(30)}\n",
+             ".provenance]", "list of strings"),
+            (f"vertices: {{v: {{table: {{elements: [e], mul: [{nested_anchors(30)}]}}}}}}\n",
+             ".vertices.v.mul]", "integers"),
+            (f"vertices: {{v: {{table: {{elements: [e], mul: [[0]], id: {nested_anchors(30)}}}}}}}\n",
+             ".vertices.v.id]", "integer"),
+            (loop % f"{{images: [{{k: {nested_anchors(30)}}}]}}", ".edges.t.fwd]", "invalid image entry"),
         ]
         for i, (text, key, reason) in enumerate(cases):
             path = tmp_path / f"bad{i}.gog"
@@ -285,6 +364,7 @@ class TestCommands:
             assert (code, out) == (2, ""), text
             assert err.startswith("parse error: ") and err.count("\n") == 1, err
             assert key in err and reason in err, err
+            assert len(err) < len(str(path)) + 1000, err
 
     def test_reduce_conjugated_free_images_within_budget(self, capsys, tmp_path):
         # fwd images p m_i p^-1 with an 18-letter p: the pinch needs a free
@@ -384,23 +464,84 @@ class TestCommands:
             assert first == second
 
     def test_cli_digests(self):
-        expected = (GOLDEN / "cli-digests.txt").read_text().splitlines()
-        got = [digest_line(name, argv) for name, argv in digest_runs()]
-        changed = [d for d in difflib.ndiff(expected, got) if d[:2] in ("- ", "+ ")]
-        assert not changed, "CLI reports differ from tests/golden/cli-digests.txt:\n" + "\n".join(changed)
+        assert_cli_digests()
 
     def test_golden_outputs(self, capsys):
-        cases = [
-            (["pi1", fixture("torus.gog")], "torus-pi1.txt"),
-            (["recognize-abelian", fixture("klein.gog")], "klein-recognize.txt"),
-            (["convert", "--oracle", "enum:5000", fixture("pushout46.gog")], "pushout46-convert.txt"),
-            (["decompose", "--edge", "e", fixture("trefoil.gog")], "trefoil-decompose.txt"),
-            (["enumerate", "--cap", "100", fixture("finite-star.gog")], "finite-star-enumerate.txt"),
-        ]
-        for argv, golden in cases:
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            assert out == (GOLDEN / golden).read_text(), golden
+        assert_golden_outputs(capsys)
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        first = ["reduce", "--word", "a t a^-1 t^-1", fixture("klein.gog")]
+        second = ["decompose", "--edge", "e", fixture("trefoil.gog")]
+        alone = [run(capsys, *argv) for argv in (first, second)]
+        # a usage error between two calls leaves nothing behind in the parser
+        got = [run(capsys, *first)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "--cap", "0", fixture("finite-star.gog")])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        got.append(run(capsys, *second))
+        assert got == alone
+
+
+class TestYamlBackend:
+    """libyaml reads and writes .gog YAML; PyYAML's pure-Python classes
+    must give the same documents and the same bytes."""
+
+    @staticmethod
+    def corpus():
+        """Every fixture, every golden output that is a YAML mapping, and
+        the serialization of every zoo graph."""
+        texts = [p.read_text() for p in sorted(FIXTURES.glob("*.gog"))]
+        for path in sorted(GOLDEN.glob("*.txt")):
+            try:
+                if isinstance(yaml.safe_load(path.read_text()), dict):
+                    texts.append(path.read_text())
+            except yaml.YAMLError:
+                pass
+        return texts + [serialize_gog(g) for g in zoo.graphs()]
+
+    @needs_libyaml
+    def test_both_backends_agree_on_the_corpus(self):
+        for text in self.corpus():
+            doc = yaml.load(text, Loader=yaml.CSafeLoader)
+            assert doc == yaml.load(text, Loader=yaml.SafeLoader), text
+            for style in (BLOCK_STYLE, FLOW_STYLE):
+                c_text = yaml.dump(doc, Dumper=yaml.CSafeDumper, **style)
+                assert c_text == yaml.dump(doc, Dumper=yaml.SafeDumper, **style), text
+
+    def test_pure_python_backend_keeps_goldens_and_digests(self, capsys, monkeypatch):
+        monkeypatch.setattr(gogfile, "YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(gogfile, "YAML_DUMPER", yaml.SafeDumper)
+        assert_golden_outputs(capsys)
+        assert_cli_digests()
+
+    def test_awkward_strings_dump_as_pyyaml_does(self):
+        # libyaml folds long double-quoted scalars elsewhere, and writes
+        # empty and 123-128 character keys without PyYAML's explicit "?"
+        rng = random.Random(15)
+        for _ in range(300):
+            alphabet = rng.choice(("ab -:#'\"", "ab -:#'\"\t\n\xe9\x85"))
+            words = ["".join(rng.choice(alphabet) for _ in range(rng.choice((0, 3, 40, 122, 123, 128, 200))))
+                     for _ in range(4)]
+            doc = {words[0]: {"provenance": words[1:], words[1]: [words[2], {words[3]: 0}]}}
+            for style in (BLOCK_STYLE, FLOW_STYLE):
+                assert gogfile.dump_yaml(doc, **style) == yaml.dump(doc, Dumper=yaml.SafeDumper, **style), doc
+
+    def test_deep_nesting_does_not_crash_the_interpreter(self):
+        # libyaml composes by C recursion and overflows the stack near
+        # 22,000 levels; such text must reach PyYAML's parser instead
+        script = (
+            "from gogroups.gogfile import parse_gog_text\n"
+            "try:\n"
+            "    parse_gog_text('provenance: ' + '[' * 100000 + ']' * 100000)\n"
+            "except Exception:\n"
+            "    pass\n"
+        )
+        src = str(pathlib.Path(gogfile.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
 
 class TestConvertedRoundtrip:
