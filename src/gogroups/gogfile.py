@@ -59,11 +59,24 @@ if yaml.__with_libyaml__:
 else:
     YAML_LOADER, YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
 
-# libyaml composes nested collections by C recursion: on an 8 MB stack,
-# 20,000 nested flow lists loaded and 25,000 crashed the interpreter.
-# Each level needs one of the indicator characters [ { - ? : of its own,
-# so a text with at most this many of them is nested at most this deep.
-_LIBYAML_MAX_INDICATORS = 5000
+# libyaml composes nested collections by C recursion, about 300 bytes of
+# stack a level: on an 8 MB main-thread stack 20,000 nested flow lists
+# loaded and 25,000 crashed the interpreter; on a 2 MB thread stack
+# 6,000 loaded and 9,000 crashed (1 MB: 2,500 and 3,500).
+_LIBYAML_MAX_DEPTH = 5000
+
+
+def _nesting_bound(text):
+    """An upper bound on how deeply the YAML in ``text`` nests.
+
+    Each flow collection opens with ``[`` or ``{``, and each mapping has a
+    ``:`` or ``?`` of its own.  A block sequence needs a ``-``, and one
+    nested in another starts in a later column, so there are no more of
+    them in a chain than the longest line has characters.  The ``-`` of
+    ``^-1`` words and of block rows thus cost nothing past that length.
+    """
+    longest = max(map(len, text.split("\n")))
+    return sum(map(text.count, "[{:?")) + min(text.count("-"), longest)
 
 
 def _load_yaml(text):
@@ -71,9 +84,10 @@ def _load_yaml(text):
 
     libyaml reads it when it can.  PyYAML's own parser reads what libyaml
     refuses, so no text stops parsing and a syntax error keeps PyYAML's
-    message and line; it also reads text too deeply nested for libyaml.
+    message and line; it also reads text that may nest too deeply for
+    libyaml.
     """
-    if sum(map(text.count, "[{-?:")) <= _LIBYAML_MAX_INDICATORS:
+    if YAML_LOADER is not yaml.SafeLoader and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH:
         try:
             return yaml.load(text, Loader=YAML_LOADER)
         except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate has no UTF-8 for libyaml
@@ -81,39 +95,9 @@ def _load_yaml(text):
     return yaml.safe_load(text)
 
 
-def _libyaml_writes_alike(data):
-    """Whether libyaml lays ``data`` out exactly as PyYAML's emitter does.
-
-    They differ on double-quoted scalars, which libyaml folds at the line
-    width only at spaces, and on the keys PyYAML writes after an explicit
-    ``?``: the empty string, and strings of 123 characters or more (its
-    128-character limit counts the ``!!str`` tag).  A string of printable
-    ASCII is never double-quoted.  PyYAML also ends a top-level scalar
-    with ``...``.
-    """
-    if not isinstance(data, (dict, list)):
-        return False
-    todo = [data]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, str):
-            if not (x.isascii() and x.isprintable()):
-                return False
-        elif isinstance(x, list):
-            if {*map(type, x)} - {int}:  # table rows hold only ints: skip them whole
-                todo.extend(x)
-        elif isinstance(x, dict):
-            if not all(isinstance(k, str) and 0 < len(k) < 123 for k in x):
-                return False
-            todo.extend(x)
-            todo.extend(x.values())
-    return True
-
-
 def dump_yaml(data, **style) -> str:
-    """``data`` as YAML text, byte-identical to PyYAML's own emitter."""
-    dumper = YAML_DUMPER if _libyaml_writes_alike(data) else yaml.SafeDumper
-    return yaml.dump(data, Dumper=dumper, **style)
+    """``data`` as YAML text, written by the bound dumper."""
+    return yaml.dump(data, Dumper=YAML_DUMPER, **style)
 
 
 def _fail(path, message):

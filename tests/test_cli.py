@@ -4,7 +4,6 @@ import hashlib
 import io
 import os
 import pathlib
-import random
 import subprocess
 import sys
 import time
@@ -16,9 +15,9 @@ import zoo
 from gogroups import gogfile
 from gogroups.cli import build_parser, main
 from gogroups.errors import GogParseError
-from gogroups.gog import classify, pi1_presentation, presentation_to_text
+from gogroups.gog import GraphOfGroups, classify, pi1_presentation, presentation_to_text
 from gogroups.gogfile import parse_gog, parse_gog_text, serialize_gog
-from gogroups.groups import _ft_generating_set
+from gogroups.groups import _ft_generating_set, cyclic_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -516,27 +515,39 @@ class TestYamlBackend:
         assert_golden_outputs(capsys)
         assert_cli_digests()
 
-    def test_awkward_strings_dump_as_pyyaml_does(self):
-        # libyaml folds long double-quoted scalars elsewhere, and writes
-        # empty and 123-128 character keys without PyYAML's explicit "?"
-        rng = random.Random(15)
-        for _ in range(300):
-            alphabet = rng.choice(("ab -:#'\"", "ab -:#'\"\t\n\xe9\x85"))
-            words = ["".join(rng.choice(alphabet) for _ in range(rng.choice((0, 3, 40, 122, 123, 128, 200))))
-                     for _ in range(4)]
-            doc = {words[0]: {"provenance": words[1:], words[1]: [words[2], {words[3]: 0}]}}
-            for style in (BLOCK_STYLE, FLOW_STYLE):
-                assert gogfile.dump_yaml(doc, **style) == yaml.dump(doc, Dumper=yaml.SafeDumper, **style), doc
+    @needs_libyaml
+    def test_large_tables_and_inverse_words_stay_with_libyaml(self, monkeypatch):
+        # an order-k table costs the nesting bound about k + 115, not one
+        # per "-" and "[": tables up to order _LIBYAML_MAX_DEPTH - 150
+        # (4,850) are read by libyaml
+        for k in (150, 400):
+            table = serialize_gog(GraphOfGroups.make(zoo._graph(["v"], []), {"v": cyclic_table(k)}, {}, {}))
+            assert gogfile._nesting_bound(table) < k + 150
+        # 6,000 "^-1" on wrapped lines cost only the longest line's length
+        text = serialize_gog(parse_gog_text(
+            "vertices:\n  v: {free: [x]}\nedges:\n  t:\n    origin: v\n    terminus: v\n"
+            "    group: {free: [c]}\n    fwd: {images: [%s]}\n    back: {images: [x]}\n"
+            % " ".join(["x^-1"] * 6000)
+        ))
+        assert gogfile._nesting_bound(text) < 150
+
+        def refuse(_):
+            raise AssertionError("read by PyYAML's parser")
+
+        monkeypatch.setattr(yaml, "safe_load", refuse)
+        assert serialize_gog(parse_gog_text(text)) == text
 
     def test_deep_nesting_does_not_crash_the_interpreter(self):
         # libyaml composes by C recursion and overflows the stack near
-        # 22,000 levels; such text must reach PyYAML's parser instead
+        # 22,000 levels; such text must reach PyYAML's parser instead,
+        # nested by flow brackets, compact block sequences or keys
         script = (
             "from gogroups.gogfile import parse_gog_text\n"
-            "try:\n"
-            "    parse_gog_text('provenance: ' + '[' * 100000 + ']' * 100000)\n"
-            "except Exception:\n"
-            "    pass\n"
+            "for text in ('provenance: ' + '[' * 100000 + ']' * 100000, '- ' * 30000 + 'x', '? ' * 30000):\n"
+            "    try:\n"
+            "        parse_gog_text(text)\n"
+            "    except Exception:\n"
+            "        pass\n"
         )
         src = str(pathlib.Path(gogfile.__file__).parent.parent)
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
