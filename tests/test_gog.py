@@ -1,7 +1,12 @@
+import difflib
+import functools
+import hashlib
+import pathlib
+
 import pytest
 
 import zoo
-from gogroups.errors import InvalidStructure
+from gogroups.errors import GogError, InvalidStructure
 from gogroups.gog import (
     DiagramClass,
     GraphOfGroups,
@@ -10,10 +15,12 @@ from gogroups.gog import (
     invert_word,
     pi1_presentation,
     presentation_to_text,
+    relator_to_text,
     validate_gog,
 )
 from gogroups.graph import AbstractGraph
-from gogroups.groups import FreeAbelian, Hom, cyclic_table
+from gogroups.groups import FreeAbelian, Hom, cyclic_table, dihedral_table, direct_product
+from gogroups.moves import decompose_along_edge
 from gogroups.quotients import InvariantFactors, abelianization, coset_enumeration
 
 
@@ -268,3 +275,45 @@ class TestLetterCollisions:
         )
         report = validate_gog(bigger)
         assert any("target differs" in v for v in report.violations)
+
+
+PI1_DIGESTS = pathlib.Path(__file__).parent / "golden" / "pi1-digests.txt"
+
+
+def one_vertex(group):
+    return GraphOfGroups.make(zoo._graph(["v"], []), {"v": group}, {}, {})
+
+
+def pi1_cases():
+    """(case id, graph) for every line of the pi1 digest file: one-vertex
+    cyclic, elementary abelian 2-group and dihedral tables, then every
+    abel-convert diagram (loop edges included)."""
+    for n in [*range(2, 41), 64, 96]:
+        yield f"Z/{n}", one_vertex(cyclic_table(n))
+    for k in range(1, 7):
+        yield f"(Z/2)^{k}", one_vertex(functools.reduce(direct_product, [cyclic_table(2)] * k))
+    for n in range(3, 9):
+        yield f"D{n}", one_vertex(dihedral_table(n))
+    yield from zoo.abel_cases()
+
+
+def pi1_digest_line(case, g):
+    """'<case>: <sha256>' over the pi1 text and, per orbit, the glue
+    relators of ``decompose_along_edge`` or the error class and text."""
+    parts = [presentation_to_text(pi1_presentation(g))]
+    for o in g.orbits():
+        try:
+            glue = decompose_along_edge(g, o).glue_relators
+        except GogError as exc:
+            parts.append(f"{o.plus}: {type(exc).__name__}: {exc}")
+        else:
+            parts.append(f"{o.plus}: " + " | ".join(map(relator_to_text, glue)))
+    return f"{case}: {hashlib.sha256(chr(10).join(parts).encode()).hexdigest()}"
+
+
+class TestPresentationDigests:
+    def test_pi1_digests(self):
+        expected = PI1_DIGESTS.read_text().splitlines()
+        got = [pi1_digest_line(case, g) for case, g in pi1_cases()]
+        changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
+        assert not changed, f"presentations differ from {PI1_DIGESTS.name}:\n" + "\n".join(changed)

@@ -443,23 +443,6 @@ class TestAbelianConversionRandomized:
 ABEL_DIGESTS = pathlib.Path(__file__).parent / "golden" / "abel-convert-digests.txt"
 
 
-def abel_cases():
-    """(case id, diagram) for every line of the abel-convert digest file:
-    seeded cyclic trees, pushouts, two-vertex and loop diagrams over
-    products of cyclic tables, and the elimination trees above."""
-    families = (
-        ("tree", 1, 8, lambda rng: zoo.random_cyclic_tree(rng, rng.randint(2, 3))),
-        ("pushout", 2, 30, zoo.random_pushout),
-        ("pair", 3, 30, zoo.random_product_diagram),
-        ("loop", 4, 30, lambda rng: zoo.random_product_diagram(rng, loop=True)),
-        ("elim", 4242, 30, lambda rng: zoo.random_elimination_tree(rng)[0]),
-    )
-    for name, seed, count, build in families:
-        rng = random.Random(seed)
-        for i in range(count):
-            yield f"{name}#{i}", build(rng)
-
-
 def abel_digest_line(case, d):
     """'<case>: <sha256 of the abel-converted graph's serialization>', or
     the error class and text when conversion refuses."""
@@ -473,7 +456,7 @@ def abel_digest_line(case, d):
 class TestAbelianConversionDigests:
     def test_abel_convert_digests(self):
         expected = ABEL_DIGESTS.read_text().splitlines()
-        got = [abel_digest_line(case, d) for case, d in abel_cases()]
+        got = [abel_digest_line(case, d) for case, d in zoo.abel_cases()]
         changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
         assert not changed, f"abel conversions differ from {ABEL_DIGESTS.name}:\n" + "\n".join(changed)
 
@@ -522,7 +505,7 @@ def abelian_inclusions(d):
 class TestAbelianImages:
     def test_coords_agree_with_the_basis_and_relator_solve(self):
         checked = 0
-        for case, d in abel_cases():
+        for case, d in zoo.abel_cases():
             for edge, vertex, rows, ambient in abelian_inclusions(d):
                 for b in edge.basis:
                     assert vertex.coords(b) == reference_coords(vertex, b, rows, ambient), case

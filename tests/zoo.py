@@ -6,6 +6,7 @@ at the end each take a ``random.Random`` and build one diagram from it.
 """
 
 import itertools
+import random
 
 from gogroups.graph import AbstractGraph
 from gogroups.gog import GraphOfGroups
@@ -448,3 +449,20 @@ def random_elimination_tree(rng):
         tree=frozenset(name for name, _, _ in half_edges),
     )
     return g, ranks["v0"]
+
+
+def abel_cases():
+    """(case id, diagram) for every line of the abel-convert digest file:
+    seeded cyclic trees, pushouts, two-vertex and loop diagrams over
+    products of cyclic tables, and the elimination trees above."""
+    families = (
+        ("tree", 1, 8, lambda rng: random_cyclic_tree(rng, rng.randint(2, 3))),
+        ("pushout", 2, 30, random_pushout),
+        ("pair", 3, 30, random_product_diagram),
+        ("loop", 4, 30, lambda rng: random_product_diagram(rng, loop=True)),
+        ("elim", 4242, 30, lambda rng: random_elimination_tree(rng)[0]),
+    )
+    for name, seed, count, build in families:
+        rng = random.Random(seed)
+        for i in range(count):
+            yield f"{name}#{i}", build(rng)
