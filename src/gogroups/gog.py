@@ -29,8 +29,9 @@ from .graph import (
     spanning_tree,
     validate_graph,
 )
+from .folding import free_inv, free_reduce
 from .groups import FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
-from .quotients import freely_reduce
+from .quotients import freely_reduce  # noqa: F401  (name-space reduction, re-exported)
 
 
 class DiagramClass(enum.Enum):
@@ -285,7 +286,7 @@ def presentation_letters(g: GraphOfGroups):
         counts[o.plus] = counts.get(o.plus, 0) + 1
 
     taken = set()
-    letters = []
+    vertex_letters, edge_letters = {}, {}
     for kind, owner, index, raw in plan:
         name = raw
         if kind == "vertex" and counts[raw] > 1:
@@ -293,26 +294,33 @@ def presentation_letters(g: GraphOfGroups):
         while name in taken:
             name = name + "'"
         taken.add(name)
-        letters.append(Letter(name=name, kind=kind, owner=owner, index=index))
-
-    vertex_letters = {}
-    edge_letters = {}
-    for letter in letters:
-        if letter.kind == "vertex":
-            vertex_letters.setdefault(letter.owner, []).append(letter)
+        letter = Letter(name=name, kind=kind, owner=owner, index=index)
+        if kind == "vertex":
+            vertex_letters.setdefault(owner, []).append(letter)
         else:
-            edge_letters[letter.owner] = letter
-    vertex_letters = {v: tuple(ls) for v, ls in vertex_letters.items()}
-    return vertex_letters, edge_letters
+            edge_letters[owner] = letter
+    return {v: tuple(ls) for v, ls in vertex_letters.items()}, edge_letters
+
+
+def _spell(group: GroupDesc, x, start: int = 0) -> tuple:
+    """``group.spell(x)`` with each generator number raised by ``start``."""
+    try:
+        word = group.spell(x)
+    except Exception as exc:  # three classes always spell; keep the contract visible
+        raise SpellingFailure(str(exc)) from exc
+    return tuple(s + start if s > 0 else s - start for s in word) if start else word
+
+
+def _named_words(letters, words) -> tuple:
+    """Free words over ``letters`` (+i is letters[i - 1]) as Words; equal words share one tuple."""
+    code = {s * i: (letter.name, s) for i, letter in enumerate(letters, 1) for s in (1, -1)}
+    named = {}
+    return tuple(named.get(w) or named.setdefault(w, tuple([code[s] for s in w])) for w in words)
 
 
 def spell_in_letters(group: GroupDesc, letters, x) -> Word:
     """Spell a vertex-group element as a word over that vertex's letters."""
-    try:
-        raw = group.spell(x)
-    except Exception as exc:  # three classes always spell; keep the contract visible
-        raise SpellingFailure(str(exc)) from exc
-    return tuple((letters[idx].name, sign) for idx, sign in raw)
+    return _named_words(letters, [_spell(group, x)])[0]
 
 
 def edge_relators(g: GraphOfGroups, plus: str, naming) -> tuple:
@@ -321,21 +329,18 @@ def edge_relators(g: GraphOfGroups, plus: str, naming) -> tuple:
     of ``naming`` (a (vertex_letters, edge_letters) pair); freely reduced,
     freely trivial ones dropped."""
     vertex_letters, edge_letters = naming
-    t = edge_letters[plus].name
     minus = g.graph.bar[plus]
     origin, terminus = g.graph.d0[plus], g.graph.d0[minus]
-    out = []
+    # letter 1 is t_e, then the terminus's letters, then the origin's (a loop's are the same)
+    letters = [edge_letters[plus], *vertex_letters.get(terminus, ())]
+    start = 1 if origin == terminus else len(letters)
+    letters[start:] = vertex_letters.get(origin, ())
+    words = []
     for c in g.egroup[plus].generators():
-        w_minus = spell_in_letters(
-            g.vgroup[terminus], vertex_letters.get(terminus, ()), g.emap[minus].apply(c)
-        )
-        w_plus = spell_in_letters(
-            g.vgroup[origin], vertex_letters.get(origin, ()), g.emap[plus].apply(c)
-        )
-        rel = freely_reduce(((t, 1),) + w_minus + ((t, -1),) + invert_word(w_plus))
-        if rel:
-            out.append(rel)
-    return tuple(out)
+        w_minus = _spell(g.vgroup[terminus], g.emap[minus].apply(c), 1)
+        w_plus = _spell(g.vgroup[origin], g.emap[plus].apply(c), start)
+        words.append(free_reduce((1,) + w_minus + (-1,) + free_inv(w_plus)))
+    return _named_words(letters, filter(None, words))
 
 
 def pi1_presentation(g: GraphOfGroups, naming=None) -> Presentation:
@@ -367,23 +372,19 @@ def _build_presentation(g: GraphOfGroups, naming) -> Presentation:
     generators.extend(edge_letters[plus] for plus in plus_ids)
 
     relators = []
-    # (i) vertex-group relators
+    # (i) vertex-group relators, built as free words over the vertex's letters
     for v in sorted(g.graph.vertices):
         group = g.vgroup[v]
         letters = vertex_letters.get(v, ())
+        words = ()  # free vertex groups impose no relators
         if isinstance(group, FreeAbelian):
-            pairs = combinations([l.name for l in letters], 2)
-            relators.extend(((a, 1), (b, 1), (a, -1), (b, -1)) for a, b in pairs)
+            words = [(a, b, -a, -b) for a, b in combinations(range(1, len(letters) + 1), 2)]
         elif isinstance(group, FiniteTable):
-            spelled = [spell_in_letters(group, letters, x) for x in group.elements()]
-            others = [x for x in group.elements() if x != group.id_index]
-            for x in others:
-                for y in others:
-                    xy = group.mul_table[x][y]
-                    rel = freely_reduce(spelled[x] + spelled[y] + invert_word(spelled[xy]))
-                    if rel:
-                        relators.append(rel)
-        # free vertex groups impose no relators
+            spelled = [_spell(group, x) for x in group.elements()]
+            inverse = [free_inv(w) for w in spelled]
+            words = [free_reduce(spelled[x] + spelled[y] + inverse[xy])
+                     for x, row in enumerate(group.mul_table) for y, xy in enumerate(row)]
+        relators.extend(_named_words(letters, filter(None, words)))  # drop freely trivial ones
 
     # (ii) edge relations, oriented along the plus half-edge
     for plus in plus_ids:

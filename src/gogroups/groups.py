@@ -66,7 +66,7 @@ class GroupDesc:
         raise NotImplementedError
 
     def spell(self, x) -> tuple:
-        """x as a sequence of (generator index, +-1) letters."""
+        """x as a reduced free word over ``generators()``: +i is the i-th, -i its inverse."""
         raise NotImplementedError
 
     def order(self):
@@ -122,10 +122,12 @@ class FreeAbelian(_RankedGroup):
 
     def spell(self, x):
         self.check(x)
-        out = []
-        for i, k in enumerate(x):
-            out.extend([(i, 1 if k > 0 else -1)] * abs(k))
-        return tuple(out)
+        return _exponent_word(x)
+
+
+def _exponent_word(vec) -> tuple:
+    """The free word x1^k1 x2^k2 ... of an exponent vector (k1, k2, ...)."""
+    return tuple(s for i, k in enumerate(vec, 1) for s in ((i if k > 0 else -i),) * abs(k))
 
 
 class FreeGroup(_RankedGroup):
@@ -154,7 +156,7 @@ class FreeGroup(_RankedGroup):
 
     def spell(self, x):
         self.check(x)
-        return tuple((abs(s) - 1, 1 if s > 0 else -1) for s in x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -374,12 +376,12 @@ def _ft_first_extension(table, candidates, prefix, closure, start, k):
 
 
 def _ft_words(table: FiniteTable, gens) -> dict:
-    """{element: shortest word over gens} for the subgroup gens generate,
-    by BFS; letters are (generator position, +-1), tried in that order."""
+    """{element: shortest free word over gens} for the subgroup gens
+    generate, by BFS; letters are tried in the order 1, -1, 2, -2, ..."""
     letters = []
-    for gi, g in enumerate(gens):
-        letters.append((g, (gi, 1)))
-        letters.append((table.inv_table[g], (gi, -1)))
+    for i, g in enumerate(gens, 1):
+        letters.append((g, i))
+        letters.append((table.inv_table[g], -i))
     words = {table.id_index: ()}
     queue = deque([table.id_index])
     while queue:
@@ -645,8 +647,8 @@ class Hom:
         mapping = []
         for x in src.elements():
             y = dst.id_index
-            for gi, sign in src.spell(x):
-                img = images[gi] if sign > 0 else dst.inv_table[images[gi]]
+            for s in src.spell(x):
+                img = images[s - 1] if s > 0 else dst.inv_table[images[-s - 1]]
                 y = dst.mul_table[y][img]
             mapping.append(y)
         return cls.table(src, dst, mapping)
@@ -676,8 +678,8 @@ class Hom:
             if self.src.rank:
                 return self.dst.power(self.data[0], x[0])
         acc = self.dst.identity()
-        for idx, sign in self.src.spell(x):
-            img = self.data[idx] if sign > 0 else self.dst.inv(self.data[idx])
+        for s in self.src.spell(x):
+            img = self.data[s - 1] if s > 0 else self.dst.inv(self.data[-s - 1])
             acc = self.dst.mul(acc, img)
         return acc
 
@@ -722,15 +724,12 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
             return MembershipAnswer(False)
         if isinstance(h.src, FreeAbelian):
             return MembershipAnswer(True, tuple(x))
-        word = []
-        for i, k in enumerate(x):
-            word.extend([(i + 1) * (1 if k > 0 else -1)] * abs(k))
-        return MembershipAnswer(True, tuple(word))
+        return MembershipAnswer(True, _exponent_word(x))
     # finite target
     w = h._witness.get(y)
     if w is None:
         return MembershipAnswer(False)
-    return MembershipAnswer(True, _letters_to_source_element(h, [(gi + 1) * s for gi, s in w]))
+    return MembershipAnswer(True, _letters_to_source_element(h, w))
 
 
 def _letters_to_source_element(h: Hom, letters):
