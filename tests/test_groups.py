@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zoo
 from gogroups.analysis import product_rank_family
@@ -32,6 +35,7 @@ from gogroups.groups import (
     parse_element,
     subgroup_table,
 )
+from gogroups.folding import free_reduce
 from gogroups.gogfile import hom_descriptor
 
 
@@ -677,3 +681,75 @@ class TestNielsenInverse:
         for w in [(1,), (2,), (1, 2, -1), (-2, 1, 1)]:
             assert hom_apply(hinv, hom_apply(h, w)) == w
             assert hom_apply(h, hom_apply(hinv, w)) == w
+
+
+# -- the spell contract, as a property -----------------------------------------
+
+# derandomized: every run draws the same examples
+SPELL_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+TABLE_FACTORS = [("Z", n, n) for n in range(1, 65)] + [("D", n, 2 * n) for n in range(1, 33)]
+
+
+@functools.lru_cache(maxsize=None)
+def factor_table(kind, n):
+    return cyclic_table(n) if kind == "Z" else dihedral_table(n)
+
+
+@st.composite
+def table_elements(draw):
+    """A cyclic, dihedral or product table of order <= 64, and one element."""
+    kind, n, order = draw(st.sampled_from(TABLE_FACTORS))
+    table = factor_table(kind, n)
+    if draw(st.booleans()):
+        other = draw(st.sampled_from([f for f in TABLE_FACTORS if f[2] * order <= 64]))
+        table = direct_product(table, factor_table(*other[:2]))
+    return table, draw(st.integers(0, table.order() - 1))
+
+
+@st.composite
+def free_abelian_elements(draw):
+    rank = draw(st.integers(0, 4))
+    return FreeAbelian(rank), tuple(draw(st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)))
+
+
+@st.composite
+def free_group_elements(draw):
+    rank = draw(st.integers(0, 3))
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    word = draw(st.lists(st.sampled_from(letters), max_size=30)) if letters else []
+    return FreeGroup(rank), free_reduce(word)
+
+
+class TestSpellContract:
+    """``spell(x)`` is a reduced free word over ``generators()`` (+i the
+    i-th generator, -i its inverse) whose product is x."""
+
+    @staticmethod
+    def check_spelling(group, x):
+        word = group.spell(x)
+        d = len(group.generators())
+        assert all(isinstance(s, int) and 1 <= abs(s) <= d for s in word), word
+        assert free_reduce(word) == word
+        acc = group.identity()
+        for s in word:
+            gen = group.generators()[abs(s) - 1]
+            acc = group.mul(acc, gen if s > 0 else group.inv(gen))
+        assert acc == x
+
+    @SPELL_SETTINGS
+    @given(free_abelian_elements())
+    def test_free_abelian(self, drawn):
+        self.check_spelling(*drawn)
+
+    @SPELL_SETTINGS
+    @given(free_group_elements())
+    def test_free_group_spells_itself(self, drawn):
+        group, x = drawn
+        assert group.spell(x) == x
+        self.check_spelling(group, x)
+
+    @SPELL_SETTINGS
+    @given(table_elements())
+    def test_finite_tables(self, drawn):
+        self.check_spelling(*drawn)
