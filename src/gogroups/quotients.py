@@ -273,8 +273,17 @@ class InvariantFactors:
 
 
 def exponent_matrix(presentation) -> IntMatrix:
-    """Relator exponent-sum matrix: one row per relator, one column per generator."""
-    return [word_exponent_vector(presentation, rel) for rel in presentation.relators]
+    """Relator exponent-sum matrix: one row per relator, one column per
+    generator.  Each distinct relator's row is computed once and copied
+    for its repeats."""
+    relators = presentation.relators
+    try:
+        rows = dict.fromkeys(relators)
+    except TypeError:  # an unhashable letter: word_exponent_vector names it
+        return [word_exponent_vector(presentation, rel) for rel in relators]
+    for rel in rows:
+        rows[rel] = word_exponent_vector(presentation, rel)
+    return [rows[rel].copy() for rel in relators]
 
 
 def abelianization(presentation) -> InvariantFactors:

@@ -264,6 +264,20 @@ class TestAbelianization:
             noisy = Presentation(base.generators, tuple(relators))
             assert abelianization(noisy) == expected
 
+    def test_exponent_rows_are_copied_per_relator(self):
+        p = pi1_presentation(one_vertex(dihedral_table(6)))
+        m = exponent_matrix(p)
+        assert m == [word_exponent_vector(p, rel) for rel in p.relators]
+        assert len(set(map(tuple, m))) < len({id(row) for row in m}) == len(m)
+
+    def test_one_vertex_z256_builds_and_abelianizes_in_budget(self):
+        # 65,025 spelled product relators; each distinct relator's row is computed once
+        start = time.perf_counter()
+        result = abelianization(pi1_presentation(one_vertex(cyclic_table(256, "g"))))
+        elapsed = time.perf_counter() - start
+        assert result == InvariantFactors((256,), 0)
+        assert elapsed < 2.5, elapsed
+
 
 # (graph, cosets_defined, first 16 hex digits of sha256(dump())), computed
 # before enumeration scanned each distinct relator once
