@@ -104,6 +104,12 @@ def _fail(path, message):
     raise GogParseError(message, path=path)
 
 
+def _sorted_keys(keys) -> list:
+    """Mapping keys in the order an error text lists them: by their text,
+    so that keys of mixed types (1 and "b") still sort."""
+    return sorted(keys, key=lambda k: (str(k), type(k).__name__))
+
+
 def _require_mapping(value, path):
     if not isinstance(value, dict):
         _fail(path, f"expected a mapping, got {type(value).__name__}")
@@ -145,7 +151,7 @@ def parse_group(desc, path):
     value = desc[kind]
     extras = set(desc) - {kind, "letter"}
     if extras:
-        _fail(path, f"unknown group keys {sorted(extras)}")
+        _fail(path, f"unknown group keys {_sorted_keys(extras)}")
     if kind in ("free_abelian", "free"):
         if isinstance(value, int) and not isinstance(value, bool):
             rank, names = value, None
@@ -299,10 +305,12 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
         if mark is not None:
             line = mark.line + 1
         raise GogParseError(f"not valid YAML: {exc}", path=path, line=line) from exc
+    except RecursionError:  # PyYAML's parser recurses once per nesting level
+        raise GogParseError("not valid YAML: nested too deeply", path=path) from None
     doc = _require_mapping(doc if doc is not None else {}, path)
     unknown = set(doc) - {"vertices", "edges", "base", "tree", "provenance"}
     if unknown:
-        _fail(path, f"unknown top-level keys {sorted(unknown)}")
+        _fail(path, f"unknown top-level keys {_sorted_keys(unknown)}")
     if "vertices" not in doc:
         _fail(path, "missing top-level key vertices")
 
@@ -329,7 +337,7 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
             _fail(where, f"missing keys {sorted(missing)}")
         extra = set(record) - {"origin", "terminus", "group", "fwd", "back"}
         if extra:
-            _fail(where, f"unknown keys {sorted(extra)}")
+            _fail(where, f"unknown keys {_sorted_keys(extra)}")
         origin = _name(record["origin"], f"{where}.origin")
         terminus = _name(record["terminus"], f"{where}.terminus")
         for v, key in ((origin, "origin"), (terminus, "terminus")):

@@ -365,6 +365,28 @@ class TestCommands:
             assert key in err and reason in err, err
             assert len(err) < len(str(path)) + 1000, err
 
+    def test_deep_nesting_and_mixed_type_keys_exit_two(self, capsys, tmp_path):
+        edge = ("vertices: {v: {cyclic: 2}}\nedges:\n  e: {origin: v, terminus: v, group: {cyclic: 1},"
+                " fwd: identity, back: identity, %s}\n")
+        cases = [
+            # past libyaml's depth guard PyYAML's parser recurses once a level
+            *((f"provenance: {'[' * k}{']' * k}\n", "]", "not valid YAML: nested too deeply")
+              for k in (5001, 100000)),
+            # unknown keys of mixed types are listed, not compared
+            ("vertices: {v: {cyclic: 2, 1: x, b: y}}\n", ".vertices.v]", "unknown group keys [1, 'b']"),
+            ("vertices: {v: {cyclic: 2}}\n1: a\nzz: b\n", "]", "unknown top-level keys [1, 'zz']"),
+            (edge % "1: a, z: b", ".edges.e]", "unknown keys [1, 'z']"),
+            # all-string keys keep their text
+            ("vertices: {v: {cyclic: 2, c: x, b: y}}\n", ".vertices.v]", "unknown group keys ['b', 'c']"),
+            (edge % "z: a, y: b", ".edges.e]", "unknown keys ['y', 'z']"),
+        ]
+        for i, (text, key, reason) in enumerate(cases):
+            path = tmp_path / f"bad{i}.gog"
+            path.write_text(text)
+            code, out, err = run(capsys, "validate", str(path))
+            assert (code, out) == (2, ""), text[:80]
+            assert err == f"parse error: [{path}{key} {reason}\n", err[-300:]
+
     def test_reduce_conjugated_free_images_within_budget(self, capsys, tmp_path):
         # fwd images p m_i p^-1 with an 18-letter p: the pinch needs a free
         # preimage that replaying a fold history took about 51 s to find
