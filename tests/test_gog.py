@@ -280,20 +280,16 @@ class TestLetterCollisions:
 PI1_DIGESTS = pathlib.Path(__file__).parent / "golden" / "pi1-digests.txt"
 
 
-def one_vertex(group):
-    return GraphOfGroups.make(zoo._graph(["v"], []), {"v": group}, {}, {})
-
-
 def pi1_cases():
     """(case id, graph) for every line of the pi1 digest file: one-vertex
     cyclic, elementary abelian 2-group and dihedral tables, then every
     abel-convert diagram (loop edges included)."""
     for n in [*range(2, 41), 64, 96]:
-        yield f"Z/{n}", one_vertex(cyclic_table(n))
+        yield f"Z/{n}", zoo.one_vertex(cyclic_table(n))
     for k in range(1, 7):
-        yield f"(Z/2)^{k}", one_vertex(functools.reduce(direct_product, [cyclic_table(2)] * k))
+        yield f"(Z/2)^{k}", zoo.one_vertex(functools.reduce(direct_product, [cyclic_table(2)] * k))
     for n in range(3, 9):
-        yield f"D{n}", one_vertex(dihedral_table(n))
+        yield f"D{n}", zoo.one_vertex(dihedral_table(n))
     yield from zoo.abel_cases()
 
 

@@ -12,8 +12,9 @@ import pytest
 
 import zoo
 import gogroups
+from zoo import one_vertex
 from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
-from gogroups.gog import GraphOfGroups, Letter, Presentation, pi1_presentation
+from gogroups.gog import Letter, Presentation, pi1_presentation
 from gogroups.groups import cyclic_table, dihedral_table
 from gogroups.quotients import (
     CosetTable,
@@ -33,10 +34,6 @@ from gogroups.quotients import (
 def pres(names, relators):
     gens = tuple(Letter(n, "vertex", "v", i) for i, n in enumerate(names))
     return Presentation(gens, tuple(tuple(r) for r in relators))
-
-
-def one_vertex(group):
-    return GraphOfGroups.make(zoo._graph(["v"], []), {"v": group}, {}, {})
 
 
 def mat_mul(a, b):
@@ -271,7 +268,7 @@ class TestAbelianization:
         assert len(set(map(tuple, m))) < len({id(row) for row in m}) == len(m)
 
     def test_one_vertex_z256_builds_and_abelianizes_in_budget(self):
-        # 65,025 spelled product relators; each distinct relator's row is computed once
+        # 16,384 product relators of 2 distinct words; each word's row is computed once
         start = time.perf_counter()
         result = abelianization(pi1_presentation(one_vertex(cyclic_table(256, "g"))))
         elapsed = time.perf_counter() - start

@@ -23,6 +23,11 @@ def _graph(vertices, half_edges):
     return AbstractGraph.make(vertices, bar, d0)
 
 
+def one_vertex(group):
+    """One vertex ``v`` with the given group and no edges."""
+    return GraphOfGroups.make(_graph(["v"], []), {"v": group}, {}, {})
+
+
 def hnn(vertex_group, edge_group, fwd, back, vertex="v", loop="t", base=None):
     """One vertex, one loop; relation t * back(c) * t^-1 = fwd(c)."""
     graph = _graph([vertex], [(loop, vertex, vertex)])
