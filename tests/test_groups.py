@@ -432,7 +432,7 @@ def test_hom_services_agree_on_every_zoo_edge_map():
     zoo edge map plus image homs into finite targets."""
     rng = random.Random(41)
     z6, s3 = cyclic_table(6), dihedral_table(3)
-    homs = [h for g in zoo.graphs() for h in g.emap.values()] + [
+    homs = [h for g in zoo.graphs() + zoo.edge_map_graphs() for h in g.emap.values()] + [
         Hom.images(FreeGroup(2), z6, [2, 3]),
         Hom.images(FreeGroup(2), z6, [2, 4]),
         Hom.images(FreeGroup(2), s3, [1, 3]),

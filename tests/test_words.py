@@ -1,5 +1,7 @@
 import dataclasses
+import difflib
 import gc
+import hashlib
 import pathlib
 import random
 import re
@@ -20,7 +22,16 @@ from gogroups.gog import (
     validate_gog,
 )
 from gogroups.gogfile import parse_gog
-from gogroups.groups import _ft_generating_set, cyclic_table, direct_product, hom_apply, hom_member
+from gogroups.groups import (
+    FiniteTable,
+    FreeAbelian,
+    FreeGroup,
+    _ft_generating_set,
+    cyclic_table,
+    direct_product,
+    hom_apply,
+    hom_member,
+)
 from gogroups.moves import QuotientOracle, convert_diagram
 from gogroups.words import (
     LoopWord,
@@ -511,10 +522,47 @@ def restart_reduce(g, w):
     return tuple(elements), tuple(edges), steps
 
 
+def substitute(h, x):
+    """h(x) by direct matrix product or letter substitution, reading only
+    ``h.data``: an image computed apart from the library's own."""
+    src, dst = h.src, h.dst
+    if isinstance(src, FiniteTable):
+        return h.data[x]
+    if isinstance(src, FreeAbelian) and isinstance(dst, FreeAbelian):
+        return tuple(sum(x[j] * h.data[j][i] for j in range(src.rank)) for i in range(dst.rank))
+    if isinstance(src, FreeGroup):
+        letters = list(x)
+    else:  # free abelian of rank <= 1
+        k = x[0] if x else 0
+        letters = [1 if k > 0 else -1] * abs(k)
+    if isinstance(dst, FreeAbelian):
+        acc = [0] * dst.rank
+        for s in letters:
+            for i, a in enumerate(h.data[abs(s) - 1]):
+                acc[i] += a if s > 0 else -a
+        return tuple(acc)
+    if isinstance(dst, FreeGroup):
+        out = []
+        for s in letters:
+            image = h.data[s - 1] if s > 0 else [-t for t in reversed(h.data[-s - 1])]
+            for t in image:
+                if out and out[-1] == -t:
+                    out.pop()
+                else:
+                    out.append(t)
+        return tuple(out)
+    acc = dst.id_index
+    for s in letters:
+        image = h.data[s - 1] if s > 0 else dst.inv_table[h.data[-s - 1]]
+        acc = dst.mul_table[acc][image]
+    return acc
+
+
 def test_one_pass_reduce_matches_restart_oracle():
     rng = random.Random(31)
     checked = 0
     reducible = [g for g in zoo.graphs() if classify(g) is DiagramClass.GRAPH_OF_GROUPS]
+    reducible += zoo.edge_map_graphs()
     pushout = parse_gog(str(pathlib.Path(__file__).parent / "fixtures" / "pushout46.gog"))
     stored = [zoo.rebased(g) for g in reducible]
     converted = convert_diagram(pushout, QuotientOracle.finite_enumeration(5000))
@@ -531,10 +579,15 @@ def test_one_pass_reduce_matches_restart_oracle():
             form, steps = reduce(g, w, collect_steps=True)
             elements, edges, oracle_steps = restart_reduce(g, w)
             assert steps == oracle_steps
+            # each step on its own: the preimage maps onto the middle, and
+            # the substituted element is its image on the other side
+            for _pos, e, middle, preimage, substituted in steps:
+                assert substitute(g.emap[g.graph.bar[e]], preimage) == middle
+                assert substitute(g.emap[e], preimage) == substituted
             assert (form.word.elements, form.word.edges) == (elements, edges)
             assert form.word.base == w.base
             checked += 1
-    assert checked > 600
+    assert checked > 900
 
 
 def test_long_torus_word_is_linear():
@@ -551,3 +604,80 @@ def test_long_torus_word_is_linear():
     assert len(w) == 2 * L and len(steps) == L
     assert len(form.word) == 0 and g.vgroup[g.base].is_identity(form.word.elements[0])
     assert elapsed < 2.0, f"expand + reduce took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# pinned pinch steps
+
+
+PINCH_DIGESTS = pathlib.Path(__file__).parent / "golden" / "pinch-steps-digests.txt"
+
+
+def seeded_words(g, rng, count=60):
+    """Letter words of up to 12 letters; every third is r c r^-1, whose
+    pinches cascade from c."""
+    pres = pi1_presentation(g)
+    letters = [(l.name, s) for l in pres.generators for s in (1, -1)]
+    for k in range(count):
+        r = [rng.choice(letters) for _ in range(rng.randint(0, 12))]
+        c = [rng.choice(letters) for _ in range(rng.randint(0, 2))]
+        tokens = r if k % 3 else r + c + [(n, -s) for n, s in reversed(r)]
+        yield word_from_presentation_letters(g, tokens, pres=pres)
+
+
+def long_word_shapes(rng):
+    """(label, graph, tokens): r r^-1, r c r^-1 and, on the one-vertex
+    graphs, t^L a t^-L a^-1, where r has no pinch of its own (t keeps one
+    sign between a^+-1; x^+-1 alternates with y^+-1 on the amalgams)."""
+    graphs = {"torus": (zoo.torus(), "a", (250, 1000)), "klein": (zoo.klein(), "a", (250, 1000)),
+              "trefoil": (zoo.trefoil(), "x", (100, 300)),
+              "amalgam-2-3": (zoo.amalgam23(), "x", (100, 300))}
+    for name, (g, c, lengths) in graphs.items():
+        for half in lengths:
+            if c == "a":
+                sign = rng.choice((1, -1))
+                r = [l for _ in range(half // 2) for l in (("t", sign), ("a", rng.choice((1, -1))))]
+            else:
+                first, second = rng.sample(["x", "y"], 2)
+                r = [(n, rng.choice((1, -1))) for _ in range(half // 2) for n in (first, second)]
+            inverse = [(n, -s) for n, s in reversed(r)]
+            yield f"{name} r.r^-1 L={half}", g, r + inverse
+            yield f"{name} r.c.r^-1 L={half}", g, r + [(c, 1)] + inverse
+            if c == "a":
+                power = half + rng.randint(0, 1)
+                word = [("t", 1)] * power + [("a", 1)] + [("t", -1)] * power + [("a", -1)]
+                yield f"{name} t^L.a.t^-L.a^-1 L={power}", g, word
+
+
+def pinch_digest(g, words):
+    """sha256 over each word's pinch steps and pinch-free form."""
+    digest = hashlib.sha256()
+    for w in words:
+        form, steps = reduce(g, w, collect_steps=True)
+        digest.update(repr((form.word.base, form.word.elements, form.word.edges, steps)).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def pinch_digest_lines():
+    lines = []
+    rng = random.Random(1717)
+    named = [(f"graphs()[{i}]", g) for i, g in enumerate(zoo.graphs())]
+    named += [(f"edge_map_graphs()[{i}]", g) for i, g in enumerate(zoo.edge_map_graphs())]
+    for name, g in named:
+        if classify(g) is not DiagramClass.GRAPH_OF_GROUPS:
+            continue
+        lines.append(f"{name}: {pinch_digest(g, seeded_words(g, rng))}")
+        stored = zoo.rebased(g)
+        lines.append(f"{name} rebased: {pinch_digest(stored, seeded_words(stored, rng))}")
+    for label, g, tokens in long_word_shapes(rng):
+        word = word_from_presentation_letters(g, tokens, pres=pi1_presentation(g))
+        lines.append(f"{label}: {pinch_digest(g, [word])}")
+    return lines
+
+
+def test_pinch_steps_match_their_digests():
+    expected = PINCH_DIGESTS.read_text().splitlines()
+    got = pinch_digest_lines()
+    changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
+    assert not changed, f"pinch steps differ from {PINCH_DIGESTS.name}:\n" + "\n".join(changed)

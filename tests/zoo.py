@@ -289,8 +289,94 @@ def torus_whisker(back_matrix=None):
     )
 
 
+def lattice_hnn():
+    """Z^3 HNN along Z^2: t (p + q, p - q, 0) t^-1 = (p + q, 2q, p + 3q).
+    Both maps have Smith diagonal (1, 2), neither square nor unimodular, so
+    some middles are outside the image on either side."""
+    z3 = FreeAbelian(3, ("a", "b", "c"))
+    z2 = FreeAbelian(2, ("p", "q"))
+    return hnn(
+        z3,
+        z2,
+        Hom.matrix(z2, z3, [[1, 1], [0, 2], [1, 3]]),
+        Hom.matrix(z2, z3, [[1, 1], [1, -1], [0, 0]]),
+    )
+
+
+def folded_hnn():
+    """F3 HNN along F2: t (a, b c b^-1) t^-1 = (a b, a c).  Both image
+    subgroups fold: a b and a c share their first edge, and b c b^-1 its
+    first and last, so folding merges vertices of the wedge."""
+    free3 = FreeGroup(3, ("a", "b", "c"))
+    free2 = FreeGroup(2, ("p", "q"))
+    return hnn(
+        free3,
+        free2,
+        Hom.images(free2, free3, [(1, 2), (1, 3)]),
+        Hom.images(free2, free3, [(1,), (2, 3, -2)]),
+    )
+
+
+def cyclic_into_free():
+    """F2 HNN along Z: t a t^-1 = a b."""
+    free2 = FreeGroup(2, ("a", "b"))
+    zc = FreeAbelian(1, ("c",))
+    return hnn(free2, zc, Hom.images(zc, free2, [(1, 2)]), Hom.images(zc, free2, [(1,)]))
+
+
+def free_edge_amalgam():
+    """Z (x) and F1 (y) amalgamated along F1: c -> x^2 and c -> y^3, the
+    trefoil group once more, with a free edge group mapping into Z."""
+    zu = FreeAbelian(1, ("x",))
+    fv = FreeGroup(1, ("y",))
+    fc = FreeGroup(1, ("c",))
+    graph = _graph(["u", "v"], [("e", "u", "v")])
+    return GraphOfGroups.make(
+        graph,
+        {"u": zu, "v": fv},
+        {"e": fc},
+        {"e": Hom.images(fc, zu, [(2,)]), "e^-1": Hom.images(fc, fv, [(1, 1, 1)])},
+    )
+
+
+def rank_zero_edges():
+    """Z^2 (u) and F2 (v) joined by an F0 edge, plus a Z^0 loop at u:
+    pi1 = Z^2 * F2 * Z."""
+    z2 = FreeAbelian(2, ("a", "b"))
+    free2 = FreeGroup(2, ("x", "y"))
+    f0, z0 = FreeGroup(0), FreeAbelian(0)
+    graph = _graph(["u", "v"], [("e", "u", "v"), ("t", "u", "u")])
+    loop = Hom.matrix(z0, z2, [[], []])
+    return GraphOfGroups.make(
+        graph,
+        {"u": z2, "v": free2},
+        {"e": f0, "t": z0},
+        {
+            "e": Hom.images(f0, z2, []),
+            "e^-1": Hom.images(f0, free2, []),
+            "t": loop,
+            "t^-1": loop,
+        },
+    )
+
+
+def edge_map_graphs():
+    """Reducible graphs whose edge maps cover the class pairs ``graphs()``
+    leaves out: Z^2 -> Z^3 (Smith diagonal (1, 2)), F2 -> F3 with folds,
+    Z -> F2, F1 -> Z and rank-0 edge groups.  Kept apart from ``graphs()``,
+    on whose order the pinch-step digests depend."""
+    return [
+        lattice_hnn(),
+        folded_hnn(),
+        cyclic_into_free(),
+        free_edge_amalgam(),
+        rank_zero_edges(),
+    ]
+
+
 def graphs():
-    """Every construction above, once (dyadic at k = 2..5)."""
+    """Every construction above, once (dyadic at k = 2..5), except
+    ``edge_map_graphs()``."""
     return [
         torus(),
         klein(),
