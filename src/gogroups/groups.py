@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, mul
 
 from . import quotients
 from .errors import ShapeMismatch, UnsupportedHom
@@ -539,12 +539,23 @@ class Hom:
     ``Hom.matrix`` takes a free abelian map as dst.rank rows of src.rank
     ints, the file format's form, and stores its columns.
 
-    The image structure is derived on first use and kept: the certified
-    Smith normal form of the image lattice (``_snf``) for free abelian
-    targets, the Stallings-folded image subgroup (``_fold``) for free
-    targets, shortest words over the images (``_witness``) for finite
-    targets of infinite sources, and least preimages (``_first_preimage``)
-    for table homs.
+    The image structure is derived on first use and kept: the image
+    matrix (``_matrix``) and the certified Smith normal form of its
+    lattice (``_snf``) for free abelian targets, the Stallings-folded image
+    subgroup (``_fold``) for free targets, shortest words over the images
+    (``_witness``) for finite targets of infinite sources, and least
+    preimages (``_first_preimage``) for table homs.
+
+    From these each hom compiles, once, one unchecked core per direction
+    for its class pair: ``_image(x)``, the image of a source element, and
+    ``_preimage(y)``, a source element mapping onto y or None.  They check
+    nothing: ``apply`` and ``hom_member`` check at the boundary and call
+    them, and the pinch kernel of ``words`` calls them on elements checked
+    at a word's entry.  A free abelian target solves through the Smith
+    form's U rows, diagonal and V columns as row tuples
+    (``_lattice_solver``).  A free target reads preimages off the folded
+    graph and reduces the concatenated generator images once per image,
+    so both of its cores are linear in the word.
     """
 
     src: GroupDesc
@@ -585,10 +596,15 @@ class Hom:
         object.__setattr__(self, "data", data)
 
     @cached_property
+    def _matrix(self) -> tuple:
+        """Free abelian targets: the rows of the matrix whose columns are
+        the generator images."""
+        return tuple(tuple(y[i] for y in self.data) for i in range(self.dst.rank))
+
+    @cached_property
     def _snf(self) -> quotients.SmithForm:
-        """Free abelian targets: the certified Smith form of the matrix
-        whose columns are the generator images."""
-        return quotients.SmithForm([[y[i] for y in self.data] for i in range(self.dst.rank)])
+        """Free abelian targets: the certified Smith form of ``_matrix``."""
+        return quotients.SmithForm(self._matrix)
 
     @cached_property
     def _fold(self) -> FoldedSubgroup:
@@ -608,6 +624,110 @@ class Hom:
         for i, y in enumerate(self.data):
             first.setdefault(y, i)
         return first
+
+    def _lattice_solver(self, rows):
+        """Free abelian targets of positive rank: ``_snf.solve`` compiled.
+        Returns y -> ``rows`` @ x, x = V @ z the solution ``solve`` gives,
+        or None when y is outside the image.  z vanishes off the nonzero
+        diagonal, so only those columns of V are kept, and each row (one
+        int per source generator) is multiplied into them once."""
+        snf = self._snf
+        u, v, d = snf.u, snf.v, snf.diagonal
+        pivots = [i for i in range(len(d)) if d[i]]
+        # row i of D z = U y reads d_i z_i = (U y)_i, with d_i = 0 off the pivots
+        vanishing = tuple(tuple(u[i]) for i in range(snf.rows) if i not in pivots)
+        scaled = tuple((tuple(u[i]), d[i]) for i in pivots)
+        folded = tuple(
+            tuple(sum(r[k] * v[k][j] for k in range(snf.cols)) for j in pivots) for r in rows
+        )
+
+        def solve(y):
+            for row in vanishing:
+                if sum(map(mul, row, y)):
+                    return None
+            z = []
+            for row, dk in scaled:
+                q, r = divmod(sum(map(mul, row, y)), dk)
+                if r:
+                    return None
+                z.append(q)
+            return tuple([sum(map(mul, row, z)) for row in folded])
+
+        return solve
+
+    @cached_property
+    def _image(self):
+        """The image core: x -> h(x), for x already known to lie in ``src``."""
+        src, dst, data = self.src, self.dst, self.data
+        if isinstance(src, FiniteTable):
+            return data.__getitem__
+        if isinstance(dst, FreeAbelian):
+            rows = self._matrix
+            if isinstance(src, FreeAbelian):
+                return lambda x: tuple([sum(map(mul, row, x)) for row in rows])
+
+            def image(x):
+                exponents = [0] * src.rank
+                for s in x:
+                    if s > 0:
+                        exponents[s - 1] += 1
+                    else:
+                        exponents[-s - 1] -= 1
+                return tuple([sum(map(mul, row, exponents)) for row in rows])
+
+            return image
+        if isinstance(src, FreeAbelian):  # rank <= 1 onto a free or finite target
+            if not src.rank:
+                identity = dst.identity()
+                return lambda x: identity
+            if isinstance(dst, FreeGroup):
+                w, w_inv = data[0], free_inv(data[0])
+                return lambda x: free_reduce((w if x[0] > 0 else w_inv) * abs(x[0]))
+            return lambda x: dst.power(data[0], x[0])
+        images = {i: y for i, y in enumerate(data, 1)}
+        if isinstance(dst, FreeGroup):
+            images.update((-i, free_inv(y)) for i, y in enumerate(data, 1))
+            return lambda x: free_reduce([s for letter in x for s in images[letter]])
+        # finite target
+        images.update((-i, dst.inv_table[y]) for i, y in enumerate(data, 1))
+        table, identity = dst.mul_table, dst.id_index
+
+        def image(x):
+            acc = identity
+            for s in x:
+                acc = table[acc][images[s]]
+            return acc
+
+        return image
+
+    @cached_property
+    def _preimage(self):
+        """The membership core: y -> a source element mapping onto y, or
+        None when y is outside the image, for y already known to lie in
+        ``dst``."""
+        src, dst = self.src, self.dst
+        if isinstance(dst, FreeAbelian) and dst.rank == 0:
+            identity = src.identity()
+            return lambda y: identity
+        if isinstance(src, FiniteTable):
+            return self._first_preimage.get
+        if isinstance(dst, FreeAbelian):
+            solve = self._lattice_solver(FreeAbelian(src.rank).generators())
+            if isinstance(src, FreeAbelian):
+                return solve
+
+            def preimage(y):
+                x = solve(y)
+                return None if x is None else _exponent_word(x)
+
+            return preimage
+        words = self._fold.preimage if isinstance(dst, FreeGroup) else self._witness.get
+
+        def preimage(y):
+            w = words(y)
+            return None if w is None else _letters_to_source_element(src, w)
+
+        return preimage
 
     # -- constructors -----------------------------------------------------
 
@@ -668,20 +788,7 @@ class Hom:
 
     def apply(self, x):
         self.src.check(x)
-        if isinstance(self.src, FiniteTable):
-            return self.data[x]
-        if isinstance(self.src, FreeAbelian):
-            if isinstance(self.dst, FreeAbelian):
-                return tuple(
-                    sum(k * y[i] for k, y in zip(x, self.data)) for i in range(self.dst.rank)
-                )
-            if self.src.rank:
-                return self.dst.power(self.data[0], x[0])
-        acc = self.dst.identity()
-        for s in self.src.spell(x):
-            img = self.data[s - 1] if s > 0 else self.dst.inv(self.data[-s - 1])
-            acc = self.dst.mul(acc, img)
-        return acc
+        return self._image(x)
 
 
 def hom_apply(h: Hom, x):
@@ -708,36 +815,16 @@ def hom_is_injective(h: Hom) -> bool:
 def hom_member(h: Hom, y) -> MembershipAnswer:
     """Decide y in im(h); on success the preimage maps onto y exactly."""
     h.dst.check(y)
-    if isinstance(h.dst, FreeAbelian) and h.dst.rank == 0:
-        return MembershipAnswer(True, h.src.identity())
-    if isinstance(h.src, FiniteTable):
-        i = h._first_preimage.get(y)
-        return MembershipAnswer(False) if i is None else MembershipAnswer(True, i)
-    if isinstance(h.dst, FreeGroup):
-        w = h._fold.preimage(y)
-        if w is None:
-            return MembershipAnswer(False)
-        return MembershipAnswer(True, _letters_to_source_element(h, w))
-    if isinstance(h.dst, FreeAbelian):
-        x = h._snf.solve(y)
-        if x is None:
-            return MembershipAnswer(False)
-        if isinstance(h.src, FreeAbelian):
-            return MembershipAnswer(True, tuple(x))
-        return MembershipAnswer(True, _exponent_word(x))
-    # finite target
-    w = h._witness.get(y)
-    if w is None:
-        return MembershipAnswer(False)
-    return MembershipAnswer(True, _letters_to_source_element(h, w))
+    x = h._preimage(y)
+    return MembershipAnswer(False) if x is None else MembershipAnswer(True, x)
 
 
-def _letters_to_source_element(h: Hom, letters):
-    """Package a generator-letter word as a source element."""
-    if isinstance(h.src, FreeGroup):
+def _letters_to_source_element(src: GroupDesc, letters):
+    """Package a generator-letter word as an element of ``src``."""
+    if isinstance(src, FreeGroup):
         return free_reduce(tuple(letters))
     # free abelian rank <= 1 source
-    if h.src.rank == 0:
+    if src.rank == 0:
         return ()
     return (sum(1 if s > 0 else -1 for s in letters),)
 

@@ -32,8 +32,6 @@ from .groups import (
     FiniteTable,
     FreeAbelian,
     format_element,
-    hom_apply,
-    hom_member,
     parse_element,
     split_inverse,
 )
@@ -71,11 +69,15 @@ class ReductionKernel:
     their groups.  Per half-edge: its (origin, terminus), and ``pinch[e]``,
     which maps the middle element g of a subword e g bar(e) to
     (preimage under f_bar(e), its image under f_e), or to None when g is
-    outside the image of f_bar(e).  For table homs that lookup is one
-    precomputed dict; for every other hom it asks ``hom_member`` and
-    ``hom_apply``.  Per letter, filled only by letter expansion, so raw
-    syllables never name letters: ``loops[name, sign]`` = (first element,
-    later elements, edges), the graph's one letter-loop table.
+    outside the image of f_bar(e).  Every half-edge's lookup is compiled
+    once and checks nothing: for table homs it is one precomputed dict;
+    for Z^m -> Z^n maps on both sides, one lattice solve of f_bar(e) whose
+    V columns carry the matrix of f_e; otherwise it composes the unchecked
+    cores ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores
+    that ``hom_member`` and ``hom_apply`` call after their checks.
+    Per letter, filled only by letter expansion, so raw syllables never
+    name letters: ``loops[name, sign]`` = (first element, later elements,
+    edges), the graph's one letter-loop table.
     """
 
     __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
@@ -106,10 +108,24 @@ def _pinch_lookup(inner, outer):
     """middle -> (preimage under ``inner``, its image under ``outer``) | None."""
     if isinstance(inner.src, FiniteTable):
         return {y: (i, outer.data[i]) for y, i in inner._first_preimage.items()}.get
+    if isinstance(inner.src, FreeAbelian) and isinstance(outer.dst, FreeAbelian) and (
+        isinstance(inner.dst, FreeAbelian) and inner.dst.rank
+    ):
+        # Z^m -> Z^n on both sides: the outer matrix is folded into V, so
+        # preimage and substituted element come out of one solve
+        m = inner.src.rank
+        solve = inner._lattice_solver(inner.src.generators() + outer._matrix)
+
+        def lattice_lookup(middle):
+            x = solve(middle)
+            return None if x is None else (x[:m], x[m:])
+
+        return lattice_lookup
+    preimage, image = inner._preimage, outer._image
 
     def lookup(middle):
-        answer = hom_member(inner, middle)
-        return (answer.preimage, hom_apply(outer, answer.preimage)) if answer.inside else None
+        x = preimage(middle)
+        return None if x is None else (x, image(x))
 
     return lookup
 

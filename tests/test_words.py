@@ -606,6 +606,34 @@ def test_long_torus_word_is_linear():
     assert elapsed < 2.0, f"expand + reduce took {elapsed:.2f} s"
 
 
+def test_long_trefoil_pinch_is_linear():
+    # e y^6000 e^-1 pinches to x^4000 through c^2000: a checked product per
+    # letter of the image took 1.28 s; compiled cores take linear time
+    g = zoo.trefoil()
+    n = 6000
+    w = LoopWord("u", ((), (1,) * n, ()), ("e", "e^-1"))
+    start = time.perf_counter()
+    form, steps = reduce(g, w, collect_steps=True)
+    elapsed = time.perf_counter() - start
+    assert steps == [(0, "e", (1,) * n, (1,) * (n // 3), (1,) * (2 * n // 3))]
+    assert form.word == LoopWord("u", ((1,) * (2 * n // 3),), ())
+    assert elapsed < 0.1, f"reduce took {elapsed:.3f} s"
+    # seeded powers, against letter substitution
+    rng = random.Random(6000)
+    for _ in range(40):
+        k = rng.randint(-300, 300)
+        middle = (1 if k > 0 else -1,) * abs(k)
+        for e in ("e", "e^-1"):
+            w = LoopWord(g.graph.d0[e], ((), middle, ()), (e, g.graph.bar[e]))
+            _, steps = reduce(g, w, collect_steps=True)
+            if k % (3 if e == "e" else 2):
+                assert steps == []
+                continue
+            [(_, _, _, preimage, substituted)] = steps
+            assert substitute(g.emap[g.graph.bar[e]], preimage) == middle
+            assert substitute(g.emap[e], preimage) == substituted
+
+
 # ---------------------------------------------------------------------------
 # pinned pinch steps
 
