@@ -626,7 +626,7 @@ class Hom:
         return first
 
     def _lattice_solver(self, rows):
-        """Free abelian targets of positive rank: ``_snf.solve`` compiled.
+        """Free abelian targets: ``_snf.solve`` compiled.
         Returns y -> ``rows`` @ x, x = V @ z the solution ``solve`` gives,
         or None when y is outside the image.  z vanishes off the nonzero
         diagonal, so only those columns of V are kept, and each row (one
@@ -706,9 +706,6 @@ class Hom:
         None when y is outside the image, for y already known to lie in
         ``dst``."""
         src, dst = self.src, self.dst
-        if isinstance(dst, FreeAbelian) and dst.rank == 0:
-            identity = src.identity()
-            return lambda y: identity
         if isinstance(src, FiniteTable):
             return self._first_preimage.get
         if isinstance(dst, FreeAbelian):

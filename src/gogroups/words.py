@@ -108,9 +108,7 @@ def _pinch_lookup(inner, outer):
     """middle -> (preimage under ``inner``, its image under ``outer``) | None."""
     if isinstance(inner.src, FiniteTable):
         return {y: (i, outer.data[i]) for y, i in inner._first_preimage.items()}.get
-    if isinstance(inner.src, FreeAbelian) and isinstance(outer.dst, FreeAbelian) and (
-        isinstance(inner.dst, FreeAbelian) and inner.dst.rank
-    ):
+    if all(isinstance(group, FreeAbelian) for group in (inner.src, inner.dst, outer.dst)):
         # Z^m -> Z^n on both sides: the outer matrix is folded into V, so
         # preimage and substituted element come out of one solve
         m = inner.src.rank

@@ -608,7 +608,7 @@ def test_long_torus_word_is_linear():
 
 def test_long_trefoil_pinch_is_linear():
     # e y^6000 e^-1 pinches to x^4000 through c^2000: a checked product per
-    # letter of the image took 1.28 s; compiled cores take linear time
+    # letter of the image took about 1.1 s; compiled cores take linear time
     g = zoo.trefoil()
     n = 6000
     w = LoopWord("u", ((), (1,) * n, ()), ("e", "e^-1"))
@@ -641,12 +641,12 @@ def test_long_trefoil_pinch_is_linear():
 PINCH_DIGESTS = pathlib.Path(__file__).parent / "golden" / "pinch-steps-digests.txt"
 
 
-def seeded_words(g, rng, count=60):
-    """Letter words of up to 12 letters; every third is r c r^-1, whose
+def seeded_words(g, rng):
+    """Sixty letter words of up to 12 letters; every third is r c r^-1, whose
     pinches cascade from c."""
     pres = pi1_presentation(g)
     letters = [(l.name, s) for l in pres.generators for s in (1, -1)]
-    for k in range(count):
+    for k in range(60):
         r = [rng.choice(letters) for _ in range(rng.randint(0, 12))]
         c = [rng.choice(letters) for _ in range(rng.randint(0, 2))]
         tokens = r if k % 3 else r + c + [(n, -s) for n, s in reversed(r)]
