@@ -552,8 +552,7 @@ class Hom:
     nothing: ``apply`` and ``hom_member`` check at the boundary and call
     them, and the pinch kernel of ``words`` calls them on elements checked
     at a word's entry.  A free abelian target solves through the Smith
-    form's U rows, diagonal and V columns as row tuples
-    (``_lattice_solver``).  A free target reads preimages off the folded
+    form's compiled solver (``SmithForm.solver``).  A free target reads preimages off the folded
     graph and reduces the concatenated generator images once per image,
     so both of its cores are linear in the word.
     """
@@ -625,36 +624,6 @@ class Hom:
             first.setdefault(y, i)
         return first
 
-    def _lattice_solver(self, rows):
-        """Free abelian targets: ``_snf.solve`` compiled.
-        Returns y -> ``rows`` @ x, x = V @ z the solution ``solve`` gives,
-        or None when y is outside the image.  z vanishes off the nonzero
-        diagonal, so only those columns of V are kept, and each row (one
-        int per source generator) is multiplied into them once."""
-        snf = self._snf
-        u, v, d = snf.u, snf.v, snf.diagonal
-        pivots = [i for i in range(len(d)) if d[i]]
-        # row i of D z = U y reads d_i z_i = (U y)_i, with d_i = 0 off the pivots
-        vanishing = tuple(tuple(u[i]) for i in range(snf.rows) if i not in pivots)
-        scaled = tuple((tuple(u[i]), d[i]) for i in pivots)
-        folded = tuple(
-            tuple(sum(r[k] * v[k][j] for k in range(snf.cols)) for j in pivots) for r in rows
-        )
-
-        def solve(y):
-            for row in vanishing:
-                if sum(map(mul, row, y)):
-                    return None
-            z = []
-            for row, dk in scaled:
-                q, r = divmod(sum(map(mul, row, y)), dk)
-                if r:
-                    return None
-                z.append(q)
-            return tuple([sum(map(mul, row, z)) for row in folded])
-
-        return solve
-
     @cached_property
     def _image(self):
         """The image core: x -> h(x), for x already known to lie in ``src``."""
@@ -676,28 +645,28 @@ class Hom:
                 return tuple([sum(map(mul, row, exponents)) for row in rows])
 
             return image
-        if isinstance(src, FreeAbelian):  # rank <= 1 onto a free or finite target
-            if not src.rank:
-                identity = dst.identity()
-                return lambda x: identity
-            if isinstance(dst, FreeGroup):
-                w, w_inv = data[0], free_inv(data[0])
-                return lambda x: free_reduce((w if x[0] > 0 else w_inv) * abs(x[0]))
+        if isinstance(src, FreeAbelian) and src.rank and isinstance(dst, FiniteTable):
+            # Z onto a finite target: by repeated squaring, not letter by letter
             return lambda x: dst.power(data[0], x[0])
         images = {i: y for i, y in enumerate(data, 1)}
         if isinstance(dst, FreeGroup):
             images.update((-i, free_inv(y)) for i, y in enumerate(data, 1))
-            return lambda x: free_reduce([s for letter in x for s in images[letter]])
-        # finite target
-        images.update((-i, dst.inv_table[y]) for i, y in enumerate(data, 1))
-        table, identity = dst.mul_table, dst.id_index
 
-        def image(x):
-            acc = identity
-            for s in x:
-                acc = table[acc][images[s]]
-            return acc
+            def image(x):
+                return free_reduce([s for letter in x for s in images[letter]])
 
+        else:  # finite target
+            images.update((-i, dst.inv_table[y]) for i, y in enumerate(data, 1))
+            table, identity = dst.mul_table, dst.id_index
+
+            def image(x):
+                acc = identity
+                for s in x:
+                    acc = table[acc][images[s]]
+                return acc
+
+        if isinstance(src, FreeAbelian):  # rank <= 1: x is the exponent word x1^k
+            return lambda x: image(_exponent_word(x))
         return image
 
     @cached_property
@@ -709,7 +678,7 @@ class Hom:
         if isinstance(src, FiniteTable):
             return self._first_preimage.get
         if isinstance(dst, FreeAbelian):
-            solve = self._lattice_solver(FreeAbelian(src.rank).generators())
+            solve = self._snf.solver()
             if isinstance(src, FreeAbelian):
                 return solve
 

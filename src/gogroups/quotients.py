@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import CapExceeded, OracleIncomplete
 
@@ -229,6 +230,32 @@ class SmithForm:
         or None when unsolvable."""
         z = self.scaled(y)
         return None if z is None else mat_vec(self.v, z)
+
+    def solver(self):
+        """``solve`` compiled, without its shape check: y -> the tuple of
+        ``solve(y)``, or None when unsolvable.  z vanishes off the nonzero
+        diagonal, so only U's rows and V's columns at the pivots are kept,
+        as row tuples."""
+        u, v, d = self.u, self.v, self.diagonal
+        pivots = [i for i in range(len(d)) if d[i]]
+        # row i of D z = U y reads d_i z_i = (U y)_i, with d_i = 0 off the pivots
+        vanishing = tuple(tuple(u[i]) for i in range(self.rows) if i not in pivots)
+        scaled = tuple((tuple(u[i]), d[i]) for i in pivots)
+        v_pivots = tuple(tuple(row[j] for j in pivots) for row in v)
+
+        def solve(y):
+            for row in vanishing:
+                if sum(map(mul, row, y)):
+                    return None
+            z = []
+            for row, dk in scaled:
+                q, r = divmod(sum(map(mul, row, y)), dk)
+                if r:
+                    return None
+                z.append(q)
+            return tuple([sum(map(mul, row, z)) for row in v_pivots])
+
+        return solve
 
     def kernel(self) -> list:
         """Basis (list of vectors) of the integer kernel {x : m @ x == 0}:

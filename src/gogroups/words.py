@@ -71,10 +71,9 @@ class ReductionKernel:
     (preimage under f_bar(e), its image under f_e), or to None when g is
     outside the image of f_bar(e).  Every half-edge's lookup is compiled
     once and checks nothing: for table homs it is one precomputed dict;
-    for Z^m -> Z^n maps on both sides, one lattice solve of f_bar(e) whose
-    V columns carry the matrix of f_e; otherwise it composes the unchecked
-    cores ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores
-    that ``hom_member`` and ``hom_apply`` call after their checks.
+    otherwise it composes the unchecked cores ``_preimage`` of f_bar(e)
+    and ``_image`` of f_e, the same cores that ``hom_member`` and
+    ``hom_apply`` call after their checks.
     Per letter, filled only by letter expansion, so raw syllables never
     name letters: ``loops[name, sign]`` = (first element, later elements,
     edges), the graph's one letter-loop table.
@@ -108,17 +107,6 @@ def _pinch_lookup(inner, outer):
     """middle -> (preimage under ``inner``, its image under ``outer``) | None."""
     if isinstance(inner.src, FiniteTable):
         return {y: (i, outer.data[i]) for y, i in inner._first_preimage.items()}.get
-    if all(isinstance(group, FreeAbelian) for group in (inner.src, inner.dst, outer.dst)):
-        # Z^m -> Z^n on both sides: the outer matrix is folded into V, so
-        # preimage and substituted element come out of one solve
-        m = inner.src.rank
-        solve = inner._lattice_solver(inner.src.generators() + outer._matrix)
-
-        def lattice_lookup(middle):
-            x = solve(middle)
-            return None if x is None else (x[:m], x[m:])
-
-        return lattice_lookup
     preimage, image = inner._preimage, outer._image
 
     def lookup(middle):

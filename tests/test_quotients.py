@@ -136,6 +136,19 @@ class TestSmithNormalForm:
                     assert mat_vec(dense_d(f), z) == mat_vec(f.u, y)
                     assert mat_vec(f.v, z) == f.solve(y)
 
+    def test_solver_answers_as_solve(self):
+        # the compiled solver gives solve's solution, as a tuple, or None
+        rng = random.Random(1717)
+        shapes = [(0, 0), (0, 2), (2, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
+        for rows, cols in shapes:
+            m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            f = SmithForm(m)
+            solve = f.solver()
+            for y in (mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)]),
+                      [rng.randint(-5, 5) for _ in range(rows)]):
+                x = f.solve(y)
+                assert solve(tuple(y)) == (None if x is None else tuple(x)), (m, y)
+
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form
