@@ -1,3 +1,5 @@
+import difflib
+import functools
 import hashlib
 import itertools
 import os
@@ -15,7 +17,8 @@ import gogroups
 from zoo import one_vertex
 from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
 from gogroups.gog import Letter, Presentation, pi1_presentation
-from gogroups.groups import cyclic_table, dihedral_table
+from gogroups.gogfile import parse_gog
+from gogroups.groups import cyclic_table, dihedral_table, direct_product
 from gogroups.quotients import (
     CosetTable,
     InvariantFactors,
@@ -533,3 +536,82 @@ class TestMatrixHelpers:
             QuotientOracle("bogus")
         with pytest.raises(ValueError):
             QuotientOracle.finite_enumeration(0)
+
+
+# ---------------------------------------------------------------------------
+# pinned readers of a presentation
+
+PRESENTATION_DIGESTS = Path(__file__).parent / "golden" / "presentation-digests.txt"
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def presentation_cases():
+    """(case id, presentation) for every line of the presentation digest
+    file: the fixtures, the zoo, seeded random graphs (seeds 1-30 of each
+    family) and one-vertex cyclic, elementary abelian 2-group and dihedral
+    tables."""
+    for path in sorted(FIXTURES.glob("*.gog")):
+        yield path.name, pi1_presentation(parse_gog(str(path)))
+    for i, g in enumerate(zoo.graphs()):
+        yield f"graphs()[{i}]", pi1_presentation(g)
+    families = (
+        ("tree", lambda rng: zoo.random_cyclic_tree(rng, rng.randint(2, 3))),
+        ("pushout", zoo.random_pushout),
+        ("pair", zoo.random_product_diagram),
+        ("loop", lambda rng: zoo.random_product_diagram(rng, loop=True)),
+        ("elim", lambda rng: zoo.random_elimination_tree(rng)[0]),
+    )
+    for name, build in families:
+        for seed in range(1, 31):
+            yield f"{name}@{seed}", pi1_presentation(build(random.Random(seed)))
+    for n in range(1, 97):
+        yield f"Z/{n}", pi1_presentation(one_vertex(cyclic_table(n)))
+    for k in range(1, 6):
+        group = functools.reduce(direct_product, [cyclic_table(2)] * k)
+        yield f"(Z/2)^{k}", pi1_presentation(one_vertex(group))
+    for n in range(3, 9):
+        yield f"D{n}", pi1_presentation(one_vertex(dihedral_table(n)))
+
+
+def seeded_oracle_words(case, p):
+    """Twelve words seeded by the case id: a random word, the same word
+    followed by its inverse letters in shuffled order (trivial in the
+    abelianization), and a power of one letter, in turn."""
+    rng = random.Random(case)
+    letters = [(g.name, s) for g in p.generators for s in (1, -1)]
+    words = []
+    for k in range(12):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 8))] if letters else []
+        if k % 3 == 1:
+            back = [(n, -s) for n, s in w]
+            rng.shuffle(back)
+            w += back
+        elif k % 3 == 2 and letters:
+            w = [rng.choice(letters)] * rng.randint(1, 12)
+        words.append(w)
+    return words
+
+
+def presentation_digest_line(case, p):
+    """'<case>: <sha256>' over the abelianization, the exponent matrix,
+    the relator codes, the abelian oracle's answers on seeded words and
+    the enumeration at cap 2000: its dump and cosets_defined, or the word
+    cap when the cap is hit."""
+    oracle = QuotientOracle.abelianization()
+    answers = [oracle_answer(oracle, p, w).trivial for w in seeded_oracle_words(case, p)]
+    try:
+        table = coset_enumeration(p, 2000)
+    except CapExceeded:
+        enumerated = "cap"
+    else:
+        enumerated = f"{table.dump()}{table.cosets_defined}"
+    parts = [str(abelianization(p)), repr(exponent_matrix(p)), repr(p.relator_codes),
+             repr(answers), enumerated]
+    return f"{case}: {hashlib.sha256(chr(10).join(parts).encode()).hexdigest()}"
+
+
+def test_presentation_readers_match_their_digests():
+    expected = PRESENTATION_DIGESTS.read_text().splitlines()
+    got = [presentation_digest_line(case, p) for case, p in presentation_cases()]
+    changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
+    assert not changed, f"presentation readers differ from {PRESENTATION_DIGESTS.name}:\n" + "\n".join(changed)
