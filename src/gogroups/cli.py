@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", cmd_validate, "check the structural invariants")
-    add("classify", cmd_classify, "graph-of-groups, diagram, or unknown")
+    add("classify", cmd_classify, "graph-of-groups or diagram")
     add("pi1", cmd_pi1, "print the fundamental-group presentation")
     add("abelianize", cmd_abelianize, "invariant factors of the abelianized pi1")
     add("contract", cmd_contract, "contract a non-loop edge with an isomorphic map",

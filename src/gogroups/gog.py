@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 
-from .errors import InvalidStructure, SpellingFailure, UnknownLetter, UnsupportedHom
+from .errors import InvalidStructure, SpellingFailure, UnknownLetter
 from .graph import (
     AbstractGraph,
     EdgeOrbit,
@@ -31,13 +31,12 @@ from .graph import (
 )
 from .folding import free_inv, free_reduce
 from .groups import FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
-from .quotients import freely_reduce  # noqa: F401  (name-space reduction, re-exported)
+from .quotients import SmithForm, _exponent_sums, freely_reduce  # noqa: F401  (re-exports freely_reduce)
 
 
 class DiagramClass(enum.Enum):
     GRAPH_OF_GROUPS = "graph-of-groups"
     DIAGRAM = "diagram"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +160,8 @@ class GraphOfGroups:
     @cached_property
     def _classify(self) -> "DiagramClass":
         require_valid_gog(self)
-        result = DiagramClass.GRAPH_OF_GROUPS
-        for e in sorted(self.graph.edges):
-            try:
-                if not hom_is_injective(self.emap[e]):
-                    return DiagramClass.DIAGRAM
-            except UnsupportedHom:
-                result = DiagramClass.UNKNOWN
-        return result
+        injective = all(hom_is_injective(self.emap[e]) for e in sorted(self.graph.edges))
+        return DiagramClass.GRAPH_OF_GROUPS if injective else DiagramClass.DIAGRAM
 
     @cached_property
     def _naming(self) -> tuple:
@@ -203,8 +196,7 @@ def require_valid_gog(g: GraphOfGroups) -> None:
 
 
 def classify(g: GraphOfGroups) -> DiagramClass:
-    """GraphOfGroups iff every edge map is injective; non-injectivity wins
-    over undecidability.  Cached per instance."""
+    """GraphOfGroups iff every edge map is injective.  Cached per instance."""
     return g._classify
 
 
@@ -233,8 +225,12 @@ def invert_word(word) -> Word:
 class Presentation:
     """Generators and relator words, compiled once.  Letter (name, sign) of
     generator i has code 2i, or 2i + 1 with sign -1; ``encode`` is the one
-    reader and raises UnknownLetter on any other letter.  ``relator_codes``
-    keeps each distinct nonempty relator once, in order of first occurrence."""
+    reader and raises UnknownLetter on any other letter.  Each relator
+    object is encoded once; ``relator_codes`` keeps each distinct nonempty
+    relator once, in order of first occurrence, ``_exponent_rows`` each
+    distinct nonzero exponent row, and ``_abelian_form`` the Smith form of
+    their lattice (a row per generator, a column per row) that every
+    abelian reader shares."""
 
     generators: tuple  # of Letter
     relators: tuple    # of Word
@@ -259,13 +255,21 @@ class Presentation:
             raise
 
     @cached_property
+    def _relator_encoding(self) -> dict:  # {id(relator): its codes}
+        return {key: tuple(self.encode(r)) for key, r in {id(r): r for r in self.relators}.items()}
+
+    @cached_property
     def relator_codes(self) -> tuple:
-        try:
-            distinct = dict.fromkeys(self.relators)
-        except TypeError:  # an unhashable letter: encode names it
-            distinct = self.relators
-        encoded = dict.fromkeys(tuple(self.encode(rel)) for rel in distinct)
-        return tuple(code for code in encoded if code)
+        return tuple(code for code in dict.fromkeys(self._relator_encoding.values()) if code)
+
+    @cached_property
+    def _exponent_rows(self) -> tuple:
+        rows = (tuple(_exponent_sums(codes, len(self.generators))) for codes in self.relator_codes)
+        return tuple(row for row in dict.fromkeys(rows) if any(row))
+
+    @cached_property
+    def _abelian_form(self) -> SmithForm:
+        return SmithForm([[row[i] for row in self._exponent_rows] for i in range(len(self.generators))])
 
 
 def presentation_letters(g: GraphOfGroups):

@@ -4,8 +4,10 @@ Certified integer Smith normal form (``SmithForm``), abelianization of a
 presentation into invariant factors, and a capped HLT (relator-based
 Todd-Coxeter) coset enumeration over the trivial subgroup.  These are the
 oracle backends used by diagram conversion and by the cross-validation
-tests of the pinch reducer.  They read words only through
-``Presentation.encode`` and ``relator_codes`` (each distinct relator once).
+tests of the pinch reducer.  They read a presentation only through
+``encode``, ``relator_codes`` and its derived relator rows: one Smith form
+of the rows serves ``abelianization`` and the abelianization oracle, and
+enumeration refuses at once, from a row count, a group the rows prove infinite.
 
 Everything here works over arbitrary-precision Python ints; matrices are
 plain lists of lists.
@@ -301,30 +303,30 @@ class InvariantFactors:
 
 def exponent_matrix(presentation) -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per
-    generator.  Each distinct relator's row is computed once and copied
-    for its repeats."""
-    relators = presentation.relators
-    try:
-        rows = dict.fromkeys(relators)
-    except TypeError:  # an unhashable letter: word_exponent_vector names it
-        return [word_exponent_vector(presentation, rel) for rel in relators]
-    for rel in rows:
-        rows[rel] = word_exponent_vector(presentation, rel)
-    return [rows[rel].copy() for rel in relators]
+    generator.  Each relator object's row is computed once, from its
+    codes, and copied for its repeats."""
+    n = len(presentation.generators)
+    rows = {key: _exponent_sums(codes, n) for key, codes in presentation._relator_encoding.items()}
+    return [rows[id(rel)].copy() for rel in presentation.relators]
 
 
 def abelianization(presentation) -> InvariantFactors:
-    """Invariant factors of the abelianized presentation."""
-    n_gens = len(presentation.generators)
-    nonzero = [x for x in SmithForm(exponent_matrix(presentation)).diagonal if x != 0]
+    """Invariant factors of the abelianized presentation, read off the
+    diagonal of the presentation's one Smith form of its relator rows."""
+    nonzero = [x for x in presentation._abelian_form.diagonal if x != 0]
     torsion = tuple(x for x in nonzero if x != 1)
-    return InvariantFactors(torsion, n_gens - len(nonzero))
+    return InvariantFactors(torsion, len(presentation.generators) - len(nonzero))
 
 
 def word_exponent_vector(presentation, word) -> list:
     """Exponent sum of each generator in ``word``, by column."""
-    vec = [0] * len(presentation.generators)
-    for code in presentation.encode(word):
+    return _exponent_sums(presentation.encode(word), len(presentation.generators))
+
+
+def _exponent_sums(codes, n: int) -> list:
+    """Exponent sum of each of n generators in a word of letter codes."""
+    vec = [0] * n
+    for code in codes:
         vec[code >> 1] += -1 if code & 1 else 1
     return vec
 
@@ -475,13 +477,15 @@ class _Enumerator:
 
 def coset_enumeration(presentation, cap: int) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raises CapExceeded when the
-    number of cosets ever defined would pass ``cap``."""
-    n_gens = len(presentation.generators)
+    number of cosets ever defined would pass ``cap``, or at once when the
+    relators have fewer distinct nonzero exponent rows than there are
+    generators: their lattice then has rank below the generator count, so
+    pi1 maps onto Z and the table never closes."""
+    n_gens, n_rows = len(presentation.generators), len(presentation._exponent_rows)
+    if n_rows < n_gens:
+        raise CapExceeded(f"{n_rows} distinct nonzero exponent rows on {n_gens} generators: "
+                          f"pi1 maps onto Z, so enumeration cannot close (cap {cap})")
     relators = presentation.relator_codes
-    if not relators and n_gens:
-        # no relators and at least one generator: free, never closes
-        raise CapExceeded(f"free presentation on {n_gens} letters cannot close (cap {cap})")
-
     st = _Enumerator(2 * n_gens, cap)
     alpha = 0
     while alpha < len(st.table):
@@ -500,13 +504,7 @@ def coset_enumeration(presentation, cap: int) -> CosetTable:
     renumber = {c: i for i, c in enumerate(live)}
     rows = [[None if e is None else renumber[st.rep(e)] for e in st.table[c]] for c in live]
     completed = all(entry is not None for row in rows for entry in row)
-    result = CosetTable(
-        presentation=presentation,
-        table=rows,
-        completed=completed,
-        order=len(rows) if completed else None,
-        cosets_defined=st.defined,
-    )
+    result = CosetTable(presentation, rows, completed, len(rows) if completed else None, st.defined)
     if completed and not result.replay_check():
         raise AssertionError("completed coset table failed replay")
     return result
@@ -583,10 +581,8 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
         trivial = table.action(0, word) == 0
         return OracleAnswer(trivial, True, oracle.soundness())
     if oracle.kind == "abelianization":
-        # vec must lie in the row lattice: solve transpose(m) @ x == vec
-        m = exponent_matrix(presentation)
-        mt = [[row[c] for row in m] for c in range(len(vec))]
-        trivial = SmithForm(mt).scaled(vec) is not None
+        # vec must lie in the lattice of the relator rows, the form's column lattice
+        trivial = presentation._abelian_form.scaled(vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
     trivial = freely_reduce(word) == ()

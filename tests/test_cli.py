@@ -142,6 +142,76 @@ class TestParsing:
             again = parse_gog_text(text)
             assert serialize_gog(again) == text, name
 
+    def test_stored_trees_round_trip(self):
+        # serialize_gog writes a tree: key for a stored tree; parsing it back
+        # must give the same tree and the same bytes
+        graphs = zoo.graphs() + zoo.edge_map_graphs()
+        star = zoo.star3()
+        stored = [g.replace(tree=zoo.last_first_tree(g)) for g in graphs]
+        stored += [zoo.rebased(g) for g in graphs]
+        stored.append(star.replace(tree=frozenset({"s1", "s2", "s3"})))
+        for g in stored:
+            text = serialize_gog(g)
+            assert "\ntree: [" in text, text
+            again = parse_gog_text(text)
+            assert again.tree == g.tree and again.base == g.base
+            assert serialize_gog(again) == text
+
+    def test_identity_descriptors_on_each_class(self):
+        for group, elements in (
+            ("{free_abelian: [a, b]}", [(1, 0), (0, 1), (2, -3)]),
+            ("{free: [x, y]}", [(1,), (2,), (1, -2, 1)]),
+            ("{cyclic: 4, letter: g}", [0, 1, 2, 3]),
+            ("{table: {elements: [e, a, b, c], mul: [[0,1,2,3],[1,0,3,2],[2,3,0,1],[3,2,1,0]]}}",
+             [0, 1, 2, 3]),
+        ):
+            g = parse_gog_text(
+                f"vertices: {{u: {group}, v: {group}}}\n"
+                f"edges: {{e: {{origin: u, terminus: v, group: {group}, fwd: identity, back: identity}}}}\n"
+            )
+            for half in ("e", "e^-1"):
+                h = g.emap[half]
+                assert h.src == h.dst and [h.apply(x) for x in elements] == elements, group
+            assert classify(g).value == "graph-of-groups"
+            assert serialize_gog(parse_gog_text(serialize_gog(g))) == serialize_gog(g)
+
+    def test_vector_and_integer_image_entries(self):
+        edge = ("vertices: {{v: {vertex}}}\nedges: {{e: {{origin: v, terminus: v,"
+                " group: {{free: [x, y]}}, fwd: {{images: {images}}}, back: {{images: {images}}}}}}}\n")
+        g = parse_gog_text(edge.format(vertex="{free_abelian: [a, b]}", images="[[1, 0], [2, -1]]"))
+        assert [g.emap["e"].apply(x) for x in ((1,), (2,), (1, 2, -1))] == [(1, 0), (2, -1), (2, -1)]
+        text = serialize_gog(g)
+        assert "images:\n      - [1, 0]\n      - [2, -1]" in text, text
+        assert serialize_gog(parse_gog_text(text)) == text
+        g = parse_gog_text(edge.format(vertex="{cyclic: 3, letter: g}", images="[1, 2]"))
+        assert [g.emap["e"].apply(x) for x in ((1,), (2,), (1, 2))] == [1, 2, 0]
+
+    def test_tree_identity_and_image_errors_exit_two(self, capsys, tmp_path):
+        star = "vertices: {u: {cyclic: 2}, v: {cyclic: 2}}\nedges: {e: {origin: u, terminus: v, group: %s,"
+        edge = star + " fwd: %s, back: %s}}\n"
+        cases = [
+            (edge % ("{cyclic: 2}", "identity", "identity") + "tree: e\n",
+             ".tree] tree must be a list of edge names"),
+            (edge % ("{cyclic: 2}", "identity", "identity") + "tree: [e, f]\n",
+             ".tree] unknown tree edge f"),
+            (edge % ("{free_abelian: [c]}", "identity", "{images: [1]}"),
+             ".edges.e.fwd] identity needs source and target in the same class"),
+            (edge % ("{cyclic: 4}", "identity", "identity"),
+             ".edges.e.fwd] identity needs identical multiplication tables"),
+            ("vertices: {v: {free: [a, b]}}\nedges: {e: {origin: v, terminus: v,"
+             " group: {free: [c]}, fwd: identity, back: identity}}\n",
+             ".edges.e.fwd] identity needs equal ranks"),
+            (edge % ("{free: [c]}", "{images: [[1]]}", "{images: [1]}"),
+             ".edges.e.fwd] vector images only target free abelian groups"),
+            (edge % ("{free: [c]}", "{images: [true]}", "{images: [1]}"),
+             ".edges.e.fwd] invalid image entry"),
+        ]
+        for i, (text, message) in enumerate(cases):
+            path = tmp_path / f"bad{i}.gog"
+            path.write_text(text)
+            code, out, err = run(capsys, "pi1", str(path))
+            assert (code, out, err) == (2, "", f"parse error: [{path}{message}\n"), text
+
     def test_missing_back_map_names_the_edge(self):
         bad = """
 vertices:

@@ -18,8 +18,11 @@ from gogroups.gog import (
     relator_to_text,
     validate_gog,
 )
+from gogroups.gogfile import parse_gog
 from gogroups.graph import AbstractGraph
-from gogroups.groups import FreeAbelian, Hom, cyclic_table, dihedral_table, direct_product
+from gogroups.groups import (
+    FreeAbelian, Hom, cyclic_table, dihedral_table, direct_product, hom_is_injective,
+)
 from gogroups.moves import decompose_along_edge
 from gogroups.quotients import InvariantFactors, abelianization, coset_enumeration
 
@@ -52,6 +55,15 @@ class TestClassify:
 
     def test_z3f2_is_diagram(self):
         assert classify(zoo.z3f2()) is DiagramClass.DIAGRAM
+
+    def test_injectivity_is_decided_for_every_edge_map(self):
+        # so classify has two outcomes: no class pair leaves it undecided
+        fixtures = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.gog"))
+        graphs = zoo.graphs() + zoo.edge_map_graphs() + [d for _, d in zoo.abel_cases()]
+        for g in graphs + [parse_gog(str(path)) for path in fixtures]:
+            for e in sorted(g.graph.edges):
+                assert type(hom_is_injective(g.emap[e])) is bool, e
+            assert classify(g) in (DiagramClass.GRAPH_OF_GROUPS, DiagramClass.DIAGRAM)
 
 
 class TestValidation:

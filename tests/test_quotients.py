@@ -14,6 +14,8 @@ import pytest
 
 import zoo
 import gogroups
+from gogroups import quotients
+from gogroups.cli import main
 from zoo import one_vertex
 from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
 from gogroups.gog import Letter, Presentation, pi1_presentation
@@ -615,3 +617,76 @@ def test_presentation_readers_match_their_digests():
     got = [presentation_digest_line(case, p) for case, p in presentation_cases()]
     changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
     assert not changed, f"presentation readers differ from {PRESENTATION_DIGESTS.name}:\n" + "\n".join(changed)
+
+
+class TestRelatorRows:
+    """Each presentation derives its relator rows once: one Smith form
+    serves every abelian reader, and a row count refuses enumeration of a
+    group the rows prove infinite."""
+
+    INFINITE_FIXTURES = [path for path in sorted(FIXTURES.glob("*.gog"))
+                         if path.name not in ("finite-star.gog", "pushout46.gog")]
+
+    def test_one_smith_form_serves_every_abelian_read(self, monkeypatch):
+        presentations = [pi1_presentation(one_vertex(cyclic_table(96, "g"))),
+                         pi1_presentation(zoo.klein()), pi1_presentation(zoo.z3f2()),
+                         pres(["t"], []), pres([], [])]
+        built = []
+        init = SmithForm.__init__
+
+        def counted(self, m):
+            built.append(m)
+            init(self, m)
+
+        monkeypatch.setattr(SmithForm, "__init__", counted)
+        oracle = QuotientOracle.abelianization()
+        for p in presentations:
+            built.clear()
+            letters = [(g.name, 1) for g in p.generators]
+            for k in range(20):
+                oracle_answer(oracle, p, letters * k)
+                abelianization(p)
+            assert len(built) == 1, p.generators
+
+    def test_too_few_rows_refuse_without_enumerating(self, monkeypatch, capsys):
+        presentations = [pi1_presentation(parse_gog(str(path))) for path in self.INFINITE_FIXTURES]
+        # no relators; and relators, but one row on two generators
+        presentations += [pres(["t"], []), pres(["t", "u"], [[("t", 1), ("u", -1)]])]
+
+        def refuse(*args):
+            raise AssertionError("an enumerator or a Smith form was built")
+
+        monkeypatch.setattr(quotients, "_Enumerator", refuse)
+        monkeypatch.setattr(SmithForm, "__init__", refuse)
+        assert len(self.INFINITE_FIXTURES) == 12
+        for p in presentations:
+            assert len(p._exponent_rows) < len(p.generators)
+            with pytest.raises(CapExceeded, match="distinct nonzero exponent rows"):
+                coset_enumeration(p, 5000)
+        for path in self.INFINITE_FIXTURES:
+            for argv in (["convert", "--oracle", "enum:5000"], ["enumerate", "--cap", "5000"]):
+                assert main([*argv, str(path)]) == 3, path.name
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("inconclusive: "), (path.name, err)
+
+    def test_as_many_rows_as_generators_still_enumerate(self):
+        # Z/2 * Z/2 is infinite, but its two rows span a rank-2 lattice: the
+        # count cannot tell, so the enumeration runs to its cap
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 2])
+        with pytest.raises(CapExceeded, match="cap 100 reached"):
+            coset_enumeration(p, 100)
+
+    def test_abelian_readers_agree_with_the_dense_routes(self):
+        # the routes the shared form replaced: a Smith form of every relator
+        # copy's row, and one of its transpose per oracle call
+        oracle = QuotientOracle.abelianization()
+        for case, p in presentation_cases():
+            m = exponent_matrix(p)
+            nonzero = [x for x in SmithForm(m).diagonal if x]
+            expected = InvariantFactors(tuple(x for x in nonzero if x != 1),
+                                        len(p.generators) - len(nonzero))
+            assert abelianization(p) == expected, case
+            dense = SmithForm([[row[c] for row in m] for c in range(len(p.generators))])
+            for w in seeded_oracle_words(case, p):
+                solvable = dense.scaled(word_exponent_vector(p, w)) is not None
+                assert oracle_answer(oracle, p, w).trivial == solvable, (case, w)
