@@ -42,7 +42,7 @@ class OracleIncomplete(GogError):
 
 
 class CapExceeded(OracleIncomplete):
-    """A capped enumeration hit its cap before closing."""
+    """A capped enumeration hit its cap, or its relator rows proved the group infinite."""
 
 
 class UnrepresentableImage(GogError):

@@ -576,9 +576,9 @@ def presentation_cases():
 
 
 def seeded_oracle_words(case, p):
-    """Twelve words seeded by the case id: a random word, the same word
-    followed by its inverse letters in shuffled order (trivial in the
-    abelianization), and a power of one letter, in turn."""
+    """Twelve words seeded by the case id, in turn: a random word, a random
+    word followed by its inverse letters in shuffled order (trivial in the
+    abelianization), and a power of one letter."""
     rng = random.Random(case)
     letters = [(g.name, s) for g in p.generators for s in (1, -1)]
     words = []
