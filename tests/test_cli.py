@@ -146,10 +146,9 @@ class TestParsing:
         # serialize_gog writes a tree: key for a stored tree; parsing it back
         # must give the same tree and the same bytes
         graphs = zoo.graphs() + zoo.edge_map_graphs()
-        star = zoo.star3()
         stored = [g.replace(tree=zoo.last_first_tree(g)) for g in graphs]
         stored += [zoo.rebased(g) for g in graphs]
-        stored.append(star.replace(tree=frozenset({"s1", "s2", "s3"})))
+        stored.append(zoo.star3().replace(tree=frozenset({"s1", "s2", "s3"})))
         for g in stored:
             text = serialize_gog(g)
             assert "\ntree: [" in text, text
@@ -187,8 +186,8 @@ class TestParsing:
         assert [g.emap["e"].apply(x) for x in ((1,), (2,), (1, 2))] == [1, 2, 0]
 
     def test_tree_identity_and_image_errors_exit_two(self, capsys, tmp_path):
-        star = "vertices: {u: {cyclic: 2}, v: {cyclic: 2}}\nedges: {e: {origin: u, terminus: v, group: %s,"
-        edge = star + " fwd: %s, back: %s}}\n"
+        edge = ("vertices: {u: {cyclic: 2}, v: {cyclic: 2}}\n"
+                "edges: {e: {origin: u, terminus: v, group: %s, fwd: %s, back: %s}}\n")
         cases = [
             (edge % ("{cyclic: 2}", "identity", "identity") + "tree: e\n",
              ".tree] tree must be a list of edge names"),
