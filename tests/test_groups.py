@@ -1,5 +1,8 @@
+import difflib
 import functools
+import hashlib
 import itertools
+import pathlib
 import random
 import time
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import zoo
 from gogroups.analysis import product_rank_family
-from gogroups.errors import ShapeMismatch, UnsupportedHom
+from gogroups.errors import GogError, ShapeMismatch, UnsupportedHom
 from gogroups.groups import (
     FiniteTable,
     FreeAbelian,
@@ -36,7 +39,7 @@ from gogroups.groups import (
     subgroup_table,
 )
 from gogroups.folding import free_reduce
-from gogroups.gogfile import hom_descriptor
+from gogroups.gogfile import hom_descriptor, parse_gog, parse_hom
 
 
 class TestElements:
@@ -514,6 +517,115 @@ def test_hom_services_agree_on_every_zoo_edge_map():
         if cog is not None:
             assert not hom_member(h, cog).inside
     assert finite_checked >= 20
+
+
+HOM_DIGESTS = pathlib.Path(__file__).parent / "golden" / "hom-digests.txt"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _outcome(build):
+    """repr of what build() returns (a hom's data for a hom), or the
+    error's class and text."""
+    try:
+        result = build()
+    except (GogError, AssertionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(result.data if isinstance(result, Hom) else result)
+
+
+def _powers(group):
+    """power(x, k) for k = -6..6 over every element of a table, else over
+    the identity, each generator and the product of the generators."""
+    if isinstance(group, FiniteTable):
+        elements = list(group.elements())
+    else:
+        elements = [group.identity(), *group.generators(),
+                    functools.reduce(group.mul, group.generators(), group.identity())]
+    return [group.power(x, k) for x in elements for k in range(-6, 7)]
+
+
+def _derived_homs(h):
+    """The homs derived from h: composites with both identities, its
+    inverse (or the refusal), its square (mismatched middles unless an
+    endomorphism), both identities and the trivial hom."""
+    src, dst = h.src, h.dst
+    parts = [
+        _outcome(lambda: compose(h, Hom.identity(src))),
+        _outcome(lambda: compose(Hom.identity(dst), h)),
+        _outcome(lambda: inverse(h)),
+        _outcome(lambda: compose(h, h)),
+        _outcome(lambda: Hom.identity(src)),
+        _outcome(lambda: Hom.identity(dst)),
+        _outcome(lambda: Hom.trivial(src, dst)),
+    ]
+    if is_isomorphism(h):
+        parts.append(_outcome(lambda: compose(inverse(h), h)))
+    return parts
+
+
+def hom_digest_cases():
+    """(case id, parts) for every line of the hom digest file: every edge
+    map of ``zoo.graphs()``, ``zoo.edge_map_graphs()`` and the fixtures,
+    then cyclic, product and dihedral tables, then the refusals."""
+    for name, graphs in (("graphs()", zoo.graphs()), ("edge_map_graphs()", zoo.edge_map_graphs())):
+        for i, g in enumerate(graphs):
+            for e in sorted(g.emap):
+                h = g.emap[e]
+                yield f"{name}[{i}] {e}", _derived_homs(h) + [repr(_powers(h.src)), repr(_powers(h.dst))]
+    for path in sorted(FIXTURES.glob("*.gog")):
+        g = parse_gog(str(path))
+        for e in sorted(g.emap):
+            yield f"{path.name} {e}", _derived_homs(g.emap[e])
+    z2, z3, z4 = cyclic_table(2), cyclic_table(3), cyclic_table(4)
+    tables = [(f"Z/{n}", cyclic_table(n)) for n in range(2, 17)]
+    tables += [("Z/2xZ/2", direct_product(z2, z2)), ("Z/2xZ/3", direct_product(z2, z3)),
+               ("Z/2xZ/4", direct_product(z2, z4)), ("Z/3xZ/3", direct_product(z3, z3)),
+               ("(Z/2)^3", _power(z2, 3)), ("Z/2xD3", direct_product(z2, dihedral_table(3)))]
+    tables += [(f"D{n}", dihedral_table(n)) for n in range(3, 9)]
+    d4 = dihedral_table(4)
+    for case, t in tables:
+        parts = _derived_homs(Hom.identity(t)) + [repr(_powers(t))]
+        if t.order() <= 8:
+            for dst in (t, d4):
+                for images in itertools.product(dst.elements(), repeat=len(t.generators())):
+                    try:
+                        h = Hom.from_generator_images(t, dst, list(images))
+                    except ShapeMismatch as exc:
+                        parts.append(f"ShapeMismatch: {exc}")
+                        continue
+                    parts.append(repr(h.data))
+                    if is_isomorphism(h):
+                        parts.append(repr(inverse(h).data))
+        yield case, parts
+    # a finite source composed into an infinite target: the constructors
+    # refuse such a hom, so one is forged to reach compose's own guard
+    forged = Hom.identity(z2)
+    object.__setattr__(forged, "dst", FreeGroup(1))
+    mismatched = [(FreeAbelian(1), FreeGroup(1)), (FreeGroup(1), FreeGroup(2)), (z2, z3)]
+    yield "errors", [
+        _outcome(lambda: compose(forged, Hom.identity(z2))),
+        _outcome(lambda: compose(Hom.identity(z2), Hom.identity(z3))),
+        _outcome(lambda: Hom.from_generator_images(z2, z2, [1, 1])),
+        _outcome(lambda: Hom.images(FreeGroup(2), z2, [1])),
+        *(_outcome(lambda: parse_hom("identity", src, dst, "edges.e")) for src, dst in mismatched),
+        # the identity descriptor keeps its own target, so its letter names
+        *(repr(hom_descriptor(parse_hom("identity", src, dst, "edges.e"))) for src, dst in [
+            (FreeGroup(2, ("a", "b")), FreeGroup(2, ("c", "d"))),
+            (z4, cyclic_table(4, "b")),
+            (FreeAbelian(2), FreeAbelian(2, ("p", "q"))),
+        ]),
+    ]
+
+
+def hom_digest_line(case, parts):
+    return f"{case}: {hashlib.sha256(chr(10).join(parts).encode()).hexdigest()}"
+
+
+def test_derived_homs_and_powers_match_their_digests():
+    expected = HOM_DIGESTS.read_text().splitlines()
+    got = [hom_digest_line(case, parts) for case, parts in hom_digest_cases()]
+    changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
+    assert not changed, f"derived homs differ from {HOM_DIGESTS.name}:\n" + "\n".join(changed)
 
 
 class TestRanks:
