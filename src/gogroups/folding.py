@@ -17,7 +17,10 @@ labels along any closed walk at the base spell a preimage of the ambient
 word it reads.  No fold history is kept.
 
 Words over a free group of rank n are tuples of nonzero ints: +i is the
-i-th letter (1-based), -i its inverse, with no xx^-1 adjacency.
+i-th letter (1-based), -i its inverse, with no xx^-1 adjacency.  The
+helpers on such words (``free_reduce``, ``free_mul``, ``free_inv`` and the
+exponent reader ``free_exponents``) are the library's one implementation
+of each, shared by free groups, edge maps and presentations.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ def free_mul(a, b):
 
 def free_inv(a):
     return tuple(-s for s in reversed(a))
+
+
+def free_exponents(word, n: int) -> list:
+    """The exponent sum of each of n generators in a free word."""
+    vec = [0] * n
+    for s in word:
+        vec[abs(s) - 1] += 1 if s > 0 else -1
+    return vec
 
 
 class FoldedSubgroup:

@@ -29,9 +29,9 @@ from .graph import (
     spanning_tree,
     validate_graph,
 )
-from .folding import free_inv, free_reduce
+from .folding import free_exponents, free_inv, free_reduce
 from .groups import FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
-from .quotients import SmithForm, _exponent_sums, freely_reduce  # noqa: F401  (re-exports freely_reduce)
+from .quotients import SmithForm, coset_columns, freely_reduce  # noqa: F401  (re-exports freely_reduce)
 
 
 class DiagramClass(enum.Enum):
@@ -223,11 +223,13 @@ def invert_word(word) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relator words, compiled once.  Letter (name, sign) of
-    generator i has code 2i, or 2i + 1 with sign -1; ``encode`` is the one
-    reader and raises UnknownLetter on any other letter.  Each relator
-    object is encoded once; ``relator_codes`` keeps each distinct nonempty
-    relator once, in order of first occurrence, ``_exponent_rows`` each
+    """Generators and relator words, compiled once.  ``encode`` is the one
+    reader of letter names: it turns a word of (name, sign) letters into
+    the free word of ``folding``, generator i (from 0) read as sign * (i + 1),
+    and raises UnknownLetter on any other letter.  Each relator object is
+    encoded once; ``relator_codes`` keeps each distinct nonempty relator
+    once, in order of first occurrence, as the coset-table columns
+    ``quotients.coset_columns`` reads off it, ``_exponent_rows`` each
     distinct nonzero exponent row, and ``_abelian_form`` the Smith form of
     their lattice (a row per generator, a column per row) that every
     abelian reader shares."""
@@ -236,15 +238,15 @@ class Presentation:
     relators: tuple    # of Word
 
     @cached_property
-    def _codes(self) -> dict:
-        gens = reversed(tuple(enumerate(self.generators)))  # the first of a name wins
-        return {(g.name, sign): 2 * i + (sign < 0) for i, g in gens for sign in (1, -1)}
+    def _letters(self) -> dict:
+        gens = reversed(tuple(enumerate(self.generators, 1)))  # the first of a name wins
+        return {(g.name, sign): sign * i for i, g in gens for sign in (1, -1)}
 
     def encode(self, word) -> list:
-        """The codes of a word of (name, sign) letters."""
-        codes = self._codes
+        """The free word of a word of (name, sign) letters."""
+        letters = self._letters
         try:
-            return [codes[name, sign] for name, sign in word]
+            return [letters[name, sign] for name, sign in word]
         except (KeyError, TypeError):
             for name, sign in word:  # the first miss names the fault
                 if not any(g.name == name for g in self.generators):
@@ -255,16 +257,17 @@ class Presentation:
             raise
 
     @cached_property
-    def _relator_encoding(self) -> dict:  # {id(relator): its codes}
+    def _relator_encoding(self) -> dict:  # {id(relator): its free word}
         return {key: tuple(self.encode(r)) for key, r in {id(r): r for r in self.relators}.items()}
 
     @cached_property
     def relator_codes(self) -> tuple:
-        return tuple(code for code in dict.fromkeys(self._relator_encoding.values()) if code)
+        return tuple(coset_columns(w) for w in dict.fromkeys(self._relator_encoding.values()) if w)
 
     @cached_property
     def _exponent_rows(self) -> tuple:
-        rows = (tuple(_exponent_sums(codes, len(self.generators))) for codes in self.relator_codes)
+        n = len(self.generators)
+        rows = (tuple(free_exponents(w, n)) for w in dict.fromkeys(self._relator_encoding.values()))
         return tuple(row for row in dict.fromkeys(rows) if any(row))
 
     @cached_property

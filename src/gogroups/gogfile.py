@@ -238,10 +238,9 @@ def parse_hom(desc, src, dst, path):
             if isinstance(src, (FreeAbelian, FreeGroup)):
                 if src.rank != dst.rank:
                     _fail(path, "identity needs equal ranks")
-                return Hom.images(src, dst, dst.generators())
-            if src.mul_table != dst.mul_table:
+            elif src.mul_table != dst.mul_table:
                 _fail(path, "identity needs identical multiplication tables")
-            return Hom.table(src, dst, list(range(src.order())))
+            return Hom.of(src, dst, lambda x: x)  # dst keeps its own letter names
         desc = _require_mapping(desc, path)
         kinds = [k for k in ("matrix", "map", "images") if k in desc]
         if len(kinds) != 1 or len(desc) != 1:

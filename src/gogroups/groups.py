@@ -5,7 +5,8 @@ membership with preimages, cogenerators, and rank.
 
 Element encodings are bare Python values, dispatched through the group:
 free abelian elements are int tuples, finite-table elements are indices,
-free-group elements are tuples of signed 1-based letter numbers.
+free-group elements are tuples of signed 1-based letter numbers.  The
+checked ``mul``, ``inv`` and ``power`` are defined once, on ``GroupDesc``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import getitem, itemgetter, mul
+from operator import add, getitem, itemgetter, mul, neg
 
 from . import quotients
 from .errors import ShapeMismatch, UnsupportedHom
-from .folding import FoldedSubgroup, free_inv, free_mul, free_reduce
+from .folding import FoldedSubgroup, free_exponents, free_inv, free_mul, free_reduce
 
 MAX_TABLE = 4096
 
@@ -28,34 +29,45 @@ MAX_TABLE = 4096
 
 
 class GroupDesc:
-    """Common surface of the three group classes."""
+    """Common surface of the three group classes.
+
+    A class supplies ``check`` and two unchecked cores, the functions
+    ``_mul`` ((x, y) -> xy) and ``_inv`` (x -> x^-1), which trust their
+    arguments to be elements.  Every checked operation is the check plus
+    the cores, here and only here; code that holds elements it has
+    already checked (the pinch kernel, hom images) calls the cores.
+    """
 
     def identity(self):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def inv(self, x):
         raise NotImplementedError
 
     def check(self, x):
         """Raise ShapeMismatch unless x is an element of this group."""
         raise NotImplementedError
 
+    def mul(self, x, y):
+        self.check(x), self.check(y)
+        return self._mul(x, y)
+
+    def inv(self, x):
+        self.check(x)
+        return self._inv(x)
+
     def is_identity(self, x):
         self.check(x)
         return x == self.identity()
 
     def power(self, x, k: int):
+        """x^k: x is checked once, then squared with the unchecked product."""
+        self.check(x)
+        product = self._mul
         if k < 0:
-            return self.power(self.inv(x), -k)
+            x, k = self._inv(x), -k
         acc = self.identity()
-        base = x
         while k:
             if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = product(acc, x)
+            x = product(x, x)
             k >>= 1
         return acc
 
@@ -101,17 +113,8 @@ class FreeAbelian(_RankedGroup):
     def identity(self):
         return (0,) * self.rank
 
-    def mul(self, x, y):
-        self.check(x), self.check(y)
-        return tuple(a + b for a, b in zip(x, y))
-
-    def inv(self, x):
-        self.check(x)
-        return tuple(-a for a in x)
-
-    def power(self, x, k):
-        self.check(x)
-        return tuple(k * a for a in x)
+    _mul = staticmethod(lambda x, y: tuple(map(add, x, y)))
+    _inv = staticmethod(lambda x: tuple(map(neg, x)))
 
     def check(self, x):
         if not (isinstance(x, tuple) and len(x) == self.rank and all(isinstance(a, int) for a in x)):
@@ -134,13 +137,8 @@ class FreeGroup(_RankedGroup):
     def identity(self):
         return ()
 
-    def mul(self, x, y):
-        self.check(x), self.check(y)
-        return free_mul(x, y)
-
-    def inv(self, x):
-        self.check(x)
-        return free_inv(x)
+    _mul = staticmethod(free_mul)
+    _inv = staticmethod(free_inv)
 
     def check(self, x):
         ok = (
@@ -218,13 +216,14 @@ class FiniteTable(GroupDesc):
     def identity(self):
         return self.id_index
 
-    def mul(self, x, y):
-        self.check(x), self.check(y)
-        return self.mul_table[x][y]
+    @property
+    def _mul(self):
+        rows = self.mul_table  # a closure over the rows: one lookup fewer per product
+        return lambda x, y: rows[x][y]
 
-    def inv(self, x):
-        self.check(x)
-        return self.inv_table[x]
+    @property
+    def _inv(self):
+        return self.inv_table.__getitem__
 
     def check(self, x):
         if not (isinstance(x, int) and 0 <= x < len(self.mul_table)):
@@ -636,27 +635,22 @@ class Hom:
                 return lambda x: tuple([sum(map(mul, row, x)) for row in rows])
 
             def image(x):
-                exponents = [0] * src.rank
-                for s in x:
-                    if s > 0:
-                        exponents[s - 1] += 1
-                    else:
-                        exponents[-s - 1] -= 1
+                exponents = free_exponents(x, src.rank)
                 return tuple([sum(map(mul, row, exponents)) for row in rows])
 
             return image
         if isinstance(src, FreeAbelian) and src.rank and isinstance(dst, FiniteTable):
             # Z onto a finite target: by repeated squaring, not letter by letter
             return lambda x: dst.power(data[0], x[0])
-        images = {i: y for i, y in enumerate(data, 1)}
+        # the image of each signed generator letter
+        inv = dst._inv
+        images = {s * i: y if s > 0 else inv(y) for i, y in enumerate(data, 1) for s in (1, -1)}
         if isinstance(dst, FreeGroup):
-            images.update((-i, free_inv(y)) for i, y in enumerate(data, 1))
 
             def image(x):
                 return free_reduce([s for letter in x for s in images[letter]])
 
         else:  # finite target
-            images.update((-i, dst.inv_table[y]) for i, y in enumerate(data, 1))
             table, identity = dst.mul_table, dst.id_index
 
             def image(x):
@@ -727,30 +721,32 @@ class Hom:
     def from_generator_images(cls, src: FiniteTable, dst: FiniteTable, images) -> "Hom":
         """Extend images of the chosen generating set, or raise ShapeMismatch
         when no homomorphism extends them."""
-        gens = src.generators()
-        if len(images) != len(gens):
+        if len(images) != len(src.generators()):
             raise ShapeMismatch("one image per source generator required")
+        table, inv = dst.mul_table, dst.inv_table
         mapping = []
-        for x in src.elements():
+        for word in _ft_spellings(src):
             y = dst.id_index
-            for s in src.spell(x):
-                img = images[s - 1] if s > 0 else dst.inv_table[images[-s - 1]]
-                y = dst.mul_table[y][img]
+            for s in word:
+                y = table[y][images[s - 1] if s > 0 else inv[images[-s - 1]]]
             mapping.append(y)
         return cls.table(src, dst, mapping)
 
     @classmethod
+    def of(cls, src: GroupDesc, dst: GroupDesc, f) -> "Hom":
+        """The hom that agrees with the element map f: f is read on every
+        element of a finite source and on the generators of any other."""
+        domain = src.elements() if isinstance(src, FiniteTable) else src.generators()
+        return cls(src, dst, [f(x) for x in domain])
+
+    @classmethod
     def identity(cls, g: GroupDesc) -> "Hom":
-        if isinstance(g, FiniteTable):
-            return cls.table(g, g, list(g.elements()))
-        return cls.images(g, g, g.generators())
+        return cls.of(g, g, lambda x: x)
 
     @classmethod
     def trivial(cls, src: GroupDesc, dst: GroupDesc) -> "Hom":
         """The constant-identity hom, for the shapes that support it."""
-        if isinstance(src, FiniteTable) and isinstance(dst, FiniteTable):
-            return cls.table(src, dst, [dst.id_index] * src.order())
-        return cls.images(src, dst, [dst.identity() for _ in src.generators()])
+        return cls.of(src, dst, lambda x: dst.identity())
 
     def apply(self, x):
         self.src.check(x)
@@ -789,10 +785,7 @@ def _letters_to_source_element(src: GroupDesc, letters):
     """Package a generator-letter word as an element of ``src``."""
     if isinstance(src, FreeGroup):
         return free_reduce(tuple(letters))
-    # free abelian rank <= 1 source
-    if src.rank == 0:
-        return ()
-    return (sum(1 if s > 0 else -1 for s in letters),)
+    return tuple(free_exponents(letters, src.rank))  # free abelian, rank <= 1
 
 
 def cogenerator(h: Hom):
@@ -818,30 +811,29 @@ def is_isomorphism(h: Hom) -> bool:
 
 
 def compose(outer: Hom, inner: Hom) -> Hom:
-    """outer after inner."""
+    """outer after inner, through the unchecked image cores: every element
+    they meet is already an element of a hom's group."""
     if inner.dst != outer.src:
         raise ShapeMismatch("homs do not compose: middle groups differ")
-    src, dst = inner.src, outer.dst
-    if isinstance(src, FiniteTable):
-        if not isinstance(dst, FiniteTable):
-            raise UnsupportedHom("finite source composites must land in a finite group")
-        return Hom.table(src, dst, [outer.apply(y) for y in inner.data])
-    images = [outer.apply(inner.apply(x)) for x in src.generators()]
-    return Hom.images(src, dst, images)
+    if isinstance(inner.src, FiniteTable) and not isinstance(outer.dst, FiniteTable):
+        raise UnsupportedHom("finite source composites must land in a finite group")
+    first, then = inner._image, outer._image
+    return Hom.of(inner.src, outer.dst, lambda x: then(first(x)))
 
 
 def inverse(h: Hom) -> Hom:
-    """Inverse of an isomorphism (checked)."""
+    """Inverse of an isomorphism (checked), through the membership core."""
     if not is_isomorphism(h):
         raise ShapeMismatch("hom is not an isomorphism")
-    if isinstance(h.src, FiniteTable):
-        return Hom.table(h.dst, h.src, [h._first_preimage[y] for y in h.dst.elements()])
-    images = []
-    for y in h.dst.generators():
-        answer = hom_member(h, y)
-        assert answer.inside, "surjective hom missing a generator preimage"
-        images.append(answer.preimage)
-    return Hom.images(h.dst, h.src, images)
+    preimage = h._preimage
+
+    def f(y):
+        x = preimage(y)
+        if x is None:
+            raise AssertionError("surjective hom missing a generator preimage")
+        return x
+
+    return Hom.of(h.dst, h.src, f)
 
 
 # ---------------------------------------------------------------------------

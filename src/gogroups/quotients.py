@@ -7,7 +7,8 @@ oracle backends used by diagram conversion and by the cross-validation
 tests of the pinch reducer.  They read a presentation only through
 ``encode``, ``relator_codes`` and its derived relator rows: one Smith form
 of the rows serves ``abelianization`` and the abelianization oracle, and
-enumeration refuses at once, from a row count, a group the rows prove infinite.
+enumeration refuses at once, from the count of distinct nonzero rows or of
+nonzero columns, a group the rows prove infinite.
 
 Everything here works over arbitrary-precision Python ints; matrices are
 plain lists of lists.
@@ -21,6 +22,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import CapExceeded, OracleIncomplete
+from .folding import free_exponents
 
 IntMatrix = list  # list[list[int]]; rows of equal length
 
@@ -304,9 +306,9 @@ class InvariantFactors:
 def exponent_matrix(presentation) -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per
     generator.  Each relator object's row is computed once, from its
-    codes, and copied for its repeats."""
+    free word, and copied for its repeats."""
     n = len(presentation.generators)
-    rows = {key: _exponent_sums(codes, n) for key, codes in presentation._relator_encoding.items()}
+    rows = {key: free_exponents(w, n) for key, w in presentation._relator_encoding.items()}
     return [rows[id(rel)].copy() for rel in presentation.relators]
 
 
@@ -320,29 +322,29 @@ def abelianization(presentation) -> InvariantFactors:
 
 def word_exponent_vector(presentation, word) -> list:
     """Exponent sum of each generator in ``word``, by column."""
-    return _exponent_sums(presentation.encode(word), len(presentation.generators))
-
-
-def _exponent_sums(codes, n: int) -> list:
-    """Exponent sum of each of n generators in a word of letter codes."""
-    vec = [0] * n
-    for code in codes:
-        vec[code >> 1] += -1 if code & 1 else 1
-    return vec
+    return free_exponents(presentation.encode(word), len(presentation.generators))
 
 
 # ---------------------------------------------------------------------------
 # coset enumeration (relator-based HLT over the trivial subgroup)
+#
+# A coset table has column 2i for generator i (from 0) and 2i + 1 for its
+# inverse, so x ^ 1 undoes column x.  ``coset_columns`` is the one place
+# columns are derived from a free word (``Presentation.encode``): for
+# ``Presentation.relator_codes``, ``action`` and ``permutation``.
+
+
+def coset_columns(word) -> tuple:
+    """The coset-table columns a free word reads, letter by letter."""
+    return tuple([2 * s - 2 if s > 0 else -2 * s - 1 for s in word])
 
 
 @dataclass
 class CosetTable:
     """Completed or partial coset table for a presentation.
 
-    Columns are the presentation's letter codes (``Presentation.encode``):
-    column 2i is generator i, 2i+1 its inverse.  Rows are compressed to
-    live cosets, numbered in discovery order; ``order`` is the group order
-    when the enumeration completed.
+    Rows are compressed to live cosets, numbered in discovery order;
+    ``order`` is the group order when the enumeration completed.
     """
 
     presentation: object  # a gog.Presentation
@@ -354,7 +356,7 @@ class CosetTable:
     def action(self, coset: int, word) -> int:
         """Apply a word (list of (name, sign)) to a coset."""
         table = self.table
-        for col in self.presentation.encode(word):
+        for col in coset_columns(self.presentation.encode(word)):
             coset = table[coset][col]
             if coset is None:
                 raise OracleIncomplete("coset table is not closed under the word")
@@ -365,13 +367,13 @@ class CosetTable:
         is ``action(c, word)``."""
         if not self.completed:
             raise OracleIncomplete("coset table is not complete")
-        return tuple(self._images(self.presentation.encode(word)))
+        return tuple(self._images(coset_columns(self.presentation.encode(word))))
 
-    def _images(self, codes) -> list:
-        """The image of every coset under a word of letter codes."""
+    def _images(self, columns) -> list:
+        """The image of every coset under a word of columns."""
         table = self.table
         image = range(len(table))
-        for col in codes:
+        for col in columns:
             image = [table[c][col] for c in image]
         return list(image)
 
@@ -478,12 +480,15 @@ class _Enumerator:
 def coset_enumeration(presentation, cap: int) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raises CapExceeded when the
     number of cosets ever defined would pass ``cap``, or at once when the
-    relators have fewer distinct nonzero exponent rows than there are
-    generators: their lattice then has rank below the generator count, so
-    pi1 maps onto Z and the table never closes."""
-    n_gens, n_rows = len(presentation.generators), len(presentation._exponent_rows)
-    if n_rows < n_gens:
-        raise CapExceeded(f"{n_rows} distinct nonzero exponent rows on {n_gens} generators: "
+    relators' exponent rows bound their lattice's rank below the generator
+    count: fewer distinct nonzero rows than generators, or a generator
+    whose exponent sum is 0 in every relator (a zero column).  Then pi1
+    maps onto Z and the table never closes."""
+    rows = presentation._exponent_rows
+    n_gens, n_rows, n_cols = len(presentation.generators), len(rows), sum(map(any, zip(*rows)))
+    if min(n_rows, n_cols) < n_gens:
+        raise CapExceeded(f"exponent rank at most {min(n_rows, n_cols)} on {n_gens} generators "
+                          f"(distinct nonzero exponent rows: {n_rows}, nonzero columns: {n_cols}): "
                           f"pi1 maps onto Z, so enumeration cannot close (cap {cap})")
     relators = presentation.relator_codes
     st = _Enumerator(2 * n_gens, cap)

@@ -17,10 +17,8 @@ diagrams through convert_diagram first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
-from .folding import free_mul
 from .gog import (
     DiagramClass,
     GraphOfGroups,
@@ -30,7 +28,6 @@ from .gog import (
 )
 from .groups import (
     FiniteTable,
-    FreeAbelian,
     format_element,
     parse_element,
     split_inverse,
@@ -62,11 +59,11 @@ class ReductionKernel:
     read of one graph, in plain dicts: built once, on first use, and kept
     as ``GraphOfGroups._kernel``.
 
-    Per vertex: the group's bound ``check`` and its raw product (rows of
-    ``mul_table``, tuple addition, ``free_mul``), which checks no factor.
-    A word is checked once, by ``validate_loop_word``; after that only raw
-    products and hom images of checked elements arise, and they stay in
-    their groups.  Per half-edge: its (origin, terminus), and ``pinch[e]``,
+    Per vertex: the group's bound ``check`` and its unchecked product
+    ``_mul`` (for a table a closure over the rows of ``mul_table``), the
+    core its checked ``mul`` calls after the check.  A word is checked
+    once, by ``validate_loop_word``; after that only raw products and hom
+    images of checked elements arise, and they stay in their groups.  Per half-edge: its (origin, terminus), and ``pinch[e]``,
     which maps the middle element g of a subword e g bar(e) to
     (preimage under f_bar(e), its image under f_e), or to None when g is
     outside the image of f_bar(e).  Every half-edge's lookup is compiled
@@ -87,20 +84,11 @@ class ReductionKernel:
         self.base = g.base
         self.identity = g.vgroup[g.base].identity()
         self.check = {v: group.check for v, group in g.vgroup.items()}
-        self.mul = {v: _raw_mul(group) for v, group in g.vgroup.items()}
+        self.mul = {v: group._mul for v, group in g.vgroup.items()}
         self.bar = dict(graph.bar)
         self.ends = {e: (graph.d0[e], graph.terminus(e)) for e in graph.edges}
         self.pinch = {e: _pinch_lookup(g.emap[graph.bar[e]], g.emap[e]) for e in graph.edges}
         self.loops = {}
-
-
-def _raw_mul(group):
-    if isinstance(group, FiniteTable):
-        rows = group.mul_table
-        return lambda x, y: rows[x][y]
-    if isinstance(group, FreeAbelian):
-        return lambda x, y: tuple(map(add, x, y))
-    return free_mul
 
 
 def _pinch_lookup(inner, outer):

@@ -21,7 +21,7 @@ from gogroups.gog import (
 from gogroups.gogfile import parse_gog
 from gogroups.graph import AbstractGraph
 from gogroups.groups import (
-    FreeAbelian, Hom, cyclic_table, dihedral_table, direct_product, hom_is_injective,
+    FreeAbelian, FreeGroup, Hom, cyclic_table, dihedral_table, direct_product, hom_is_injective,
 )
 from gogroups.moves import decompose_along_edge
 from gogroups.quotients import InvariantFactors, abelianization, coset_enumeration
@@ -264,6 +264,16 @@ class TestLetterCollisions:
         g = GraphOfGroups.make(graph, {"v": za}, {"t": zc}, {"t": ident, "t^-1": ident})
         p = pi1_presentation(g)
         assert [l.name for l in p.generators] == ["v.t", "t"]
+
+    def test_qualified_name_already_taken_gets_a_prime(self):
+        # u's a collides with v's, so it becomes u.a; v's a would become
+        # v.a, which u's second generator already is, so it gets a prime
+        fu, fv, f0 = FreeGroup(2, ("a", "v.a")), FreeGroup(1, ("a",)), FreeGroup(0)
+        graph = AbstractGraph.make(["u", "v"], {"e": "e^-1", "e^-1": "e"}, {"e": "u", "e^-1": "v"})
+        g = GraphOfGroups.make(graph, {"u": fu, "v": fv}, {"e": f0},
+                               {"e": Hom.images(f0, fu, []), "e^-1": Hom.images(f0, fv, [])})
+        p = pi1_presentation(g)
+        assert [l.name for l in p.generators] == ["u.a", "v.a", "v.a'", "e"]
 
     def test_validate_detects_wrong_target(self):
         g = zoo.amalgam23()

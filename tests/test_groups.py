@@ -454,6 +454,34 @@ class TestComposeInverse:
             assert str(info.value) == message
 
 
+class TestHomRefusals:
+    def test_image_counts(self):
+        with pytest.raises(ShapeMismatch, match="one image per source generator required"):
+            Hom.images(FreeGroup(2), cyclic_table(2), [1])
+        with pytest.raises(ShapeMismatch, match="one image per source generator required"):
+            Hom.from_generator_images(cyclic_table(4), cyclic_table(2), [1, 1])
+
+    def test_table_pairs(self):
+        z4, z2 = cyclic_table(4), cyclic_table(2)
+        # images of a table pair extend from the generating set
+        assert Hom.images(z4, z2, [1]) == Hom.from_generator_images(z4, z2, [1])
+        assert Hom.images(z4, z2, [1]).data == (0, 1, 0, 1)
+        assert Hom.trivial(z4, z2).data == (0, 0, 0, 0)
+
+    def test_compose_and_inverse(self):
+        z2, z3 = cyclic_table(2), cyclic_table(3)
+        with pytest.raises(ShapeMismatch, match="homs do not compose: middle groups differ"):
+            compose(Hom.identity(z2), Hom.identity(z3))
+        # the constructors refuse a finite source onto an infinite target,
+        # so one is forged to reach compose's own guard
+        forged = Hom.identity(z2)
+        object.__setattr__(forged, "dst", FreeGroup(1))
+        with pytest.raises(UnsupportedHom, match="finite source composites must land in a finite group"):
+            compose(forged, Hom.identity(z2))
+        with pytest.raises(ShapeMismatch, match="hom is not an isomorphism"):
+            inverse(Hom.matrix(FreeAbelian(1), FreeAbelian(1), [[2]]))
+
+
 def _random_element(rng, g):
     if isinstance(g, FreeAbelian):
         return tuple(rng.randint(-4, 4) for _ in range(g.rank))

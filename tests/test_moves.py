@@ -7,7 +7,9 @@ import pytest
 
 import zoo
 from gogroups import moves, quotients
-from gogroups.errors import GogError, LoopContraction, NotIso, OracleIncomplete, UnrepresentableImage
+from gogroups.errors import (
+    GogError, InvalidStructure, LoopContraction, NotIso, OracleIncomplete, UnrepresentableImage,
+)
 from gogroups.gog import DiagramClass, GraphOfGroups, classify, pi1_presentation, spell_in_letters
 from gogroups.gogfile import serialize_gog
 from gogroups.graph import AbstractGraph
@@ -74,6 +76,12 @@ class TestContractEdge:
     def test_loop_rejected(self):
         with pytest.raises(LoopContraction):
             contract_edge(zoo.torus(), "t")
+
+    def test_unknown_edge_rejected(self):
+        with pytest.raises(InvalidStructure, match="no edge f"):
+            contract_edge(zoo.amalgam23(), "f")
+        with pytest.raises(InvalidStructure, match="no edge orbit f"):
+            decompose_along_edge(zoo.amalgam23(), "f")
 
     def test_base_follows_merge(self):
         g = zoo.dyadic(3)

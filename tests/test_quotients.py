@@ -19,7 +19,7 @@ from gogroups.cli import main
 from zoo import one_vertex
 from gogroups.errors import CapExceeded, OracleIncomplete, UnknownLetter
 from gogroups.gog import Letter, Presentation, pi1_presentation
-from gogroups.gogfile import parse_gog
+from gogroups.gogfile import parse_gog, serialize_gog
 from gogroups.groups import cyclic_table, dihedral_table, direct_product
 from gogroups.quotients import (
     CosetTable,
@@ -391,6 +391,14 @@ class TestCosetEnumeration:
         # a bijective Z/4 table against a relator it does not satisfy
         assert not CosetTable(pres(["a"], [[("a", 1)] * 2]), shift, True, 4).replay_check()
 
+    def test_an_incomplete_table_neither_acts_nor_replays(self):
+        # Z/4 half built: coset 1 has no image under a yet
+        partial = CosetTable(pres(["a"], [[("a", 1)] * 4]), [[1, None], [None, 0]], False)
+        assert partial.action(0, [("a", 1)]) == 1
+        with pytest.raises(OracleIncomplete, match="not closed under the word"):
+            partial.action(0, [("a", 1), ("a", 1)])
+        assert not partial.replay_check()
+
     def test_permutation_is_the_action_on_every_coset(self):
         p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 2])
         table = coset_enumeration(p, 100)
@@ -668,6 +676,30 @@ class TestRelatorRows:
                 assert main([*argv, str(path)]) == 3, path.name
                 out, err = capsys.readouterr()
                 assert out == "" and err.startswith("inconclusive: "), (path.name, err)
+
+    def test_a_zero_column_refuses_without_enumerating(self, monkeypatch, capsys, tmp_path):
+        # <a, b | a^2, a^3 b a b^-1>: two rows on two generators, but b has
+        # exponent sum 0 in both, so the rows span a rank-1 lattice
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("a", 1)] * 3 + [("b", 1), ("a", 1), ("b", -1)]])
+        assert p._exponent_rows == ((2, 0), (4, 0))
+        # a loop diagram of the digest corpus with a zero column, through the CLI
+        path = tmp_path / "loop1.gog"
+        path.write_text(serialize_gog(zoo.random_product_diagram(random.Random(1), loop=True)))
+        loop = pi1_presentation(parse_gog(str(path)))
+        assert len(loop._exponent_rows) >= len(loop.generators)
+
+        def refuse(*args):
+            raise AssertionError("an enumerator was built")
+
+        monkeypatch.setattr(quotients, "_Enumerator", refuse)
+        for q in (p, loop):
+            with pytest.raises(CapExceeded, match="exponent rank at most"):
+                coset_enumeration(q, 2000)
+        with pytest.raises(CapExceeded, match=r"rows: 2, nonzero columns: 1\)"):
+            coset_enumeration(p, 2000)
+        assert main(["enumerate", "--cap", "5000", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("inconclusive: exponent rank at most"), err
 
     def test_as_many_rows_as_generators_still_enumerate(self):
         # Z/2 * Z/2 is infinite, but its two rows span a rank-2 lattice: the

@@ -469,6 +469,17 @@ class TestGrammar:
         with pytest.raises(NonLoopWord):
             parse_loop_word(g, "u:[1] e")
 
+    def test_malformed_words_name_their_fault(self):
+        g = zoo.amalgam23()
+        # e^-1 starts at v, but the word is at u
+        with pytest.raises(NonLoopWord, match=r"edge e\^-1 does not start at u"):
+            validate_loop_word(g, LoopWord("u", ((0,), (0,), (0,)), ("e^-1", "e")))
+        at_v = LoopWord("v", ((0,),), ())
+        with pytest.raises(NonLoopWord, match="loop words based at different vertices"):
+            concat_loops(g, identity_loop(g), at_v)
+        with pytest.raises(UnknownLetter, match="'f' is not a half-edge id"):
+            parse_loop_word(g, "u:[1] f")
+
 
 class TestEqualIsEquivalence:
     def test_sampled_equivalence_relation(self):
