@@ -551,9 +551,11 @@ class Hom:
     nothing: ``apply`` and ``hom_member`` check at the boundary and call
     them, and the pinch kernel of ``words`` calls them on elements checked
     at a word's entry.  A free abelian target solves through the Smith
-    form's compiled solver (``SmithForm.solver``).  A free target reads preimages off the folded
-    graph and reduces the concatenated generator images once per image,
-    so both of its cores are linear in the word.
+    form's compiled solver (``SmithForm.solver``).  A free target reads
+    preimages off the folded graph and reduces the concatenated generator
+    images once per image, so both of its cores are linear in the word.
+    Every hom derived from an element map (identities, trivial homs,
+    composites, inverses) is built by ``Hom.of``.
     """
 
     src: GroupDesc
