@@ -644,7 +644,6 @@ class Hom:
         if isinstance(src, FreeAbelian) and src.rank and isinstance(dst, FiniteTable):
             # Z onto a finite target: by repeated squaring, not letter by letter
             return lambda x: dst.power(data[0], x[0])
-        # the image of each signed generator letter
         inv = dst._inv
         images = {s * i: y if s > 0 else inv(y) for i, y in enumerate(data, 1) for s in (1, -1)}
         if isinstance(dst, FreeGroup):
@@ -683,11 +682,15 @@ class Hom:
                 return None if x is None else _exponent_word(x)
 
             return preimage
+        # words over the generator images: folded preimages are freely
+        # reduced, and so are shortest words
         words = self._fold.preimage if isinstance(dst, FreeGroup) else self._witness.get
+        if isinstance(src, FreeGroup):
+            return words
 
-        def preimage(y):
+        def preimage(y):  # a free abelian source of rank <= 1
             w = words(y)
-            return None if w is None else _letters_to_source_element(src, w)
+            return None if w is None else tuple(free_exponents(w, src.rank))
 
         return preimage
 
@@ -781,13 +784,6 @@ def hom_member(h: Hom, y) -> MembershipAnswer:
     h.dst.check(y)
     x = h._preimage(y)
     return MembershipAnswer(False) if x is None else MembershipAnswer(True, x)
-
-
-def _letters_to_source_element(src: GroupDesc, letters):
-    """Package a generator-letter word as an element of ``src``."""
-    if isinstance(src, FreeGroup):
-        return free_reduce(tuple(letters))
-    return tuple(free_exponents(letters, src.rank))  # free abelian, rank <= 1
 
 
 def cogenerator(h: Hom):

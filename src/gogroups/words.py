@@ -244,7 +244,9 @@ def letter_loop(g: GraphOfGroups, name: str, sign: int) -> LoopWord:
         Presentation(letters, ()).encode(((name, sign),))  # raises UnknownLetter
     if letter.kind == "vertex":
         v = letter.owner
-        x = g.vgroup[v].power(g.vgroup[v].generators()[letter.index], sign)
+        x = g.vgroup[v].generators()[letter.index]
+        if sign < 0:
+            x = g.vgroup[v].inv(x)
         down = tree_path(g, v)
         middle = ()
     else:
