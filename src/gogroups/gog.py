@@ -30,8 +30,8 @@ from .graph import (
     validate_graph,
 )
 from .folding import free_exponents, free_inv, free_reduce
-from .groups import FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
-from .quotients import SmithForm, coset_columns, freely_reduce  # noqa: F401  (re-exports freely_reduce)
+from .groups import INVERSE_SUFFIX, FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
+from .quotients import SmithForm, coset_columns
 
 
 class DiagramClass(enum.Enum):
@@ -217,10 +217,6 @@ class Letter:
 Word = tuple  # tuple of (letter name, +1 | -1)
 
 
-def invert_word(word) -> Word:
-    return tuple((name, -sign) for name, sign in reversed(word))
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Generators and relator words, compiled once.  ``encode`` is the one
@@ -229,10 +225,11 @@ class Presentation:
     and raises UnknownLetter on any other letter.  Each relator object is
     encoded once; ``relator_codes`` keeps each distinct nonempty relator
     once, in order of first occurrence, as the coset-table columns
-    ``quotients.coset_columns`` reads off it, ``_exponent_rows`` each
-    distinct nonzero exponent row, and ``_abelian_form`` the Smith form of
-    their lattice (a row per generator, a column per row) that every
-    abelian reader shares."""
+    ``quotients.coset_columns`` reads off it.  ``_relator_rows`` holds each
+    relator object's exponent row, which ``quotients.exponent_matrix``
+    copies, ``_exponent_rows`` each distinct nonzero one, and
+    ``_abelian_form`` the Smith form of their lattice (a row per generator,
+    a column per row) that every abelian reader shares."""
 
     generators: tuple  # of Letter
     relators: tuple    # of Word
@@ -265,10 +262,13 @@ class Presentation:
         return tuple(coset_columns(w) for w in dict.fromkeys(self._relator_encoding.values()) if w)
 
     @cached_property
-    def _exponent_rows(self) -> tuple:
+    def _relator_rows(self) -> dict:  # {id(relator): its exponent row}
         n = len(self.generators)
-        rows = (tuple(free_exponents(w, n)) for w in dict.fromkeys(self._relator_encoding.values()))
-        return tuple(row for row in dict.fromkeys(rows) if any(row))
+        return {key: tuple(free_exponents(w, n)) for key, w in self._relator_encoding.items()}
+
+    @cached_property
+    def _exponent_rows(self) -> tuple:
+        return tuple(row for row in dict.fromkeys(self._relator_rows.values()) if any(row))
 
     @cached_property
     def _abelian_form(self) -> SmithForm:
@@ -414,4 +414,4 @@ def presentation_to_text(p: Presentation) -> str:
 
 def relator_to_text(rel) -> str:
     """A relator word as space-separated tokens, name or name^-1."""
-    return " ".join(f"{n}^-1" if s < 0 else n for n, s in rel)
+    return " ".join(n + INVERSE_SUFFIX if s < 0 else n for n, s in rel)

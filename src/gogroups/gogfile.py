@@ -43,6 +43,7 @@ from .errors import GogParseError
 from .gog import GraphOfGroups
 from .graph import AbstractGraph, orbits
 from .groups import (
+    INVERSE_SUFFIX,
     FiniteTable,
     FreeAbelian,
     FreeGroup,
@@ -51,8 +52,6 @@ from .groups import (
     format_element,
     parse_element,
 )
-
-_REVERSE_SUFFIX = "^-1"
 
 if yaml.__with_libyaml__:
     YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
@@ -326,8 +325,8 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
     for raw_name, record in edges_doc.items():
         name = _name(raw_name, f"{path}.edges")
         where = f"{path}.edges.{name}"
-        if name.endswith(_REVERSE_SUFFIX):
-            _fail(where, f"edge names must not end with {_REVERSE_SUFFIX}")
+        if name.endswith(INVERSE_SUFFIX):
+            _fail(where, f"edge names must not end with {INVERSE_SUFFIX}")
         if name in bar:
             _fail(where, "duplicate edge")
         record = _require_mapping(record, where)
@@ -343,7 +342,7 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
             if v not in vgroup:
                 _fail(f"{where}.{key}", f"unknown vertex {v}")
         shared = parse_group(record["group"], f"{where}.group")
-        back_name = name + _REVERSE_SUFFIX
+        back_name = name + INVERSE_SUFFIX
         bar[name], bar[back_name] = back_name, name
         d0[name], d0[back_name] = origin, terminus
         egroup[name] = shared
@@ -399,8 +398,8 @@ def serialize_gog(g: GraphOfGroups) -> str:
     edges = {}
     for o in orbits(g.graph):
         name = o.plus
-        if name.endswith(_REVERSE_SUFFIX):
-            name = name[: -len(_REVERSE_SUFFIX)]
+        if name.endswith(INVERSE_SUFFIX):
+            name = name[: -len(INVERSE_SUFFIX)]
         edges[name] = {
             "origin": g.graph.d0[o.plus],
             "terminus": g.graph.d0[o.minus],

@@ -871,14 +871,17 @@ def format_element(g: GroupDesc, x, sep: str = ".") -> str:
     if not x:
         return "1"
     return sep.join(
-        g.names[abs(s) - 1] + ("^-1" if s < 0 else "") for s in x
+        g.names[abs(s) - 1] + (INVERSE_SUFFIX if s < 0 else "") for s in x
     )
+
+
+INVERSE_SUFFIX = "^-1"  # marks an inverse letter or a reverse half-edge in text
 
 
 def split_inverse(token: str) -> tuple:
     """(name, -1) for a token ``name^-1``, else (token, 1)."""
-    if token.endswith("^-1"):
-        return token[: -len("^-1")], -1
+    if token.endswith(INVERSE_SUFFIX):
+        return token[: -len(INVERSE_SUFFIX)], -1
     return token, 1
 
 

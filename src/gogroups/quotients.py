@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import CapExceeded, OracleIncomplete
-from .folding import free_exponents
+from .folding import free_exponents, free_reduce
 
 IntMatrix = list  # list[list[int]]; rows of equal length
 
@@ -305,11 +305,9 @@ class InvariantFactors:
 
 def exponent_matrix(presentation) -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per
-    generator.  Each relator object's row is computed once, from its
-    free word, and copied for its repeats."""
-    n = len(presentation.generators)
-    rows = {key: free_exponents(w, n) for key, w in presentation._relator_encoding.items()}
-    return [rows[id(rel)].copy() for rel in presentation.relators]
+    generator, copied from the presentation's one row per relator object."""
+    rows = presentation._relator_rows
+    return [list(rows[id(rel)]) for rel in presentation.relators]
 
 
 def abelianization(presentation) -> InvariantFactors:
@@ -566,29 +564,18 @@ class OracleAnswer:
     soundness: str
 
 
-def freely_reduce(word) -> tuple:
-    """Cancel adjacent (name, sign), (name, -sign) pairs in a word of
-    (letter name, +1 | -1) pairs."""
-    out = []
-    for name, sign in word:
-        if out and out[-1][0] == name and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((name, sign))
-    return tuple(out)
-
-
 def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
     """Triviality of a word in the oracle quotient, tagged with soundness."""
-    vec = word_exponent_vector(presentation, word)  # rejects unknown letters
+    codes = presentation.encode(word)  # rejects unknown letters
     if oracle.kind == "finite_enumeration":
         table = coset_enumeration(presentation, oracle.cap)
         trivial = table.action(0, word) == 0
         return OracleAnswer(trivial, True, oracle.soundness())
     if oracle.kind == "abelianization":
-        # vec must lie in the lattice of the relator rows, the form's column lattice
+        # the exponent vector must lie in the lattice of the relator rows, the form's column lattice
+        vec = free_exponents(codes, len(presentation.generators))
         trivial = presentation._abelian_form.scaled(vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction
-    trivial = freely_reduce(word) == ()
+    trivial = free_reduce(codes) == ()
     return OracleAnswer(trivial, len(presentation.relators) == 0, oracle.soundness())

@@ -27,6 +27,7 @@ from .gog import (
     require_valid_gog,
 )
 from .groups import (
+    INVERSE_SUFFIX,
     FiniteTable,
     format_element,
     parse_element,
@@ -316,7 +317,7 @@ def format_loop_word(g: GraphOfGroups, w: LoopWord) -> str:
         if not g.vgroup[at].is_identity(x):
             tokens.append(f"{at}:{format_element(g.vgroup[at], x)}")
         orbit = g.orbit_of(e)
-        tokens.append(e if e == orbit.plus else f"{orbit.plus}^-1")
+        tokens.append(e if e == orbit.plus else orbit.plus + INVERSE_SUFFIX)
         at = g.graph.terminus(e)
     x = w.elements[-1]
     if not g.vgroup[at].is_identity(x) or not w.edges:

@@ -10,13 +10,12 @@ import random
 import time
 
 import zoo
+from zoo import freely_reduce, invert_word
 from gogroups.analysis import product_rank_family, rank_bound, recognize_abelian
 from gogroups.errors import ShapeMismatch
 from gogroups.gog import (
     DiagramClass,
     classify,
-    freely_reduce,
-    invert_word,
     pi1_presentation,
 )
 from gogroups.gogfile import parse_gog

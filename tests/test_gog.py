@@ -6,13 +6,12 @@ import pathlib
 import pytest
 
 import zoo
+from zoo import freely_reduce, invert_word
 from gogroups.errors import GogError, InvalidStructure
 from gogroups.gog import (
     DiagramClass,
     GraphOfGroups,
     classify,
-    freely_reduce,
-    invert_word,
     pi1_presentation,
     presentation_to_text,
     relator_to_text,

@@ -277,6 +277,21 @@ class TestAbelianization:
         assert m == [word_exponent_vector(p, rel) for rel in p.relators]
         assert len(set(map(tuple, m))) < len({id(row) for row in m}) == len(m)
 
+    def test_each_relator_object_is_counted_once(self, monkeypatch):
+        p = pi1_presentation(one_vertex(dihedral_table(6)))
+        counted = []
+        real = gogroups.gog.free_exponents
+
+        def count(word, n):
+            counted.append(word)
+            return real(word, n)
+
+        monkeypatch.setattr(gogroups.gog, "free_exponents", count)
+        rows = p._exponent_rows
+        m = exponent_matrix(p)
+        assert len(counted) == len({id(rel) for rel in p.relators}) < len(p.relators)
+        assert set(map(tuple, m)) - {(0,) * len(p.generators)} == set(rows)
+
     def test_one_vertex_z256_builds_and_abelianizes_in_budget(self):
         # 16,384 product relators of 2 distinct words; each word's row is computed once
         start = time.perf_counter()

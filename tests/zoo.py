@@ -23,6 +23,25 @@ def _graph(vertices, half_edges):
     return AbstractGraph.make(vertices, bar, d0)
 
 
+# name-level word helpers: references independent of the library's free words
+
+
+def freely_reduce(word) -> tuple:
+    """Cancel adjacent (name, sign), (name, -sign) pairs in a word of
+    (letter name, +1 | -1) pairs."""
+    out = []
+    for name, sign in word:
+        if out and out[-1][0] == name and out[-1][1] == -sign:
+            out.pop()
+        else:
+            out.append((name, sign))
+    return tuple(out)
+
+
+def invert_word(word) -> tuple:
+    return tuple((name, -sign) for name, sign in reversed(word))
+
+
 def one_vertex(group):
     """One vertex ``v`` with the given group and no edges."""
     return GraphOfGroups.make(_graph(["v"], []), {"v": group}, {}, {})
