@@ -71,9 +71,8 @@ class AbelianVerdict:
 
 def _certified(g: GraphOfGroups, witness: LoopWord, step: str) -> AbelianVerdict:
     form = reduce(g, witness)
-    assert len(form.word) >= 1 or not g.vgroup[form.word.base].is_identity(
-        form.word.elements[0]
-    ), f"witness for step {step} collapsed"
+    if len(form.word) < 1 and g.vgroup[form.word.base].is_identity(form.word.elements[0]):
+        raise AssertionError(f"witness for step {step} collapsed")
     return AbelianVerdict(
         abelian=False, witness=witness, reduced=form, provenance=step, carrier=g
     )
@@ -156,9 +155,8 @@ def recognize_abelian(g: GraphOfGroups) -> AbelianVerdict:
             )
             verdict = _certified(collapsed, witness, "4b")
             expected = group.mul(a1, group.inv(a2))
-            assert verdict.reduced.word.elements == (expected,), (
-                "4b witness did not reduce to alpha1(c) alpha2(c)^-1"
-            )
+            if verdict.reduced.word.elements != (expected,):
+                raise AssertionError("4b witness did not reduce to alpha1(c) alpha2(c)^-1")
             return verdict
 
     return AbelianVerdict(abelian=True, rank=group.rank + 1, note="G_v x Z")
@@ -181,5 +179,6 @@ def product_rank_family(m: int, base: FiniteTable) -> GroupDesc:
     result = base
     for _ in range(m):
         result = direct_product(result, cyclic_table(2))
-    assert group_rank(result) >= m
+    if group_rank(result) < m:
+        raise AssertionError
     return result

@@ -728,6 +728,8 @@ class Hom:
         when no homomorphism extends them."""
         if len(images) != len(src.generators()):
             raise ShapeMismatch("one image per source generator required")
+        for y in images:
+            dst.check(y)
         table, inv = dst.mul_table, dst.inv_table
         mapping = []
         for word in _ft_spellings(src):

@@ -129,7 +129,8 @@ def collapse_tree(g: GraphOfGroups) -> GraphOfGroups:
                 f"no isomorphic side on tree orbit {remaining[0]}; cannot collapse"
             )
         remaining.remove(progress)
-    assert len(current.graph.vertices) == 1, "tree collapse left several vertices"
+    if len(current.graph.vertices) != 1:
+        raise AssertionError("tree collapse left several vertices")
     return current
 
 
@@ -202,7 +203,8 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
         t = edge_letters[o.plus].name
         t_perm = table.permutation(((t, 1),))
         if o.plus in d.tree_orbits():
-            assert t_perm == identity, "tree letter does not die in the quotient"
+            if t_perm != identity:
+                raise AssertionError("tree letter does not die in the quotient")
         plus_map = []
         minus_map = []
         t_inv = table.permutation(((t, -1),))
@@ -220,8 +222,10 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
             minus_map.append(vertex_index[terminus][conj])
         new_emap[o.plus] = Hom.table(etable, new_vgroup[origin], plus_map)
         new_emap[o.minus] = Hom.table(etable, new_vgroup[terminus], minus_map)
-        assert hom_is_injective(new_emap[o.plus])
-        assert hom_is_injective(new_emap[o.minus])
+        if not hom_is_injective(new_emap[o.plus]):
+            raise AssertionError
+        if not hom_is_injective(new_emap[o.minus]):
+            raise AssertionError
 
     tag = f"converted: finite enumeration (cap {oracle.cap}), pi1 order {n} (exact)"
     return d.replace(
@@ -360,7 +364,8 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
         new_egroup[o.plus] = edge_group
         for half, end in ((o.plus, origin), (o.minus, terminus)):
             new_emap[half] = _inclusion_hom(image, vertex_images[end], edge_group, new_vgroup[end])
-            assert hom_is_injective(new_emap[half])
+            if not hom_is_injective(new_emap[half]):
+                raise AssertionError
 
     tag = f"converted: abelianization oracle ({oracle.soundness()})"
     return d.replace(
@@ -440,7 +445,8 @@ def decompose_along_edge(g: GraphOfGroups, orbit) -> Decomposition:
     naming = g._naming
     glue = edge_relators(g, plus, naming)
     parts = _components(g, plus)
-    assert len(parts) <= 2, "edge removal split the graph into >2 pieces"
+    if len(parts) > 2:
+        raise AssertionError("edge removal split the graph into >2 pieces")
     sides = [_induced(g, part, plus) for part in parts]
     tree_used = frozenset().union(*(side.tree_orbits() for side in sides))
     presentations = [pi1_presentation(side, naming=naming) for side in sides]

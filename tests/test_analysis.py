@@ -3,17 +3,20 @@ import random
 import pytest
 
 import zoo
+from gogroups import analysis, moves, words
 from gogroups.analysis import product_rank_family, rank_bound, recognize_abelian
 from gogroups.errors import CapExceeded, UnsupportedClass
 from gogroups.gog import GraphOfGroups, pi1_presentation
 from gogroups.graph import AbstractGraph
 from gogroups.groups import (
     FreeAbelian,
+    FreeGroup,
     Hom,
     cyclic_table,
     group_rank,
     hom_member,
 )
+from gogroups.moves import QuotientOracle, convert_diagram
 from gogroups.quotients import abelianization
 from gogroups.words import is_trivial
 
@@ -152,6 +155,13 @@ class TestRankBound:
         assert abelianization(pi1_presentation(g)).free_rank == 5
 
 
+def test_an_edge_group_must_be_free_abelian():
+    za, f1 = FreeAbelian(1, ("a",)), FreeGroup(1)
+    into = Hom.images(f1, za, [(1,)])
+    with pytest.raises(UnsupportedClass, match="^edge group at orbit t is not free abelian$"):
+        recognize_abelian(zoo.hnn(za, f1, into, into))
+
+
 class TestProductRankFamily:
     def test_elementary_abelian(self):
         g = product_rank_family(3, cyclic_table(1))
@@ -179,3 +189,20 @@ class TestProductRankFamily:
             product_rank_family(4, cyclic_table(1000))
         with pytest.raises(ValueError):
             product_rank_family(5, cyclic_table(2))
+
+
+class TestCertificatesSurviveOptimize:
+    """Certificate checks are explicit raises, so ``python -O`` keeps them."""
+
+    def test_a_collapsed_witness_is_refused(self, monkeypatch):
+        collapsed = words.reduce(zoo.klein(), words.identity_loop(zoo.klein()))
+        monkeypatch.setattr(analysis, "reduce", lambda g, w: collapsed)
+        with pytest.raises(AssertionError, match="^witness for step 4b collapsed$"):
+            recognize_abelian(zoo.klein())
+
+    def test_a_converted_edge_map_must_be_injective(self, monkeypatch):
+        monkeypatch.setattr(moves, "hom_is_injective", lambda h: False)
+        for oracle in (QuotientOracle.finite_enumeration(5000), QuotientOracle.abelianization()):
+            with pytest.raises(AssertionError) as info:
+                convert_diagram(zoo.pushout46(), oracle)
+            assert str(info.value) == ""

@@ -7,7 +7,7 @@ import pytest
 
 import zoo
 from zoo import freely_reduce, invert_word
-from gogroups.errors import GogError, InvalidStructure
+from gogroups.errors import GogError, InvalidStructure, SpellingFailure
 from gogroups.gog import (
     DiagramClass,
     GraphOfGroups,
@@ -15,6 +15,7 @@ from gogroups.gog import (
     pi1_presentation,
     presentation_to_text,
     relator_to_text,
+    spell_in_letters,
     validate_gog,
 )
 from gogroups.gogfile import parse_gog
@@ -124,6 +125,29 @@ class TestValidation:
         g = zoo.torus().replace(base="nowhere")
         with pytest.raises(InvalidStructure):
             pi1_presentation(g)
+
+    def test_each_violation_text(self):
+        v, t = zoo.one_vertex(FreeAbelian(1)), zoo.torus()
+        z, z2 = FreeAbelian(1, ("c",)), FreeAbelian(2)
+        cases = [
+            (GraphOfGroups.make(v.graph, {}, {}, {}, base="v"), "vertex v: no vertex group"),
+            (v.replace(vgroup={"v": z, "w": z}), "vertex group for unknown vertex w"),
+            (t.replace(egroup={}), "orbit t: no edge group"),
+            (t.replace(egroup={**t.egroup, "t^-1": z}), "edge group key t^-1 is not an orbit plus id"),
+            (t.replace(emap={"t": t.emap["t"]}), "edge t^-1: no edge map"),
+            (t.replace(emap={**t.emap, "t": Hom.matrix(z, z2, [[1], [0]])}),
+             "edge t: map target differs from the origin vertex group"),
+            (t.replace(emap={**t.emap, "s": t.emap["t"]}), "edge map for unknown edge s"),
+            (t.replace(base="w"), "basepoint w is not a vertex"),
+        ]
+        for g, violation in cases:
+            assert validate_gog(g).violations == (violation,)
+
+    def test_spelling_a_non_element_fails(self):
+        z3 = cyclic_table(3)
+        letters = zoo.one_vertex(z3)._naming[0]["v"]
+        with pytest.raises(SpellingFailure, match="^7 is not an index into a table of size 3$"):
+            spell_in_letters(z3, letters, 7)
 
 
 class TestPresentation:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from types import MappingProxyType
 
 import pytest
 
@@ -145,3 +146,25 @@ def test_long_path_validates_in_linear_time():
     assert len(spanning_tree(g)) == n - 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"validation took {elapsed:.2f} s"
+
+
+def _direct(vertices, edges, bar, d0):
+    """An AbstractGraph built field by field, past ``make``'s edges = bar keys."""
+    return AbstractGraph(frozenset(vertices), frozenset(edges), MappingProxyType(bar), MappingProxyType(d0))
+
+
+@pytest.mark.parametrize("graph, violations", [
+    (_direct({"v"}, {"e"}, {}, {"e": "v"}), ("edge e: involution undefined",)),
+    (AbstractGraph.make({"v"}, {"e": "x"}, {"e": "v"}), ("edge e: involution image x is not an edge",)),
+    (AbstractGraph.make({"v"}, {"e": "e"}, {"e": "v"}), ("edge e: involution has fixed point",)),
+    (AbstractGraph.make({"v"}, {"e": "f", "f": "g", "g": "f"}, dict.fromkeys("efg", "v")),
+     ("edge e: involution is not an involution",)),
+    (AbstractGraph.make({"v"}, {"e": "f", "f": "e"}, {"e": "v"}), ("edge f: origin undefined",)),
+    (_direct({"v"}, (), {"e": "e"}, {}), ("involution defined on unknown edge e",)),
+    (AbstractGraph.make({"v"}, {}, {"e": "v"}), ("origin defined on unknown edge e",)),
+    (AbstractGraph.make((), {}, {}), ("disconnected: graph has no vertices",)),
+    (AbstractGraph.make("uvw", {}, {}),
+     ("disconnected: vertex v unreachable from u", "disconnected: vertex w unreachable from u")),
+])
+def test_each_violation_text(graph, violations):
+    assert validate_graph(graph).violations == violations

@@ -461,6 +461,16 @@ class TestHomRefusals:
         with pytest.raises(ShapeMismatch, match="one image per source generator required"):
             Hom.from_generator_images(cyclic_table(4), cyclic_table(2), [1, 1])
 
+    def test_generator_images_are_elements(self):
+        z2, z4 = cyclic_table(2), cyclic_table(4)
+        for build in (lambda: Hom.from_generator_images(z2, z2, [-1]),
+                      lambda: Hom.images(z4, z4, [-1]),
+                      lambda: Hom.images(FreeGroup(1), z2, [-1])):
+            with pytest.raises(ShapeMismatch, match=r"^-1 is not an index into a table of size \d$"):
+                build()
+        with pytest.raises(ShapeMismatch, match="^5 is not an index into a table of size 2$"):
+            Hom.from_generator_images(z2, z2, [5])
+
     def test_table_pairs(self):
         z4, z2 = cyclic_table(4), cyclic_table(2)
         # images of a table pair extend from the generating set

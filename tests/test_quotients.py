@@ -277,6 +277,22 @@ class TestAbelianization:
         assert m == [word_exponent_vector(p, rel) for rel in p.relators]
         assert len(set(map(tuple, m))) < len({id(row) for row in m}) == len(m)
 
+    def test_a_live_coset_left_open_by_every_relator_is_filled(self, monkeypatch):
+        # <a, b | a^3, a b^-1>: no relator scan defines coset 0's b^-1 entry
+        p = pres(["a", "b"], [[("a", 1)] * 3, [("a", 1), ("b", -1)]])
+        filled = []
+        define = quotients._Enumerator.define
+
+        def record(st, alpha, x):
+            if sys._getframe(1).f_code.co_name == "coset_enumeration":
+                filled.append((alpha, x))
+            return define(st, alpha, x)
+
+        monkeypatch.setattr(quotients._Enumerator, "define", record)
+        table = coset_enumeration(p, 100)
+        assert (filled, table.order, table.cosets_defined) == ([(0, 3)], 3, 4)
+        assert table.replay_check()
+
     def test_each_relator_object_is_counted_once(self, monkeypatch):
         p = pi1_presentation(one_vertex(dihedral_table(6)))
         counted = []
