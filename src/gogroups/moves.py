@@ -222,9 +222,7 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
             minus_map.append(vertex_index[terminus][conj])
         new_emap[o.plus] = Hom.table(etable, new_vgroup[origin], plus_map)
         new_emap[o.minus] = Hom.table(etable, new_vgroup[terminus], minus_map)
-        if not hom_is_injective(new_emap[o.plus]):
-            raise AssertionError
-        if not hom_is_injective(new_emap[o.minus]):
+        if not (hom_is_injective(new_emap[o.plus]) and hom_is_injective(new_emap[o.minus])):
             raise AssertionError
 
     tag = f"converted: finite enumeration (cap {oracle.cap}), pi1 order {n} (exact)"

@@ -572,8 +572,8 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
         trivial = table.action(0, word) == 0
         return OracleAnswer(trivial, True, oracle.soundness())
     if oracle.kind == "abelianization":
-        # the exponent vector must lie in the lattice of the relator rows, the form's column lattice
         vec = free_exponents(codes, len(presentation.generators))
+        # vec must lie in the lattice of the relator rows, the form's column lattice
         trivial = presentation._abelian_form.scaled(vec) is not None
         return OracleAnswer(trivial, oracle.asserted_abelian, oracle.soundness())
     # free reduction

@@ -112,6 +112,11 @@ class TestRecognizeAbelian:
             recognize_abelian(zoo.finite_star())
         with pytest.raises(UnsupportedClass):
             recognize_abelian(zoo.trefoil())
+        # free abelian vertices, but a free edge group
+        za, f1 = FreeAbelian(1, ("a",)), FreeGroup(1)
+        into = Hom.images(f1, za, [(1,)])
+        with pytest.raises(UnsupportedClass, match="^edge group at orbit t is not free abelian$"):
+            recognize_abelian(zoo.hnn(za, f1, into, into))
 
     def test_rejects_diagrams(self):
         za = FreeAbelian(1)
@@ -153,13 +158,6 @@ class TestRankBound:
         assert rank_bound(g) == 2
         # the diagram's pi1 is Z^3 * F2: free rank 5 abelianization
         assert abelianization(pi1_presentation(g)).free_rank == 5
-
-
-def test_an_edge_group_must_be_free_abelian():
-    za, f1 = FreeAbelian(1, ("a",)), FreeGroup(1)
-    into = Hom.images(f1, za, [(1,)])
-    with pytest.raises(UnsupportedClass, match="^edge group at orbit t is not free abelian$"):
-        recognize_abelian(zoo.hnn(za, f1, into, into))
 
 
 class TestProductRankFamily:
