@@ -59,9 +59,11 @@ class GraphOfGroups:
     a naming) and the reduction kernel (``_kernel``, a
     ``words.ReductionKernel``, which also holds the letter loops, built
     from the naming and the tree alone).  The kernel is what letter
-    expansion, ``validate_loop_word`` and ``reduce`` read: a loop word is
-    validated once, at entry, and every later product is a raw table
-    lookup, tuple sum or free-word product of elements known to be valid.
+    expansion, ``validate_loop_word`` and ``reduce`` read: a loop word a
+    caller built is validated at entry, a word that ``words`` built or
+    checked on this graph carries its kernel and is not validated again,
+    and every later product is a raw table lookup, tuple sum or free-word
+    product of elements known to be valid.
     """
 
     graph: AbstractGraph
@@ -122,12 +124,14 @@ class GraphOfGroups:
                 bad.append(f"vertex {v}: no vertex group")
         for v in sorted(set(self.vgroup) - graph.vertices):
             bad.append(f"vertex group for unknown vertex {v}")
-        orbit_list = orbits(graph) if not bad else []
-        for o in orbit_list:
-            if o.plus not in self.egroup:
-                bad.append(f"orbit {o.plus}: no edge group")
-        for key in sorted(set(self.egroup) - {o.plus for o in orbit_list}):
-            bad.append(f"edge group key {key} is not an orbit plus id")
+        if not bad:  # orbits, and so edge-group keys, are read only here
+            orbit_list = orbits(graph)
+            plus_ids = {o.plus for o in orbit_list}
+            for o in orbit_list:
+                if o.plus not in self.egroup:
+                    bad.append(f"orbit {o.plus}: no edge group")
+            for key in sorted(set(self.egroup) - plus_ids):
+                bad.append(f"edge group key {key} is not an orbit plus id")
         for e in sorted(graph.edges):
             h = self.emap.get(e)
             if h is None:
@@ -144,7 +148,6 @@ class GraphOfGroups:
         if self.base not in graph.vertices:
             bad.append(f"basepoint {self.base} is not a vertex")
         if self.tree is not None and not bad:
-            plus_ids = {o.plus for o in orbit_list}
             for t in sorted(self.tree):
                 if t not in plus_ids:
                     bad.append(f"tree entry {t} is not an orbit plus id")

@@ -329,7 +329,8 @@ def word_exponent_vector(presentation, word) -> list:
 # A coset table has column 2i for generator i (from 0) and 2i + 1 for its
 # inverse, so x ^ 1 undoes column x.  ``coset_columns`` is the one place
 # columns are derived from a free word (``Presentation.encode``): for
-# ``Presentation.relator_codes``, ``action`` and ``permutation``.
+# ``Presentation.relator_codes``, ``action``, ``oracle_answer`` and
+# ``permutation``.
 
 
 def coset_columns(word) -> tuple:
@@ -353,8 +354,12 @@ class CosetTable:
 
     def action(self, coset: int, word) -> int:
         """Apply a word (list of (name, sign)) to a coset."""
+        return self._walk(coset, self.presentation.encode(word))
+
+    def _walk(self, coset: int, codes) -> int:
+        """Apply a free word (``Presentation.encode``) to a coset."""
         table = self.table
-        for col in coset_columns(self.presentation.encode(word)):
+        for col in coset_columns(codes):
             coset = table[coset][col]
             if coset is None:
                 raise OracleIncomplete("coset table is not closed under the word")
@@ -569,7 +574,7 @@ def oracle_answer(oracle: QuotientOracle, presentation, word) -> OracleAnswer:
     codes = presentation.encode(word)  # rejects unknown letters
     if oracle.kind == "finite_enumeration":
         table = coset_enumeration(presentation, oracle.cap)
-        trivial = table.action(0, word) == 0
+        trivial = table._walk(0, codes) == 0
         return OracleAnswer(trivial, True, oracle.soundness())
     if oracle.kind == "abelianization":
         vec = free_exponents(codes, len(presentation.generators))

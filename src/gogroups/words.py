@@ -16,7 +16,7 @@ diagrams through convert_diagram first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
 from .gog import (
@@ -37,9 +37,14 @@ from .groups import (
 
 @dataclass(frozen=True)
 class LoopWord:
+    """A loop word.  ``_checked_by`` is the ``ReductionKernel`` of the one
+    graph on which this module built or checked the word's tuples, else
+    None; it is set here only, and is no part of the word's value."""
+
     base: str
     elements: tuple  # n + 1 vertex-group elements
     edges: tuple     # n half-edge ids
+    _checked_by: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) != len(self.edges) + 1:
@@ -47,6 +52,17 @@ class LoopWord:
 
     def __len__(self):
         return len(self.edges)
+
+    def __reduce__(self):
+        # a copy or an unpickled word is checked again
+        return LoopWord, (self.base, self.elements, self.edges)
+
+
+def _checked(kernel: "ReductionKernel", word: LoopWord) -> LoopWord:
+    """Stamp a word whose tuples this module built, or checked, as a loop
+    of ``kernel``'s graph."""
+    object.__setattr__(word, "_checked_by", kernel)
+    return word
 
 
 @dataclass(frozen=True)
@@ -62,9 +78,12 @@ class ReductionKernel:
 
     Per vertex: the group's bound ``check`` and its unchecked product
     ``_mul`` (for a table a closure over the rows of ``mul_table``), the
-    core its checked ``mul`` calls after the check.  A word is checked
-    once, by ``validate_loop_word``; after that only raw products and hom
-    images of checked elements arise, and they stay in their groups.  Per half-edge: its (origin, terminus), and ``pinch[e]``,
+    core its checked ``mul`` calls after the check.  A word is checked by
+    ``validate_loop_word`` unless it carries this kernel as its stamp, set
+    only on words this module built from the kernel's own loops or
+    checked itself; after that only raw products and hom images of
+    checked elements arise, and they stay in their groups.  Per
+    half-edge: its (origin, terminus), and ``pinch[e]``,
     which maps the middle element g of a subword e g bar(e) to
     (preimage under f_bar(e), its image under f_e), or to None when g is
     outside the image of f_bar(e).  Every half-edge's lookup is compiled
@@ -74,7 +93,9 @@ class ReductionKernel:
     ``hom_apply`` call after their checks.
     Per letter, filled only by letter expansion, so raw syllables never
     name letters: ``loops[name, sign]`` = (first element, later elements,
-    edges), the graph's one letter-loop table.
+    edges), the graph's one letter-loop table; the first element is None
+    when it is the identity, which it is for every letter but a generator
+    of the base vertex group.
     """
 
     __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
@@ -106,8 +127,13 @@ def _pinch_lookup(inner, outer):
 
 
 def validate_loop_word(g: GraphOfGroups, w: LoopWord) -> None:
-    """Path consistency: origins line up and elements live at their vertices."""
+    """Path consistency: origins line up and elements live at their vertices.
+
+    Returns at once on a word that carries ``g``'s own kernel as its stamp;
+    any other word, one a caller built included, is checked in full."""
     kernel = g._kernel
+    if w._checked_by is kernel:
+        return
     checks, ends = kernel.check, kernel.ends
     at = w.base
     try:
@@ -155,8 +181,10 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     substituted element) for external replay.
 
     ``validate_loop_word`` is the one check of the word's elements, at
-    entry; the pass itself reads only the graph's ``ReductionKernel``:
-    pinch lookups and raw products, closed on checked elements.
+    entry, and it passes a word this module built or checked on ``g`` at
+    once; the pass itself reads only the graph's ``ReductionKernel``:
+    pinch lookups and raw products, closed on checked elements, so the
+    form is stamped as checked.
     """
     _require_reducible(g)
     validate_loop_word(g, w)
@@ -181,7 +209,7 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
                 continue
         edges.append(incoming)
         elements.append(after)
-    form = PinchFreeForm(LoopWord(w.base, tuple(elements), tuple(edges)), True)
+    form = PinchFreeForm(_checked(kernel, LoopWord(w.base, tuple(elements), tuple(edges))), True)
     return (form, steps) if collect_steps else form
 
 
@@ -275,9 +303,10 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     is always path-consistent.  Linear in the length of the result: each
     letter's loop is found in the kernel's ``loops`` (on a miss,
     ``letter_loop`` checks the token and builds the loop) and appended in
-    place.  The result is not validated: every loop runs from ``base`` to
-    ``base`` along the tree, so the joins use the base group's raw
-    product.
+    place.  The result is not validated but stamped as checked: every
+    loop runs from ``base`` to ``base`` along the tree, so the joins use
+    the base group's raw product, and only where the loop's first element
+    is not the identity, that is for a generator of the base vertex group.
     """
     if pres is not None and pres is not vars(g).get("_pi1_default"):
         raise UnknownLetter("letters expand under the graph's own presentation only")
@@ -292,11 +321,14 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
             head, rest, path = loops[name, sign]
         except (KeyError, TypeError):
             loop = letter_loop(g, name, sign)
-            head, rest, path = loops[name, sign] = loop.elements[0], loop.elements[1:], loop.edges
-        elements[-1] = mul(elements[-1], head)
+            head = None if loop.elements[0] == kernel.identity else loop.elements[0]
+            rest, path = loop.elements[1:], loop.edges
+            loops[name, sign] = head, rest, path
+        if head is not None:
+            elements[-1] = mul(elements[-1], head)
         elements.extend(rest)
         edges.extend(path)
-    return LoopWord(kernel.base, tuple(elements), tuple(edges))
+    return _checked(kernel, LoopWord(kernel.base, tuple(elements), tuple(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,4 +393,4 @@ def parse_loop_word(g: GraphOfGroups, text: str) -> LoopWord:
     elements.append(g.vgroup[at].identity() if pending is None else pending)
     word = LoopWord(base, tuple(elements), tuple(edges))
     validate_loop_word(g, word)
-    return word
+    return _checked(g._kernel, word)

@@ -143,6 +143,13 @@ class TestValidation:
         for g, violation in cases:
             assert validate_gog(g).violations == (violation,)
 
+    def test_edge_group_keys_are_read_only_beside_the_orbits(self):
+        # once a vertex group is missing, the orbits are not computed, so no
+        # edge-group key may be reported as outside them
+        torus = zoo.torus()
+        g = GraphOfGroups.make(torus.graph, {}, torus.egroup, torus.emap)
+        assert validate_gog(g).violations == ("vertex v: no vertex group",)
+
     def test_spelling_a_non_element_fails(self):
         z3 = cyclic_table(3)
         letters = zoo.one_vertex(z3)._naming[0]["v"]

@@ -112,6 +112,14 @@ class TestElements:
             FiniteTable.checked(("0", "1", "2"), mul, 0)
         FiniteTable.checked(("e", "a", "a2"), [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
 
+    def test_checked_names_the_first_nonassociative_triple(self):
+        # a loop of order 5: a Latin square with identity 0, so it passes the
+        # constructor, but (1*1)*2 = 2 while 1*(1*2) = 0
+        rows = [(0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)]
+        FiniteTable(tuple("abcde"), tuple(rows), 0)
+        with pytest.raises(ValueError, match=r"^associativity fails at \(1,1,2\)$"):
+            FiniteTable.checked(tuple("abcde"), rows, 0)
+
 
 class TestHomApply:
     def test_doubling_matrix(self):

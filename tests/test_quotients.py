@@ -467,6 +467,23 @@ class TestOracles:
         ans2 = oracle_answer(QuotientOracle.finite_enumeration(1000), p, [("b", 1)])
         assert not ans2.trivial
 
+    def test_enumeration_oracle_encodes_its_word_once(self, monkeypatch):
+        # oracle_answer walks the table with the codes it encoded at entry;
+        # the relators are encoded by the enumeration, each on its own
+        p = pres(["a", "b"], [[("a", 1)] * 2, [("b", 1)] * 3, [("a", 1), ("b", 1)] * 3])
+        word = [("a", 1), ("b", 1), ("a", 1), ("b", -1)]
+        encode, seen = Presentation.encode, []
+
+        def spy(self, w):
+            seen.append(w)
+            return encode(self, w)
+
+        monkeypatch.setattr(Presentation, "encode", spy)
+        answer = oracle_answer(QuotientOracle.finite_enumeration(100), p, word)
+        table = coset_enumeration(p, 100)
+        assert answer.trivial == (table.action(0, word) == 0)
+        assert sum(w is word for w in seen) == 2  # once per entry: oracle_answer, action
+
     def test_free_reduction_oracle(self):
         p = pres(["t"], [])
         ans = oracle_answer(QuotientOracle.free_reduction(), p, [("t", 1), ("t", -1)])

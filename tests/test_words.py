@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import difflib
 import gc
 import hashlib
 import pathlib
+import pickle
 import random
 import re
 import time
@@ -313,6 +315,99 @@ class TestReductionMachinery:
         base_loop = LoopWord("u", (0,), ())
         with pytest.raises(UnsupportedClass):
             reduce(g, base_loop)
+
+
+def counted_checks(g):
+    """Wrap every vertex check of ``g``'s kernel; returns the list of the
+    elements they are called on."""
+    calls = []
+    checks = g._kernel.check
+    for v, check in list(checks.items()):
+        checks[v] = lambda x, check=check: (calls.append(x), check(x))[1]
+    return calls
+
+
+class TestCheckedStamp:
+    """A word that letter expansion, raw parsing or reduce built on a graph
+    carries that graph's kernel and is not checked again there; every other
+    word is checked on every call."""
+
+    def test_built_words_are_not_checked_again(self):
+        g = zoo.amalgam23()
+        calls = counted_checks(g)
+        expanded = word_from_presentation_letters(g, "x y e x^-1 y^-1")
+        form = reduce(g, expanded).word
+        for w in (expanded, form):
+            validate_loop_word(g, w)
+            reduce(g, w)
+            format_loop_word(g, w)
+        assert calls == []
+        parsed = parse_loop_word(g, "u:[1] e v:[2] e^-1")
+        assert calls == [(1,), (2,), (0,)]  # parsing checks once, at its end
+        reduce(g, parsed)
+        validate_loop_word(g, reduce(g, parsed).word)
+        assert len(calls) == 3
+
+    def test_caller_built_words_are_checked_on_every_call(self):
+        g = zoo.torus()
+        calls = counted_checks(g)
+        built = word_from_presentation_letters(g, "a t a^-1 t^-1")
+        n = len(built.elements)
+        for w in (LoopWord(built.base, built.elements, built.edges),
+                  LoopWord(built.base, list(built.elements), list(built.edges))):
+            for calls_after in (n, 2 * n):
+                validate_loop_word(g, w)
+                assert len(calls) == calls_after
+            reduce(g, w)
+            assert len(calls) == 3 * n
+            calls.clear()
+        bad = [
+            (LoopWord("v", ((0,), (0,)), ("s",)), NonLoopWord, "unknown half-edge s"),
+            (LoopWord("v", [(0,), (0,)], ["s"]), NonLoopWord, "unknown half-edge s"),
+            (LoopWord("v", ((0, 1), (0,)), ("t",)), ShapeMismatch, "(0, 1) is not a Z^1 element"),
+            (LoopWord("v", [(0,), (0, 1)], ["t"]), ShapeMismatch, "(0, 1) is not a Z^1 element"),
+        ]
+        for w, error, text in bad:
+            for check in (validate_loop_word, validate_loop_word, reduce, reduce):
+                with pytest.raises(error, match="^" + re.escape(text) + "$"):
+                    check(g, w)
+
+    def test_a_word_is_trusted_on_its_own_graph_only(self):
+        g = zoo.torus()
+        w = word_from_presentation_letters(g, "t a t^-1")
+        same_shape = g.replace()
+        calls = counted_checks(same_shape)
+        validate_loop_word(same_shape, w)
+        validate_loop_word(same_shape, w)
+        assert len(calls) == 6
+        assert reduce(same_shape, w).word == reduce(g, w).word
+        with pytest.raises(ShapeMismatch, match=re.escape("(1,) is not a Z^2 element")):
+            reduce(zoo.one_vertex(FreeAbelian(2)), word_from_presentation_letters(g, "a"))
+
+    def test_the_stamp_is_no_part_of_the_value(self):
+        g = zoo.torus()
+        form = reduce(g, word_from_presentation_letters(g, "t a t^-1 a^-1 a")).word
+        plain = LoopWord(form.base, form.elements, form.edges)
+        assert form._checked_by is g._kernel and plain._checked_by is None
+        assert form == plain and hash(form) == hash(plain) and repr(form) == repr(plain)
+        assert reduce(g, plain).word == form
+        # a copy, a pickled word and a replaced word are checked again
+        calls = counted_checks(g)
+        for other in (copy.copy(form), pickle.loads(pickle.dumps(form)),
+                      dataclasses.replace(form, base="v")):
+            assert other == form and other._checked_by is None
+            validate_loop_word(g, other)
+        assert len(calls) == 3 * len(form.elements)
+
+    def test_only_base_generators_multiply_the_join(self):
+        # a loop's first element is the identity for every letter but a
+        # generator of the base group; the kernel keeps None for it
+        g = zoo.amalgam23()  # base u carries x; y lives at v
+        w = word_from_presentation_letters(g, "x y^-1 e x^-1")
+        loops = g._kernel.loops
+        assert [loops[t][0] for t in [("x", 1), ("y", -1), ("e", 1), ("x", -1)]] == [
+            (1,), None, None, (-1,)]
+        assert w == LoopWord("u", ((1,), (-1,), (0,), (0,), (-1,)), ("e", "e^-1", "e", "e^-1"))
 
 
 class TestWordConstruction:
