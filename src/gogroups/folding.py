@@ -39,7 +39,12 @@ def free_reduce(word):
 
 
 def free_mul(a, b):
-    return free_reduce(tuple(a) + tuple(b))
+    """The product of two reduced words: letters cancel only at the seam,
+    so the k cancelling pairs are counted and the rest joined by slicing."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return tuple(a[: len(a) - k]) + tuple(b[k:])
 
 
 def free_inv(a):

@@ -16,7 +16,8 @@ diagrams through convert_diagram first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import NonLoopWord, UnknownLetter, UnsupportedClass
 from .gog import (
@@ -39,12 +40,13 @@ from .groups import (
 class LoopWord:
     """A loop word.  ``_checked_by`` is the ``ReductionKernel`` of the one
     graph on which this module built or checked the word's tuples, else
-    None; it is set here only, and is no part of the word's value."""
+    None; it is set here only, on the instance, and is no field, so no
+    part of the word's value."""
 
     base: str
     elements: tuple  # n + 1 vertex-group elements
     edges: tuple     # n half-edge ids
-    _checked_by: object = field(default=None, init=False, repr=False, compare=False)
+    _checked_by: ClassVar[object] = None
 
     def __post_init__(self):
         if len(self.elements) != len(self.edges) + 1:
@@ -76,21 +78,22 @@ class ReductionKernel:
     read of one graph, in plain dicts: built once, on first use, and kept
     as ``GraphOfGroups._kernel``.
 
-    Per vertex: the group's bound ``check`` and its unchecked product
-    ``_mul`` (for a table a closure over the rows of ``mul_table``), the
-    core its checked ``mul`` calls after the check.  A word is checked by
-    ``validate_loop_word`` unless it carries this kernel as its stamp, set
-    only on words this module built from the kernel's own loops or
-    checked itself; after that only raw products and hom images of
-    checked elements arise, and they stay in their groups.  Per
-    half-edge: its (origin, terminus), and ``pinch[e]``,
-    which maps the middle element g of a subword e g bar(e) to
-    (preimage under f_bar(e), its image under f_e), or to None when g is
-    outside the image of f_bar(e).  Every half-edge's lookup is compiled
-    once and checks nothing: for table homs it is one precomputed dict;
-    otherwise it composes the unchecked cores ``_preimage`` of f_bar(e)
-    and ``_image`` of f_e, the same cores that ``hom_member`` and
-    ``hom_apply`` call after their checks.
+    Per vertex: the group's identity, its bound ``check`` and its
+    unchecked product ``_mul`` (for a table a closure over the rows of
+    ``mul_table``), the core its checked ``mul`` calls after the check.  A
+    word is checked by ``validate_loop_word`` unless it carries this kernel
+    as its stamp, set only on words this module built from the kernel's
+    own loops or checked itself; after that only raw products and hom
+    images of checked elements arise, and they stay in their groups.  Per
+    half-edge: its (origin, terminus), and ``pinch[e]``, which maps the
+    middle element g of a subword e g bar(e) to (preimage under f_bar(e),
+    its image under f_e), or to None when g is outside the image of
+    f_bar(e).  Every half-edge's lookup is compiled once and checks
+    nothing: for table homs it is the ``get`` of one precomputed dict;
+    otherwise it is a function that composes the unchecked cores
+    ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores that
+    ``hom_member`` and ``hom_apply`` call after their checks, and
+    ``reduce`` memoises it for the length of one call.
     Per letter, filled only by letter expansion, so raw syllables never
     name letters: ``loops[name, sign]`` = (first element, later elements,
     edges), the graph's one letter-loop table; the first element is None
@@ -104,7 +107,7 @@ class ReductionKernel:
         require_valid_gog(g)
         graph = g.graph
         self.base = g.base
-        self.identity = g.vgroup[g.base].identity()
+        self.identity = {v: group.identity() for v, group in g.vgroup.items()}
         self.check = {v: group.check for v, group in g.vgroup.items()}
         self.mul = {v: group._mul for v, group in g.vgroup.items()}
         self.bar = dict(graph.bar)
@@ -124,6 +127,9 @@ def _pinch_lookup(inner, outer):
         return None if x is None else (x, image(x))
 
     return lookup
+
+
+_TABLE_LOOKUP = type({}.get)
 
 
 def validate_loop_word(g: GraphOfGroups, w: LoopWord) -> None:
@@ -184,12 +190,18 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     entry, and it passes a word this module built or checked on ``g`` at
     once; the pass itself reads only the graph's ``ReductionKernel``:
     pinch lookups and raw products, closed on checked elements, so the
-    form is stamped as checked.
+    form is stamped as checked.  A computed (non-table) lookup runs once
+    per distinct (half-edge, middle) in a call, misses included: t^L a
+    t^-L on the torus looks up a under t once, not L times.  The memo
+    dies with the call.  The join x * substituted * after multiplies only
+    the factors that are not their vertex's identity.
     """
     _require_reducible(g)
     validate_loop_word(g, w)
     kernel = g._kernel
-    bar, ends, muls, pinch = kernel.bar, kernel.ends, kernel.mul, kernel.pinch
+    bar, ends, pinch = kernel.bar, kernel.ends, kernel.pinch
+    muls, identity = kernel.mul, kernel.identity
+    memo = {}  # (e, middle) -> computed lookup's answer, this call only
     elements = [w.elements[0]]
     edges = []
     steps = []
@@ -197,15 +209,29 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
         if edges and incoming == bar[edges[-1]]:
             e = edges[-1]
             middle = elements[-1]
-            hit = pinch[e](middle)
+            lookup = pinch[e]
+            if type(lookup) is _TABLE_LOOKUP:
+                hit = lookup(middle)
+            else:
+                key = e, middle
+                try:
+                    hit = memo[key]
+                except KeyError:
+                    hit = memo[key] = lookup(middle)
             if hit is not None:
                 preimage, substituted = hit
                 if collect_steps:
                     steps.append((len(edges) - 1, e, middle, preimage, substituted))
-                mul = muls[ends[e][0]]
+                v = ends[e][0]
+                mul, one = muls[v], identity[v]
                 edges.pop()
                 elements.pop()
-                elements[-1] = mul(mul(elements[-1], substituted), after)
+                x = elements[-1]
+                if substituted != one:
+                    x = substituted if x == one else mul(x, substituted)
+                if after != one:
+                    x = after if x == one else mul(x, after)
+                elements[-1] = x
                 continue
         edges.append(incoming)
         elements.append(after)
@@ -220,20 +246,29 @@ def is_trivial(g: GraphOfGroups, w: LoopWord) -> bool:
 
 
 def inverse_loop(g: GraphOfGroups, w: LoopWord) -> LoopWord:
+    """The inverse loop, stamped as checked: w is checked (at once if it
+    carries ``g``'s stamp) and inverted with the unchecked cores."""
     validate_loop_word(g, w)
-    positions = [w.base] + [g.graph.terminus(e) for e in w.edges]
+    kernel = g._kernel
+    positions = [w.base] + [kernel.ends[e][1] for e in w.edges]
     pairs = zip(reversed(positions), reversed(w.elements))
-    elements = tuple(g.vgroup[v].inv(x) for v, x in pairs)
-    edges = tuple(g.graph.bar[e] for e in reversed(w.edges))
-    return LoopWord(w.base, elements, edges)
+    elements = tuple(g.vgroup[v]._inv(x) for v, x in pairs)
+    edges = tuple(kernel.bar[e] for e in reversed(w.edges))
+    return _checked(kernel, LoopWord(w.base, elements, edges))
 
 
 def concat_loops(g: GraphOfGroups, a: LoopWord, b: LoopWord) -> LoopWord:
+    """a then b.  Stamped as checked, and joined with the raw product, only
+    when both carry ``g``'s stamp; otherwise the join is the checked
+    product and the result is checked wherever it is used."""
     if a.base != b.base:
         raise NonLoopWord("loop words based at different vertices")
-    group = g.vgroup[a.base]
-    elements = a.elements[:-1] + (group.mul(a.elements[-1], b.elements[0]),) + b.elements[1:]
-    return LoopWord(a.base, elements, a.edges + b.edges)
+    kernel = a._checked_by
+    trusted = kernel is not None and kernel is b._checked_by and kernel is g._kernel
+    mul = kernel.mul[a.base] if trusted else g.vgroup[a.base].mul
+    elements = a.elements[:-1] + (mul(a.elements[-1], b.elements[0]),) + b.elements[1:]
+    word = LoopWord(a.base, elements, a.edges + b.edges)
+    return _checked(kernel, word) if trusted else word
 
 
 def identity_loop(g: GraphOfGroups) -> LoopWord:
@@ -306,7 +341,9 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     place.  The result is not validated but stamped as checked: every
     loop runs from ``base`` to ``base`` along the tree, so the joins use
     the base group's raw product, and only where the loop's first element
-    is not the identity, that is for a generator of the base vertex group.
+    is not the identity, that is for a generator of the base vertex group;
+    such a head replaces an identity last element instead of multiplying
+    into it.
     """
     if pres is not None and pres is not vars(g).get("_pi1_default"):
         raise UnknownLetter("letters expand under the graph's own presentation only")
@@ -314,18 +351,20 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     kernel = g._kernel
     loops = kernel.loops
     mul = kernel.mul[kernel.base]
-    elements = [kernel.identity]
+    identity = kernel.identity[kernel.base]
+    elements = [identity]
     edges = []
     for name, sign in tokens:
         try:
             head, rest, path = loops[name, sign]
         except (KeyError, TypeError):
             loop = letter_loop(g, name, sign)
-            head = None if loop.elements[0] == kernel.identity else loop.elements[0]
+            head = None if loop.elements[0] == identity else loop.elements[0]
             rest, path = loop.elements[1:], loop.edges
             loops[name, sign] = head, rest, path
         if head is not None:
-            elements[-1] = mul(elements[-1], head)
+            last = elements[-1]
+            elements[-1] = head if last == identity else mul(last, head)
         elements.extend(rest)
         edges.extend(path)
     return _checked(kernel, LoopWord(kernel.base, tuple(elements), tuple(edges)))

@@ -39,6 +39,21 @@ def shortlex_cogenerator(fold):
     raise AssertionError("cogenerator search exhausted its bound")
 
 
+def test_free_mul_joins_reduced_words_at_the_seam():
+    rng = random.Random(17)
+    cancelled = 0
+    for _ in range(2000):
+        rank = rng.randint(1, 3)
+        a, b = random_word(rng, rank, 12), random_word(rng, rank, 12)
+        if rng.random() < 0.5:  # b starts by cancelling a suffix of a
+            k = rng.randint(0, len(a))
+            b = free_reduce(free_inv(a[len(a) - k:]) + b)
+        product = free_mul(a, b)
+        assert product == free_reduce(a + b), (a, b)
+        cancelled += len(a) + len(b) - len(product)
+    assert cancelled > 2000
+
+
 def test_preimage_lift_round_trips_300_random_subgroups():
     rng = random.Random(7)
     for _ in range(300):

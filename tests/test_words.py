@@ -37,6 +37,7 @@ from gogroups.groups import (
 from gogroups.moves import QuotientOracle, convert_diagram
 from gogroups.words import (
     LoopWord,
+    ReductionKernel,
     concat_loops,
     equal,
     format_loop_word,
@@ -391,6 +392,9 @@ class TestCheckedStamp:
         assert form._checked_by is g._kernel and plain._checked_by is None
         assert form == plain and hash(form) == hash(plain) and repr(form) == repr(plain)
         assert reduce(g, plain).word == form
+        # no field: asdict and astuple copy the three tuples, not the kernel
+        assert dataclasses.asdict(form).keys() == {"base", "elements", "edges"}
+        assert dataclasses.astuple(form) == (form.base, form.elements, form.edges)
         # a copy, a pickled word and a replaced word are checked again
         calls = counted_checks(g)
         for other in (copy.copy(form), pickle.loads(pickle.dumps(form)),
@@ -398,6 +402,45 @@ class TestCheckedStamp:
             assert other == form and other._checked_by is None
             validate_loop_word(g, other)
         assert len(calls) == 3 * len(form.elements)
+
+    def test_equal_on_built_words_checks_nothing(self):
+        g = zoo.torus()
+        tokens = [l for _ in range(500) for l in (("t", 1), ("a", 1))]
+        w1 = word_from_presentation_letters(g, tokens)
+        w2 = word_from_presentation_letters(g, tokens)
+        calls = counted_checks(g)
+        inverse = inverse_loop(g, w2)
+        assert inverse._checked_by is g._kernel
+        assert concat_loops(g, w1, inverse)._checked_by is g._kernel
+        assert inverse_loop(g, inverse) == w2
+        assert equal(g, w1, w2)
+        assert not equal(g, w1, word_from_presentation_letters(g, tokens[:-1]))
+        assert calls == []
+
+    def test_equal_checks_caller_built_words_in_full(self):
+        g = zoo.torus()
+        built = word_from_presentation_letters(g, "t a t^-1 a")
+        plain = LoopWord(built.base, built.elements, built.edges)
+        n = len(built.elements)
+        calls = counted_checks(g)
+        assert concat_loops(g, built, plain)._checked_by is None
+        assert concat_loops(g, plain, built)._checked_by is None
+        assert inverse_loop(g, plain)._checked_by is g._kernel
+        assert len(calls) == n  # inverse_loop checked plain
+        calls.clear()
+        # inverse_loop checks plain (n); then plain is built's equal on
+        # one side, and reduce checks the joined word (2n - 1) on the other
+        assert equal(g, built, plain) and equal(g, plain, built)
+        assert len(calls) == n + 2 * n - 1
+        bad = [
+            (LoopWord("v", ((0,), (0,)), ("s",)), NonLoopWord, "unknown half-edge s"),
+            (LoopWord("v", ((0, 1), (0,)), ("t",)), ShapeMismatch, "(0, 1) is not a Z^1 element"),
+            (LoopWord("v", ((0,), (0, 1)), ("t",)), ShapeMismatch, "(0, 1) is not a Z^1 element"),
+        ]
+        for w, error, text in bad:
+            for pair in ((built, w), (w, built), (w, w)):
+                with pytest.raises(error, match="^" + re.escape(text) + "$"):
+                    equal(g, *pair)
 
     def test_only_base_generators_multiply_the_join(self):
         # a loop's first element is the identity for every letter but a
@@ -408,6 +451,68 @@ class TestCheckedStamp:
         assert [loops[t][0] for t in [("x", 1), ("y", -1), ("e", 1), ("x", -1)]] == [
             (1,), None, None, (-1,)]
         assert w == LoopWord("u", ((1,), (-1,), (0,), (0,), (-1,)), ("e", "e^-1", "e", "e^-1"))
+
+
+def counted_lookup(g, e):
+    """Wrap the pinch lookup of half-edge e in ``g``'s kernel; returns the
+    list of the middles it is called on."""
+    calls = []
+    lookup = g._kernel.pinch[e]
+    g._kernel.pinch[e] = lambda middle: (calls.append(middle), lookup(middle))[1]
+    return calls
+
+
+class TestPinchMemo:
+    """reduce computes a non-table pinch lookup once per distinct
+    (half-edge, middle) within one call, and keeps nothing after it."""
+
+    def test_one_lookup_per_distinct_middle_within_a_call(self):
+        g = zoo.torus()
+        L = 2000
+        w = word_from_presentation_letters(g, [("t", 1)] * L + [("a", 1)] + [("t", -1)] * L)
+        calls = counted_lookup(g, "t")
+        form, steps = reduce(g, w, collect_steps=True)
+        assert calls == [(1,)] and len(steps) == L
+        assert form.word == LoopWord("v", ((1,),), ())
+        reduce(g, w)  # a new call computes again
+        assert calls == [(1,), (1,)]
+
+    def test_misses_are_memoised_too(self):
+        # y x y x ... on the trefoil is e y e^-1 x e y e^-1 x ...: neither
+        # y under e nor x under e^-1 is an edge-group image
+        g = zoo.trefoil()
+        w = word_from_presentation_letters(g, "y x " * 50)
+        calls = {e: counted_lookup(g, e) for e in ("e", "e^-1")}
+        assert reduce(g, w).word == w and len(w) == 100
+        assert calls == {"e": [(1,)], "e^-1": [(1,)]}
+
+    @pytest.mark.parametrize("name, distinct", [("torus", 1), ("klein", 2), ("bs12", None)])
+    def test_towers_match_the_restart_oracle(self, name, distinct):
+        # t^L a t^-L: the middle is a, a^+-1 or, on bs12, doubles at each
+        # pinch, so there every lookup misses the memo
+        for L in (1, 2, 3, 5, 8, 16, 31, 64):
+            g = getattr(zoo, name)()
+            w = word_from_presentation_letters(g, [("t", 1)] * L + [("a", 1)] + [("t", -1)] * L)
+            calls = counted_lookup(g, "t")
+            form, steps = reduce(g, w, collect_steps=True)
+            elements, edges, oracle_steps = restart_reduce(g, w)
+            assert steps == oracle_steps and len(steps) == L
+            assert (form.word.elements, form.word.edges) == (elements, edges)
+            assert len(calls) == (L if distinct is None else min(L, distinct))
+
+    def test_table_lookups_are_not_memoised(self):
+        g = zoo.klein4_star()
+        assert all(type(lookup) is type({}.get) for lookup in g._kernel.pinch.values())
+
+    def test_the_kernel_keeps_no_per_call_state(self):
+        # the base's identity became the per-vertex identity in the same slot
+        assert ReductionKernel.__slots__ == (
+            "base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
+        g = zoo.torus_whisker()
+        kernel = g._kernel
+        assert kernel.identity == {v: group.identity() for v, group in g.vgroup.items()}
+        reduce(g, word_from_presentation_letters(g, "t a t^-1"))
+        assert g._kernel is kernel and set(kernel.pinch) == set(g.graph.edges)
 
 
 class TestWordConstruction:
@@ -710,6 +815,17 @@ def test_long_torus_word_is_linear():
     assert len(w) == 2 * L and len(steps) == L
     assert len(form.word) == 0 and g.vgroup[g.base].is_identity(form.word.elements[0])
     assert elapsed < 2.0, f"expand + reduce took {elapsed:.2f} s"
+
+
+def test_long_base_power_expands_in_linear_time():
+    # x^8000 on the trefoil: each join copied the growing element and
+    # reduced it again, about 2 s; the seam join slices in C
+    g = zoo.trefoil()
+    start = time.perf_counter()
+    w = word_from_presentation_letters(g, [("x", 1)] * 8000)
+    elapsed = time.perf_counter() - start
+    assert w == LoopWord("u", ((1,) * 8000,), ())
+    assert elapsed < 1.0, f"expansion took {elapsed:.2f} s"
 
 
 def test_long_trefoil_pinch_is_linear():
