@@ -505,7 +505,7 @@ class TestPinchMemo:
         assert all(type(lookup) is type({}.get) for lookup in g._kernel.pinch.values())
 
     def test_the_kernel_keeps_no_per_call_state(self):
-        # the base's identity became the per-vertex identity in the same slot
+        # the identity is kept per vertex; no slot holds a per-call memo
         assert ReductionKernel.__slots__ == (
             "base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
         g = zoo.torus_whisker()
