@@ -93,7 +93,7 @@ class ReductionKernel:
     otherwise it is a function that composes the unchecked cores
     ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores that
     ``hom_member`` and ``hom_apply`` call after their checks, and
-    ``reduce`` memoises it for the length of one call.
+    ``reduce`` keeps a few of its answers for the length of one call.
     Per letter, filled only by letter expansion, so raw syllables never
     name letters: ``loops[name, sign]`` = (first element, later elements,
     edges), the graph's one letter-loop table; the first element is None
@@ -130,6 +130,11 @@ def _pinch_lookup(inner, outer):
 
 
 _TABLE_LOOKUP = type({}.get)
+
+# Keys ``reduce`` keeps computed lookups for, per call.  The long_words
+# benchmark words need at most six; a nested trefoil cascade of 600 levels,
+# whose 1,200 middles are all new, held 33 MB of them with no bound.
+_MEMO_ENTRIES = 16
 
 
 def validate_loop_word(g: GraphOfGroups, w: LoopWord) -> None:
@@ -190,11 +195,14 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     entry, and it passes a word this module built or checked on ``g`` at
     once; the pass itself reads only the graph's ``ReductionKernel``:
     pinch lookups and raw products, closed on checked elements, so the
-    form is stamped as checked.  A computed (non-table) lookup runs once
-    per distinct (half-edge, middle) in a call, misses included: t^L a
-    t^-L on the torus looks up a under t once, not L times.  The memo
-    dies with the call.  The join x * substituted * after multiplies only
-    the factors that are not their vertex's identity.
+    form is stamped as checked.  The answers of computed (non-table)
+    lookups, misses included, are kept for the first ``_MEMO_ENTRIES``
+    distinct (half-edge, middle) keys of a call, so a repeated middle is
+    looked up once: t^L a t^-L on the torus looks up a under t once, not
+    L times.  The bound keeps a call whose middles are all new (a nested
+    cascade) from holding every one of them; the memo dies with the
+    call.  The join x * substituted * after multiplies only the factors
+    that are not their vertex's identity.
     """
     _require_reducible(g)
     validate_loop_word(g, w)
@@ -214,10 +222,11 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
                 hit = lookup(middle)
             else:
                 key = e, middle
-                try:
-                    hit = memo[key]
-                except KeyError:
-                    hit = memo[key] = lookup(middle)
+                hit = memo.get(key, memo)  # the memo itself marks "not kept"
+                if hit is memo:
+                    hit = lookup(middle)
+                    if len(memo) < _MEMO_ENTRIES:
+                        memo[key] = hit
             if hit is not None:
                 preimage, substituted = hit
                 if collect_steps:
