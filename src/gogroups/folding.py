@@ -197,10 +197,6 @@ class FoldedSubgroup:
         out.extend(self._base_word)
         return free_reduce(out)
 
-    def is_all(self) -> bool:
-        """Whether the subgroup is the whole ambient free group."""
-        return self.cogenerator() is None
-
     def cogenerator(self):
         """Shortlex-first reduced word outside the subgroup; None when the
         subgroup is everything.  One letter suffices: a proper subgroup

@@ -29,7 +29,7 @@ from .graph import (
     spanning_tree,
     validate_graph,
 )
-from .folding import free_exponents, free_inv, free_reduce
+from .folding import free_exponents, free_inv, free_mul, free_reduce
 from .groups import INVERSE_SUFFIX, FiniteTable, FreeAbelian, GroupDesc, hom_is_injective
 from .quotients import SmithForm, coset_columns
 
@@ -392,7 +392,7 @@ def _build_presentation(g: GraphOfGroups, naming) -> Presentation:
         elif isinstance(group, FiniteTable):
             spelled = [_spell(group, x) for x in group.elements()]
             inverse = [free_inv(w) for w in spelled]
-            words = [free_reduce(spelled[x] + spelled[y] + inverse[xy])
+            words = [free_mul(free_mul(spelled[x], spelled[y]), inverse[xy])  # cancels at the seams only
                      for x, row in enumerate(group.mul_table) for y, xy in enumerate(row)]
         relators.extend(_named_words(letters, filter(None, words)))  # drop freely trivial ones
 

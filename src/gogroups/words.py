@@ -94,11 +94,11 @@ class ReductionKernel:
     ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores that
     ``hom_member`` and ``hom_apply`` call after their checks, and
     ``reduce`` keeps a few of its answers for the length of one call.
-    Per letter, filled only by letter expansion, so raw syllables never
-    name letters: ``loops[name, sign]`` = (first element, later elements,
-    edges), the graph's one letter-loop table; the first element is None
-    when it is the identity, which it is for every letter but a generator
-    of the base vertex group.
+    Per letter: ``loops[name, sign]`` = (first element, later elements,
+    edges), the graph's one letter-loop table, None until the first letter
+    expansion compiles it whole, so raw syllables never name letters; the
+    first element is None when it is the identity, which it is for every
+    letter but a generator of the base vertex group.
     """
 
     __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
@@ -113,7 +113,7 @@ class ReductionKernel:
         self.bar = dict(graph.bar)
         self.ends = {e: (graph.d0[e], graph.terminus(e)) for e in graph.edges}
         self.pinch = {e: _pinch_lookup(g.emap[graph.bar[e]], g.emap[e]) for e in graph.edges}
-        self.loops = {}
+        self.loops = None
 
 
 def _pinch_lookup(inner, outer):
@@ -267,21 +267,22 @@ def inverse_loop(g: GraphOfGroups, w: LoopWord) -> LoopWord:
 
 
 def concat_loops(g: GraphOfGroups, a: LoopWord, b: LoopWord) -> LoopWord:
-    """a then b.  Stamped as checked, and joined with the raw product, only
-    when both carry ``g``'s stamp; otherwise the join is the checked
-    product and the result is checked wherever it is used."""
+    """a then b, stamped as checked: both are checked (at once if they
+    carry ``g``'s stamp) and joined with the raw product."""
     if a.base != b.base:
         raise NonLoopWord("loop words based at different vertices")
-    kernel = a._checked_by
-    trusted = kernel is not None and kernel is b._checked_by and kernel is g._kernel
-    mul = kernel.mul[a.base] if trusted else g.vgroup[a.base].mul
-    elements = a.elements[:-1] + (mul(a.elements[-1], b.elements[0]),) + b.elements[1:]
-    word = LoopWord(a.base, elements, a.edges + b.edges)
-    return _checked(kernel, word) if trusted else word
+    validate_loop_word(g, a)
+    validate_loop_word(g, b)
+    kernel = g._kernel
+    *head, last = a.elements
+    first, *tail = b.elements
+    elements = (*head, kernel.mul[a.base](last, first), *tail)
+    return _checked(kernel, LoopWord(a.base, elements, (*a.edges, *b.edges)))
 
 
 def identity_loop(g: GraphOfGroups) -> LoopWord:
-    return LoopWord(g.base, (g.vgroup[g.base].identity(),), ())
+    kernel = g._kernel
+    return _checked(kernel, LoopWord(g.base, (kernel.identity[g.base],), ()))
 
 
 def equal(g: GraphOfGroups, w1: LoopWord, w2: LoopWord) -> bool:
@@ -292,85 +293,83 @@ def equal(g: GraphOfGroups, w1: LoopWord, w2: LoopWord) -> bool:
 # presentation letters -> loop words
 
 
-def tree_path(g: GraphOfGroups, v: str) -> tuple:
-    """Half-edge sequence along the spanning tree from ``g.base`` to v."""
-    parent = g.tree_parent
-    if v not in parent:
-        raise NonLoopWord(f"tree does not connect {g.base} to {v}")
-    path = []
-    while parent[v] is not None:
-        e = parent[v]
-        path.append(e)
-        v = g.graph.d0[e]
-    return tuple(reversed(path))
+def _letter_loops(g: GraphOfGroups, kernel: ReductionKernel) -> dict:
+    """``kernel.loops`` for each letter of the naming and each sign: out
+    along the tree from ``base``, the letter's vertex generator or its
+    edge, and back; every other element is its vertex's identity."""
+    ends, bar, identity = kernel.ends, kernel.bar, kernel.identity
+    one = identity[kernel.base]
+    down = {}  # vertex -> tree path from base; tree_parent lists a parent first
+    for v, e in g.tree_parent.items():
+        down[v] = () if e is None else down[ends[e][0]] + (e,)
+    up = {v: tuple(bar[e] for e in reversed(path)) for v, path in down.items()}
 
+    def entry(edges, at=0, x=one):
+        elements = [one, *(identity[ends[e][1]] for e in edges)]
+        elements[at] = x
+        return None if elements[0] == one else elements[0], tuple(elements[1:]), edges
 
-def letter_loop(g: GraphOfGroups, name: str, sign: int) -> LoopWord:
-    """The loop word a letter of the graph's naming denotes: out along the
-    graph's tree from ``base``, the letter's middle (a vertex generator,
-    or its edge with identities on both sides), back along the tree.  A
-    loop by construction, so it is not validated again."""
     vertex_letters, edge_letters = g._naming
-    letters = (*(l for ls in vertex_letters.values() for l in ls), *edge_letters.values())
-    letter = next((l for l in letters if l.name == name), None)
-    if letter is None or sign not in (1, -1):
-        Presentation(letters, ()).encode(((name, sign),))  # raises UnknownLetter
-    if letter.kind == "vertex":
-        v = letter.owner
-        x = g.vgroup[v].generators()[letter.index]
-        if sign < 0:
-            x = g.vgroup[v].inv(x)
-        down = tree_path(g, v)
-        middle = ()
-    else:
-        edge = letter.owner if sign > 0 else g.graph.bar[letter.owner]
-        down = tree_path(g, g.graph.d0[edge])
-        v = g.graph.terminus(edge)
-        middle = (edge,)
-    up = tuple(g.graph.bar[e] for e in reversed(tree_path(g, v)))
-    edges = down + middle + up
-    elements = [g.vgroup[g.base].identity()]
-    elements.extend(g.vgroup[g.graph.terminus(e)].identity() for e in edges)
-    if letter.kind == "vertex":
-        elements[len(down)] = x
-    return LoopWord(g.base, tuple(elements), edges)
+    loops = {}
+    for v, letters in vertex_letters.items():
+        group = g.vgroup[v]
+        for letter in letters:
+            x = group.generators()[letter.index]
+            for sign, y in ((1, x), (-1, group.inv(x))):
+                loops[letter.name, sign] = entry(down[v] + up[v], len(down[v]), y)
+    for plus, letter in edge_letters.items():
+        for sign, edge in ((1, plus), (-1, bar[plus])):
+            loops[letter.name, sign] = entry(down[ends[edge][0]] + (edge,) + up[ends[edge][1]])
+    return loops
+
+
+def _loop_of(loops: dict, token) -> tuple:
+    """The loop of a token that is no key of ``loops``: a (name, sign)
+    pair of another type, such as a list, else UnknownLetter."""
+    try:
+        name, sign = token
+    except (TypeError, ValueError):
+        raise UnknownLetter(f"{token!r} is not a (name, sign) letter") from None
+    try:
+        return loops[name, sign]
+    except (KeyError, TypeError):
+        if not any(name == known for known, _ in loops):
+            raise UnknownLetter(f"{name!r} is not a presentation generator") from None
+        raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1") from None
 
 
 def word_from_presentation_letters(g, letters, pres: Presentation = None) -> LoopWord:
     """Expand letters of the graph's naming into a base-pointed loop word.
 
     ``letters`` is a string of whitespace-separated tokens (name or
-    name^-1) or a sequence of (name, sign) pairs with sign 1 or -1.
-    Expansion never builds a presentation: ``pres`` may only be the
-    graph's own ``pi1_presentation(g)``, already built, else
-    UnknownLetter.  Tree letters expand to their tree paths, so the result
-    is always path-consistent.  Linear in the length of the result: each
-    letter's loop is found in the kernel's ``loops`` (on a miss,
-    ``letter_loop`` checks the token and builds the loop) and appended in
-    place.  The result is not validated but stamped as checked: every
-    loop runs from ``base`` to ``base`` along the tree, so the joins use
-    the base group's raw product, and only where the loop's first element
-    is not the identity, that is for a generator of the base vertex group;
-    such a head replaces an identity last element instead of multiplying
-    into it.
+    name^-1) or a sequence of (name, sign) pairs with sign 1 or -1, else
+    UnknownLetter.  Expansion never builds a presentation: ``pres`` may
+    only be the graph's own ``pi1_presentation(g)``, already built, else
+    UnknownLetter.  Linear in the length of the result: the first
+    expansion on a graph compiles the kernel's whole ``loops`` table, and
+    each letter's loop is looked up there and appended in place.  The
+    result is not validated but stamped as checked: every loop runs from
+    ``base`` to ``base`` along the tree, so the joins use the base group's
+    raw product, and only where the loop's first element is not the
+    identity, that is for a generator of the base vertex group; such a
+    head replaces an identity last element instead of multiplying into it.
     """
     if pres is not None and pres is not vars(g).get("_pi1_default"):
         raise UnknownLetter("letters expand under the graph's own presentation only")
     tokens = [split_inverse(t) for t in letters.split()] if isinstance(letters, str) else letters
     kernel = g._kernel
     loops = kernel.loops
+    if loops is None:
+        loops = kernel.loops = _letter_loops(g, kernel)
     mul = kernel.mul[kernel.base]
     identity = kernel.identity[kernel.base]
     elements = [identity]
     edges = []
-    for name, sign in tokens:
+    for token in tokens:
         try:
-            head, rest, path = loops[name, sign]
+            head, rest, path = loops[token]
         except (KeyError, TypeError):
-            loop = letter_loop(g, name, sign)
-            head = None if loop.elements[0] == identity else loop.elements[0]
-            rest, path = loop.elements[1:], loop.edges
-            loops[name, sign] = head, rest, path
+            head, rest, path = _loop_of(loops, token)
         if head is not None:
             last = elements[-1]
             elements[-1] = head if last == identity else mul(last, head)

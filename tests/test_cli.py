@@ -574,6 +574,79 @@ class TestCommands:
         assert got == alone
 
 
+    def test_every_parse_text_exits_two(self, capsys, tmp_path):
+        # one file per parse-error text that no other test reaches
+        loop = (
+            "vertices:\n  v: {free_abelian: [a]}\n"
+            "edges:\n  %s:\n    origin: v\n    terminus: v\n"
+            "    group: {free_abelian: [c]}\n    fwd: %s\n    back: {matrix: [[1]]}%s\n"
+        )
+        finite = (
+            "vertices: {v: {cyclic: 2}}\n"
+            "edges: {t: {origin: v, terminus: v, group: {cyclic: 2}, fwd: %s, back: identity}}\n"
+        )
+        cases = [
+            ("vertices: {v: {free_abelian: [true]}}\n", ".vertices.v]", "names must be strings"),
+            ("vertices: {v: {free_abelian: [[a]]}}\n", ".vertices.v]", "names must be scalar"),
+            ("vertices: {v: {cyclic: 2, free: 1}}\n", ".vertices.v]",
+             "group descriptor needs exactly one of free_abelian/free/cyclic/table"),
+            ("vertices: {v: {cyclic: 2, colour: red}}\n", ".vertices.v]", "unknown group keys ['colour']"),
+            ("vertices: {v: {free: abc}}\n", ".vertices.v]", "free takes a rank or a list of letter names"),
+            ("vertices: {v: {free_abelian: -1}}\n", ".vertices.v]", "rank must be nonnegative"),
+            ("vertices: {v: {cyclic: 0}}\n", ".vertices.v]", "cyclic takes a positive order"),
+            ("vertices: {v: {table: {elements: [e]}}}\n", ".vertices.v]", "table needs keys ['mul']"),
+            ("vertices: {v: {table: {elements: [e], mul: 0}}}\n", ".vertices.v.mul]",
+             "mul must be a list of rows"),
+            ("vertices: {v: {table: {elements: [e, a], mul: [[0, 1], [1, 1]]}}}\n", ".vertices.v]",
+             "invalid multiplication table: "),
+            (loop % ("t", "{images: [x]}", ""), ".edges.t.fwd]",
+             "bad image 'x': free abelian element must look like [k1,...]: 'x'"),
+            (loop % ("t", "{matrix: [[1]], images: [[1]]}", ""), ".edges.t.fwd]",
+             "hom descriptor needs exactly one of matrix/map/images (or the string identity)"),
+            (loop % ("t", "{matrix: 1}", ""), ".edges.t.fwd]", "matrix must be a list of rows"),
+            (loop % ("t", "{map: 1}", ""), ".edges.t.fwd]", "map must be a list"),
+            (loop % ("t", "{map: [0]}", ""), ".edges.t.fwd]", "map homs target finite tables"),
+            (loop % ("t", "{images: 1}", ""), ".edges.t.fwd]", "images must be a list"),
+            (finite % "{map: [e, zz]}", ".edges.t.fwd]", "unknown target label 'zz'"),
+            (loop % ('"t^-1"', "{matrix: [[1]]}", ""), ".edges.t^-1]", "edge names must not end with ^-1"),
+            (loop % ("t", "{matrix: [[1]]}", "\n    colour: red"), ".edges.t]", "unknown keys ['colour']"),
+            ("vertices: {v: {cyclic: 2}}\ncolour: red\n", "]", "unknown top-level keys ['colour']"),
+            ("edges: {}\n", "]", "missing top-level key vertices"),
+            # YAML keeps keys 1 and "1" apart; as names they are one
+            ('vertices: {1: {cyclic: 2}, "1": {cyclic: 2}}\n', ".vertices.1]", "duplicate vertex"),
+            ("vertices: {v: {cyclic: 2}}\nedges:\n"
+             "  1: {origin: v, terminus: v, group: {cyclic: 2}, fwd: identity, back: identity}\n"
+             '  "1": {}\n', ".edges.1]", "duplicate edge"),
+            ("vertices: {v: {cyclic: 2}}\nbase: w\n", ".base]", "unknown vertex w"),
+            ("vertices: {}\n", ".vertices]", "at least one vertex required"),
+        ]
+        for i, (text, key, reason) in enumerate(cases):
+            path = tmp_path / f"bad{i}.gog"
+            path.write_text(text)
+            code, out, err = run(capsys, "pi1", str(path))
+            assert (code, out) == (2, ""), text
+            assert err.startswith(f"parse error: [{path}") and err.count("\n") == 1, err
+            assert key + " " + reason in err, err
+
+    def test_validate_prints_each_violation(self, capsys, tmp_path):
+        # a disconnected file parses, and validate exits 1 with its violations
+        path = tmp_path / "apart.gog"
+        path.write_text("vertices: {u: {cyclic: 2}, v: {cyclic: 3}}\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "disconnected: vertex v unreachable from u\n", "")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["enumerate", "--cap", "x"], "argument --cap: enumeration cap 'x' is not a positive integer"),
+        (["convert", "--oracle", "bogus"],
+         "argument --oracle: unknown oracle 'bogus': expected abel, enum:CAP, or free"),
+    ])
+    def test_bad_option_values_exit_two(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, fixture("torus.gog")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.endswith(f"error: {text}\n"), err
+
+
 class TestYamlBackend:
     """libyaml reads and writes .gog YAML; PyYAML's pure-Python classes
     must give the same documents and the same bytes."""

@@ -364,3 +364,20 @@ class TestPresentationDigests:
         got = [pi1_digest_line(case, g) for case, g in pi1_cases()]
         changed = [line for line in difflib.ndiff(expected, got) if line[:2] in ("- ", "+ ")]
         assert not changed, f"presentations differ from {PI1_DIGESTS.name}:\n" + "\n".join(changed)
+
+
+def test_product_relators_join_at_the_seam(monkeypatch):
+    # a table's spelled factors are reduced, so its n^2 product relators
+    # are built by joining at the two seams: free_reduce never runs
+    from gogroups import folding
+
+    reduced = []
+    monkeypatch.setattr("gogroups.gog.free_reduce",
+                        lambda w: (reduced.append(w), folding.free_reduce(w))[1])
+    pi1_presentation(zoo.one_vertex(cyclic_table(64)))  # pi1-digests.txt pins its text
+    assert reduced == []
+
+
+def test_make_needs_a_vertex_for_its_default_base():
+    with pytest.raises(InvalidStructure, match="^graph has no vertices$"):
+        GraphOfGroups.make(AbstractGraph.make([], {}, {}), {}, {}, {})

@@ -4,7 +4,7 @@ from types import MappingProxyType
 
 import pytest
 
-from gogroups.errors import LoopContraction
+from gogroups.errors import InvalidStructure, LoopContraction
 from gogroups.graph import (
     AbstractGraph,
     EdgeOrbit,
@@ -168,3 +168,10 @@ def _direct(vertices, edges, bar, d0):
 ])
 def test_each_violation_text(graph, violations):
     assert validate_graph(graph).violations == violations
+
+
+def test_contract_refuses_unknown_edges_and_invalid_graphs():
+    with pytest.raises(InvalidStructure, match="^no edge x$"):
+        contract_edge_graph(undirected([("u", "v")], ["u", "v"]), "x")
+    with pytest.raises(InvalidStructure, match="^disconnected: vertex w unreachable from u$"):
+        contract_edge_graph(undirected([("u", "v")], ["u", "v", "w"]), "e0")

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -37,6 +38,7 @@ from gogroups.groups import (
     is_surjective,
     parse_element,
     subgroup_table,
+    table_from_closure,
 )
 from gogroups.folding import free_reduce
 from gogroups.gogfile import hom_descriptor, parse_gog, parse_hom
@@ -953,3 +955,23 @@ class TestSpellContract:
     @given(table_elements())
     def test_finite_tables(self, drawn):
         self.check_spelling(*drawn)
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: FreeAbelian(-1), ValueError, "negative rank"),
+    (lambda: FreeAbelian(2, ("a",)), ValueError, "name count != rank"),
+    (lambda: cyclic_table(0), ValueError, "order must be positive"),
+    (lambda: dihedral_table(0), ValueError, "n must be positive"),
+    (lambda: direct_product(cyclic_table(64), cyclic_table(65)), ValueError,
+     "product order 4160 exceeds cap 4096"),
+    # the integers under + close nowhere: refused at the cap, not built
+    (lambda: table_from_closure([1], lambda x, y: x + y, 0, lambda x, w: str(x)), ValueError,
+     "closure exceeds cap 4096"),
+    (lambda: parse_element(FreeAbelian(1), "1"), ShapeMismatch,
+     "free abelian element must look like [k1,...]: '1'"),
+    (lambda: parse_element(cyclic_table(2), "b"), ShapeMismatch, "unknown table element 'b'"),
+    (lambda: parse_element(FreeGroup(1, ("x",)), "x y"), ShapeMismatch, "unknown free-group letter 'y'"),
+])
+def test_constructor_and_parse_texts(build, error, text):
+    with pytest.raises(error, match="^" + re.escape(text) + "$"):
+        build()

@@ -754,3 +754,10 @@ class TestRelatorRows:
             for w in seeded_oracle_words(case, p):
                 solvable = dense.scaled(word_exponent_vector(p, w)) is not None
                 assert oracle_answer(oracle, p, w).trivial == solvable, (case, w)
+
+
+def test_matrix_shape_texts():
+    with pytest.raises(ValueError, match="^matrix/vector shape mismatch$"):
+        mat_vec([[1, 2]], [1])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        SmithForm([[1, 2], [3]])

@@ -47,7 +47,6 @@ from gogroups.words import (
     is_trivial,
     parse_loop_word,
     reduce,
-    tree_path,
     validate_loop_word,
     word_from_presentation_letters,
 )
@@ -424,15 +423,17 @@ class TestCheckedStamp:
         plain = LoopWord(built.base, built.elements, built.edges)
         n = len(built.elements)
         calls = counted_checks(g)
-        assert concat_loops(g, built, plain)._checked_by is None
-        assert concat_loops(g, plain, built)._checked_by is None
+        for pair in ((built, plain), (plain, built)):
+            assert concat_loops(g, *pair)._checked_by is g._kernel
+            assert len(calls) == n  # concat_loops checked plain
+            calls.clear()
         assert inverse_loop(g, plain)._checked_by is g._kernel
         assert len(calls) == n  # inverse_loop checked plain
         calls.clear()
-        # inverse_loop checks plain (n); then plain is built's equal on
-        # one side, and reduce checks the joined word (2n - 1) on the other
+        # plain is checked once per call, by inverse_loop on one side and
+        # by concat_loops on the other; reduce checks no joined word
         assert equal(g, built, plain) and equal(g, plain, built)
-        assert len(calls) == n + 2 * n - 1
+        assert len(calls) == 2 * n
         bad = [
             (LoopWord("v", ((0,), (0,)), ("s",)), NonLoopWord, "unknown half-edge s"),
             (LoopWord("v", ((0, 1), (0,)), ("t",)), ShapeMismatch, "(0, 1) is not a Z^1 element"),
@@ -442,6 +443,42 @@ class TestCheckedStamp:
             for pair in ((built, w), (w, built), (w, w)):
                 with pytest.raises(error, match="^" + re.escape(text) + "$"):
                     equal(g, *pair)
+
+    def test_every_returned_word_is_stamped(self):
+        # every word words.py returns on a valid graph carries its kernel,
+        # whatever its inputs carried
+        g = zoo.amalgam23()
+        built = word_from_presentation_letters(g, "x y^-1 e x^-1")
+        plain = LoopWord(built.base, built.elements, built.edges)
+        lists = LoopWord(built.base, list(built.elements), list(built.edges))
+        returned = [
+            built,
+            word_from_presentation_letters(g, [("y", 1), ("e", -1)]),
+            parse_loop_word(g, "x y e"),
+            parse_loop_word(g, "u:[1] e v:[-1] e^-1"),
+            parse_loop_word(g, ""),
+            parse_loop_word(g, "  "),
+            reduce(g, plain).word,
+            reduce(g, lists).word,
+            inverse_loop(g, plain),
+            inverse_loop(g, lists),
+            identity_loop(g),
+        ]
+        for a in (built, plain, lists):
+            for b in (built, plain, lists):
+                returned.append(concat_loops(g, a, b))
+        for w in returned:
+            assert w._checked_by is g._kernel, w
+        assert concat_loops(g, lists, plain) == concat_loops(g, built, built)
+        assert type(concat_loops(g, lists, lists).elements) is tuple
+
+    def test_equal_on_list_field_words(self):
+        # a caller-built word may hold lists: it is checked, then joined
+        g = zoo.torus()
+        lists = LoopWord("v", [(0,), (1,), (0,)], ["t", "t^-1"])  # t a t^-1
+        a = word_from_presentation_letters(g, "a")
+        assert equal(g, lists, a) and equal(g, a, lists) and equal(g, lists, lists)
+        assert not equal(g, lists, word_from_presentation_letters(g, "t"))
 
     def test_only_base_generators_multiply_the_join(self):
         # a loop's first element is the identity for every letter but a
@@ -587,6 +624,34 @@ class TestWordConstruction:
             with pytest.raises(UnknownLetter, match=re.escape(repr(token))):
                 word_from_presentation_letters(g, [("a", 1), token])
 
+    def test_tokens_that_are_not_pairs_are_unknown_letters(self):
+        g = zoo.torus()
+        for tokens in (["t"], ["t", ("a", 1)], [("a", 1), 7], [("t", 1, 1)]):
+            with pytest.raises(UnknownLetter, match="is not a \\(name, sign\\) letter"):
+                word_from_presentation_letters(g, tokens)
+        # a two-character string unpacks into a pair: its sign is refused
+        with pytest.raises(UnknownLetter, match=re.escape("('t', 'a'): a letter's sign")):
+            word_from_presentation_letters(g, ["ta"])
+
+    def test_the_loop_table_is_built_once_per_graph(self, monkeypatch):
+        from gogroups import words
+
+        builds = []
+        build = words._letter_loops
+        monkeypatch.setattr(words, "_letter_loops",
+                            lambda g, kernel: (builds.append(g), build(g, kernel))[1])
+        graphs = [zoo.torus(), zoo.amalgam23(), zoo.trefoil()]
+        for g in graphs:
+            reduce(g, parse_loop_word(g, ""))  # names no letter
+        assert builds == []
+        for _ in range(50):
+            for g in graphs:
+                letters = pi1_presentation(g).generators
+                word_from_presentation_letters(g, " ".join(l.name for l in letters))
+                with pytest.raises(UnknownLetter):
+                    word_from_presentation_letters(g, "zz")
+        assert builds == graphs
+
     def test_list_tokens_match_tuple_tokens(self):
         g = zoo.amalgam23()
         tokens = [("x", 1), ("y", -1), ("e", 1), ("x", -1)]
@@ -617,20 +682,21 @@ class TestWordConstruction:
             for ts in (tokens, [(name + "_2", s) for name, s in tokens]):
                 with pytest.raises(UnknownLetter, match="the graph's own presentation"):
                     word_from_presentation_letters(g, ts, pres=other)
-        assert g._kernel.loops == {}
+        assert g._kernel.loops is None
         word_from_presentation_letters(g, [("x", 1), ("x", 1), ("y", -1)])
-        assert set(g._kernel.loops) == {("x", 1), ("y", -1)}
+        loops = g._kernel.loops
+        assert set(loops) == set(tokens) and len(tokens) == 2 * len(pres.generators)
         w = word_from_presentation_letters(g, tokens * 2, pres=pres)
-        assert len(g._kernel.loops) == len(set(tokens)) == 2 * len(pres.generators)
         assert word_from_presentation_letters(g, tokens * 2) == w
-        assert len(g._kernel.loops) == len(set(tokens))
+        assert g._kernel.loops is loops and set(loops) == set(tokens)
 
     def test_token_indexes_die_with_their_presentations(self):
         # expansion keeps no state per presentation: fresh presentations are
         # refused, none is kept alive, and the loop table stays one entry per
-        # token however many presentations come and go
+        # letter and sign however many tokens and presentations come and go
         g = zoo.trefoil()
-        name = pi1_presentation(g).generators[0].name
+        generators = pi1_presentation(g).generators
+        name = generators[0].name
         refs = []
         for _ in range(3000):
             pres = pi1_presentation(g, naming=presentation_letters(g))
@@ -641,7 +707,7 @@ class TestWordConstruction:
         del pres
         gc.collect()
         assert all(r() is None for r in refs)
-        assert set(g._kernel.loops) == {(name, 1)}
+        assert set(g._kernel.loops) == {(l.name, s) for l in generators for s in (1, -1)}
 
     def test_raw_syllables_compute_no_generators(self):
         # a kernel for raw syllables never names letters, so reducing a raw
@@ -658,21 +724,47 @@ class TestWordConstruction:
 
 
 def test_tree_paths_walk_the_tree_from_base():
+    # every loop of the letter table runs down the tree path from base to
+    # the letter's vertex (or its edge's origin), through the letter's
+    # vertex generator (or its edge), and back up the tree path to base
+    def walk(h, at, path):
+        for e in path:
+            assert h.orbit_of(e).plus in h.tree_orbits()
+            assert h.graph.d0[e] == at
+            at = h.graph.terminus(e)
+        # no orbit twice: the path is the unique simple one in the tree
+        assert len({h.orbit_of(e) for e in path}) == len(path)
+        return at
+
     for g in zoo.graphs():
-        stored = zoo.rebased(g)
-        for h in (g, stored):
+        for h in (g, zoo.rebased(g)):
             assert validate_gog(h).ok
-            tree = h.tree_orbits()
-            for v in h.graph.vertices:
-                path = tree_path(h, v)
-                at = h.base
-                for e in path:
-                    assert h.orbit_of(e).plus in tree
-                    assert h.graph.d0[e] == at
-                    at = h.graph.terminus(e)
-                assert at == v
-                # no orbit twice: the path is the unique simple one in the tree
-                assert len({h.orbit_of(e) for e in path}) == len(path)
+            middles = {}  # token -> (where the middle starts, its edges, its element)
+            vertex_letters, edge_letters = h._naming
+            for v, letters in vertex_letters.items():
+                group = h.vgroup[v]
+                for l in letters:
+                    x = group.generators()[l.index]
+                    middles[l.name, 1], middles[l.name, -1] = (v, (), x), (v, (), group.inv(x))
+            for plus, l in edge_letters.items():
+                for sign, e in ((1, plus), (-1, h.graph.bar[plus])):
+                    middles[l.name, sign] = h.graph.d0[e], (e,), None
+            word_from_presentation_letters(h, "")
+            loops = h._kernel.loops
+            assert loops.keys() == middles.keys()
+            for token, (head, rest, path) in loops.items():
+                v, middle, x = middles[token]
+                k = path.index(middle[0]) if middle else len(path) // 2
+                assert walk(h, h.base, path[:k]) == v
+                assert path[k:k + len(middle)] == middle
+                at = h.graph.terminus(middle[0]) if middle else v
+                assert walk(h, at, path[k + len(middle):]) == h.base
+                one = h.vgroup[h.base].identity()
+                elements = (one if head is None else head, *rest)
+                assert head != one and len(elements) == len(path) + 1
+                positions = [h.base, *(h.graph.terminus(e) for e in path)]
+                for i, (at, y) in enumerate(zip(positions, elements)):
+                    assert y == x if i == k and not middle else h.vgroup[at].is_identity(y)
 
 
 class TestGrammar:
@@ -706,6 +798,9 @@ class TestGrammar:
 
     def test_malformed_words_name_their_fault(self):
         g = zoo.amalgam23()
+        for elements, edges in [((), ()), (((0,), (0,)), ()), (((0,),), ("e",))]:
+            with pytest.raises(NonLoopWord, match="^need exactly one more vertex element than edges$"):
+                LoopWord("u", elements, edges)
         # e^-1 starts at v, but the word is at u
         with pytest.raises(NonLoopWord, match=r"edge e\^-1 does not start at u"):
             validate_loop_word(g, LoopWord("u", ((0,), (0,), (0,)), ("e^-1", "e")))
