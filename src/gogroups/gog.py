@@ -220,6 +220,21 @@ class Letter:
 Word = tuple  # tuple of (letter name, +1 | -1)
 
 
+def _letter_fault(token, names) -> UnknownLetter | None:
+    """What is wrong with ``token`` as a letter over the generator
+    ``names``, as an UnknownLetter, or None for a (name, sign) pair with a
+    known name and a sign of 1 or -1."""
+    try:
+        name, sign = token
+    except (TypeError, ValueError):
+        return UnknownLetter(f"{token!r} is not a (name, sign) letter")
+    if not any(name == known for known in names):
+        return UnknownLetter(f"{name!r} is not a presentation generator")
+    if sign not in (1, -1):
+        return UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1")
+    return None
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generators and relator words, compiled once.  ``encode`` is the one
@@ -243,18 +258,16 @@ class Presentation:
         return {(g.name, sign): sign * i for i, g in gens for sign in (1, -1)}
 
     def encode(self, word) -> list:
-        """The free word of a word of (name, sign) letters."""
+        """The free word of a word of (name, sign) letters; the first other
+        letter is named in an UnknownLetter."""
         letters = self._letters
+        if not isinstance(word, (list, tuple)):
+            word = tuple(word)  # read again to find a fault
         try:
             return [letters[name, sign] for name, sign in word]
-        except (KeyError, TypeError):
-            for name, sign in word:  # the first miss names the fault
-                if not any(g.name == name for g in self.generators):
-                    raise UnknownLetter(f"{name!r} is not a presentation generator") from None
-                if sign not in (1, -1):
-                    bad = (name, sign)
-                    raise UnknownLetter(f"{bad!r}: a letter's sign must be 1 or -1") from None
-            raise
+        except (KeyError, TypeError, ValueError):
+            names = [g.name for g in self.generators]
+            raise next(filter(None, (_letter_fault(token, names) for token in word))) from None
 
     @cached_property
     def _relator_encoding(self) -> dict:  # {id(relator): its free word}

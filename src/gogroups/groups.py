@@ -194,14 +194,43 @@ class FiniteTable(GroupDesc):
             if row.count(e) != 1 or t[row.index(e)][i] != e:
                 raise ValueError(f"element {i} lacks a two-sided inverse")
             inv.append(row.index(e))
-        object.__setattr__(self, "inv_table", tuple(inv))
+        self._seal(tuple(inv))
+
+    def _seal(self, inv_table: tuple) -> None:
+        object.__setattr__(self, "inv_table", inv_table)
         object.__setattr__(self, "_hash", hash((self.mul_table, self.id_index)))
 
     @classmethod
+    def _derived(cls, labels: tuple, mul_table: tuple, id_index: int, inv_table: tuple) -> "FiniteTable":
+        """A table derived from tables already checked (a subgroup, a direct
+        product), built with no check: ``labels`` a tuple of str,
+        ``mul_table`` a tuple of tuples, ``inv_table`` the inverses.  Only
+        this module builds such tables, and only from checked ones."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "mul_table", mul_table)
+        object.__setattr__(g, "id_index", id_index)
+        g._seal(inv_table)
+        return g
+
+    @classmethod
     def checked(cls, labels, mul_table, id_index) -> "FiniteTable":
-        """Full axiom check (associativity is cubic; fine at desk scale)."""
+        """Full axiom check.  Associativity by Light's test over the greedy
+        cover S (``_ft_cover``): (x s) y = x (s y) for every s in S and all
+        x, y, one row comparison per (x, s), so O(n^2 |S|) reads.  The
+        middles a with (x a) y = x (a y) for all x, y are closed under
+        products and every element is a left-nested product over S, so
+        that suffices.  Only when it fails does the cubic scan run, to name
+        the first failing triple (Clifford and Preston, *The Algebraic
+        Theory of Semigroups* I, 1961, section 1.2)."""
         g = cls(tuple(labels), tuple(tuple(r) for r in mul_table), id_index)
         t = g.mul_table
+        for s in _ft_cover(g):
+            middle = _picker(t[s])  # row x gathered at row s: y -> x (s y)
+            if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
+                break
+        else:
+            return g
         n = len(t)
         for a in range(n):
             ta = t[a]
@@ -272,6 +301,41 @@ def _ft_closure(table: FiniteTable, gens: tuple, seed: tuple | None = None) -> t
     return tuple(order)
 
 
+@lru_cache(maxsize=None)
+def _ft_cover(table: FiniteTable) -> tuple:
+    """A greedy cover S, in increasing order: from S empty and the reached
+    set {e}, the least element not yet reached joins S, and the reached set
+    is closed under right multiplication by S.  No inverse is read, so
+    every element is a left-nested product ((e s1) s2) ... over S, even in
+    a table not known to be associative.  O(n |S|) reads: S = (1,) on a
+    cyclic table, and |S| = k on (Z/2)^k."""
+    mul = table.mul_table
+    reached = [table.id_index]
+    seen = set(reached)
+    cover = []
+    for s in range(len(mul)):
+        if s in seen:
+            continue
+        cover.append(s)
+        # what was reached is closed under the earlier elements, so it meets
+        # only s; each element reached from here on meets all of S
+        new = len(reached)
+        for x in reached[:new]:
+            y = mul[x][s]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+        while new < len(reached):
+            row = mul[reached[new]]
+            new += 1
+            for t in cover:
+                y = row[t]
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return tuple(cover)
+
+
 def _ft_span(table: FiniteTable, elements, seed: tuple | None = None) -> tuple:
     """Subgroup generated by ``elements`` and the closed subgroup ``seed``:
     one seeded closure per element outside the span so far."""
@@ -288,11 +352,16 @@ def _ft_rank_bound(table: FiniteTable) -> int:
     """max over primes p | n of log_p [G : G'G^p], the rank of the largest
     elementary abelian quotient.  It is at most d(G), and equal to it on
     abelian tables and on p-groups (Burnside basis theorem: G'G^p is the
-    Frattini subgroup of a p-group).  O(n^2) table reads."""
+    Frattini subgroup of a p-group).
+
+    G' is spanned by the commutators [s, y] for s in the cover S
+    (``_ft_cover``) and y in G, n |S| reads: that subgroup is normal, as
+    [s, y]^g = [s, g]^-1 [s, yg], and it holds every [x, y], as
+    [xs, y] = [x, y]^s [s, y]."""
     mul, inv = table.mul_table, table.inv_table
     n = len(mul)
     commutators = set()
-    for x in range(n):
+    for x in _ft_cover(table):
         # x^-1 y^-1 x y for every y, one row at a time
         left = map(mul[inv[x]].__getitem__, inv)
         commutators.update(map(getitem, map(mul.__getitem__, left), mul[x]))
@@ -443,8 +512,9 @@ def direct_product(a: FiniteTable, b: FiniteTable) -> FiniteTable:
             for k in range(na):
                 for l in range(nb):
                     row.append(a.mul_table[i][k] * nb + b.mul_table[j][l])
-            mul.append(row)
-    return FiniteTable(tuple(labels), tuple(tuple(r) for r in mul), a.id_index * nb + b.id_index)
+            mul.append(tuple(row))
+    inv = tuple(a.inv_table[i] * nb + b.inv_table[j] for i in range(na) for j in range(nb))
+    return FiniteTable._derived(tuple(labels), tuple(mul), a.id_index * nb + b.id_index, inv)
 
 
 def dihedral_table(n: int) -> FiniteTable:
@@ -500,7 +570,8 @@ def subgroup_table(parent: FiniteTable, gen_indices):
 
     Elements are numbered in BFS discovery order over the sorted distinct
     generators, as ``table_from_closure`` numbers them, and keep their
-    parent labels; each row is read off the parent's row in one pass."""
+    parent labels; each row and the inverses are read off the parent's in
+    one pass, and the table is not checked again."""
     gens = sorted(set(gen_indices))
     mul = parent.mul_table
     elems = [parent.id_index]
@@ -514,7 +585,8 @@ def subgroup_table(parent: FiniteTable, gen_indices):
                 elems.append(y)
     pick = _picker(elems)
     sub = tuple(_picker(pick(mul[x]))(index) for x in elems)
-    return FiniteTable(pick(parent.labels), sub, 0), elems
+    inv = _picker(pick(parent.inv_table))(index)
+    return FiniteTable._derived(pick(parent.labels), sub, 0, inv), elems
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +642,23 @@ class Hom:
             n = self.src.order()
             if len(data) != n:
                 raise ShapeMismatch("element map must cover the whole source")
-            for y in data:
-                self.dst.check(y)
+            # the range in one C pass; the per-element check names an offender
+            if not ({*map(type, data)} == {int} and min(data) >= 0 and max(data) < self.dst.order()):
+                for y in data:
+                    self.dst.check(y)
             if data[self.src.id_index] != self.dst.id_index:
                 raise ShapeMismatch("identity must map to identity")
             # row i: data[i * j] against data[i] * data[j] for every j at once,
-            # scanning a row for its first bad j only once it fails
+            # scanning a row for its first bad j only once it fails.  Rows up
+            # to the last element of the source's cover S suffice: if
+            # h(s x) = h(s) h(x) for s in S, then h(y x) = h(y) h(x) for every
+            # y, by induction on y's left-nested word over S (both tables are
+            # groups, so associative).  A map that is not a hom fails some
+            # row of S, so the first failing (i, j) in row-major order lies
+            # in the rows scanned.
+            cover = _ft_cover(self.src)
             image = _picker(data)
-            for i, row in enumerate(self.src.mul_table):
+            for i, row in enumerate(self.src.mul_table[: cover[-1] + 1] if cover else ()):
                 target = self.dst.mul_table[data[i]]
                 if _picker(row)(data) != image(target):
                     j = next(j for j in range(n) if data[row[j]] != target[data[j]])

@@ -24,6 +24,7 @@ from .gog import (
     DiagramClass,
     GraphOfGroups,
     Presentation,
+    _letter_fault,
     classify,
     require_valid_gog,
 )
@@ -328,14 +329,9 @@ def _loop_of(loops: dict, token) -> tuple:
     pair of another type, such as a list, else UnknownLetter."""
     try:
         name, sign = token
-    except (TypeError, ValueError):
-        raise UnknownLetter(f"{token!r} is not a (name, sign) letter") from None
-    try:
         return loops[name, sign]
-    except (KeyError, TypeError):
-        if not any(name == known for known, _ in loops):
-            raise UnknownLetter(f"{name!r} is not a presentation generator") from None
-        raise UnknownLetter(f"{(name, sign)!r}: a letter's sign must be 1 or -1") from None
+    except (KeyError, TypeError, ValueError):
+        raise _letter_fault(token, {known for known, _ in loops}) from None
 
 
 def word_from_presentation_letters(g, letters, pres: Presentation = None) -> LoopWord:

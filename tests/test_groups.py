@@ -2,6 +2,7 @@ import difflib
 import functools
 import hashlib
 import itertools
+import math
 import pathlib
 import random
 import re
@@ -20,6 +21,7 @@ from gogroups.groups import (
     FreeGroup,
     Hom,
     _ft_closure,
+    _ft_cover,
     _ft_generating_set,
     _ft_rank_bound,
     cogenerator,
@@ -500,6 +502,247 @@ class TestHomRefusals:
             compose(forged, Hom.identity(z2))
         with pytest.raises(ShapeMismatch, match="hom is not an isomorphism"):
             inverse(Hom.matrix(FreeAbelian(1), FreeAbelian(1), [[2]]))
+
+
+def _first_non_multiplicative(src, dst, data):
+    """The reference: the first (i, j) in row-major order with
+    h(ij) != h(i) h(j), by a scan of all n^2 pairs; None for a hom."""
+    return next(((i, j) for i in src.elements() for j in src.elements()
+                 if data[src.mul_table[i][j]] != dst.mul_table[data[i]][data[j]]), None)
+
+
+def _first_nonassociative(table):
+    """The reference: the first (a, b, c) with (ab)c != a(bc), by the cubic scan."""
+    t = table.mul_table
+    return next(((a, b, c) for a in table.elements() for b in table.elements() for c in table.elements()
+                 if t[t[a][b]][c] != t[a][t[b][c]]), None)
+
+
+def _random_magma(rng, n):
+    """A table the constructor accepts, mostly not associative: identity 0,
+    an involution pairing each element with its inverse, and every other
+    entry drawn from the non-identity elements."""
+    others = list(range(1, n))
+    rng.shuffle(others)
+    inv = list(range(n))
+    while len(others) > 1 and rng.random() < 0.7:
+        a, b = others.pop(), others.pop()
+        inv[a], inv[b] = b, a
+    rows = [list(range(n))]
+    for i in range(1, n):
+        rows.append([i if j == 0 else 0 if j == inv[i] else rng.randrange(1, n) for j in range(n)])
+    return FiniteTable(tuple(map(str, range(n))), rows, 0)
+
+
+def _reference_rank_bound(table):
+    """max over primes p | n of log_p [G : G'G^p], with G' spanned by all
+    n^2 commutators and every closure a fresh search."""
+    t, inv, e, n = table.mul_table, table.inv_table, table.id_index, table.order()
+
+    def span(elements):
+        seen, frontier = {e}, [e]
+        while frontier:
+            row = t[frontier.pop()]
+            for g in elements:
+                if row[g] not in seen:
+                    seen.add(row[g])
+                    frontier.append(row[g])
+        return seen
+
+    derived = span({t[t[inv[x]][inv[y]]][t[x][y]] for x in range(n) for y in range(n)})
+    bound = 0
+    for p in (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))):
+        powers = set()
+        for x in range(n):
+            y = e
+            for _ in range(p):
+                y = t[y][x]
+            powers.add(y)
+        index = n // len(span(derived | powers))
+        bound = max(bound, round(math.log(index, p)) if index > 1 else 0)
+    return bound
+
+
+def _rank_sweep_tables():
+    """The hom stock of the rank sweep benchmark, and the direct products it
+    ranks: those in the stock, (Z/2)^4 and Z/base x (Z/2)^m for m = 1..3."""
+    z2 = cyclic_table(2)
+    products = [direct_product(z2, z2), direct_product(cyclic_table(4), z2),
+                _power(z2, 3), direct_product(cyclic_table(3), cyclic_table(3))]
+    stock = [cyclic_table(n) for n in range(2, 17)] + products + [
+        dihedral_table(3), dihedral_table(4), dihedral_table(6), dihedral_table(8)]
+    return stock, products + [_power(z2, 4)] + [
+        functools.reduce(direct_product, [z2] * m, cyclic_table(base))
+        for m, base in itertools.product(range(1, 4), range(1, 5))
+    ]
+
+
+def _same_fields(table, reference):
+    assert table.labels == reference.labels
+    assert table.mul_table == reference.mul_table
+    assert table.id_index == reference.id_index
+    assert table.inv_table == reference.inv_table
+    assert hash(table) == hash(reference)
+    assert type(table.labels) is tuple and {type(row) for row in table.mul_table} == {tuple}
+
+
+class TestTrustedTables:
+    """Table homs are checked over the source's greedy cover, ``checked``
+    runs Light's test over it, and subgroup and product tables are built
+    without a second check; each against a reference that checks all."""
+
+    def test_the_cover_reaches_every_element(self):
+        rng = random.Random(29)
+        loops = [_random_magma(rng, n) for n in range(1, 8) for _ in range(5)]
+        for table in _search_corpus()[::3] + loops:
+            cover = _ft_cover.__wrapped__(table)
+            assert list(cover) == sorted(set(cover)) and table.id_index not in cover
+            reached, frontier = {table.id_index}, [table.id_index]
+            while frontier:
+                row = table.mul_table[frontier.pop()]
+                for s in cover:
+                    if row[s] not in reached:
+                        reached.add(row[s])
+                        frontier.append(row[s])
+            assert reached == set(table.elements()), table.labels
+        assert _ft_cover(cyclic_table(12)) == (1,)
+        assert len(_ft_cover(_power(cyclic_table(2), 5))) == 5
+        assert _ft_cover(cyclic_table(1)) == ()
+
+    def test_table_hom_verdicts_match_the_full_scan(self):
+        # every identity-preserving map between small tables whose count is
+        # at most 4,096, then seeded random maps and homs to D6 and (Z/2)^3
+        small = [cyclic_table(n) for n in range(1, 7)] + [
+            dihedral_table(3), dihedral_table(4), direct_product(cyclic_table(2), cyclic_table(2))]
+        cases = []
+        for src, dst in itertools.product(small, repeat=2):
+            if dst.order() ** (src.order() - 1) > 4096:
+                continue
+            others = [i for i in src.elements() if i != src.id_index]
+            for images in itertools.product(range(dst.order()), repeat=len(others)):
+                data = [dst.id_index] * src.order()
+                for i, y in zip(others, images):
+                    data[i] = y
+                cases.append((src, dst, data))
+        rng = random.Random(31)
+        for dst in (dihedral_table(6), _power(cyclic_table(2), 3)):
+            for src in small + [dihedral_table(6), _power(cyclic_table(2), 3)]:
+                for _ in range(40):
+                    data = [rng.randrange(dst.order()) for _ in src.elements()]
+                    data[src.id_index] = dst.id_index
+                    cases.append((src, dst, data))
+                cases += [(src, dst, list(h.data)) for h in _all_homs(src, dst, limit=20)]
+        homs = 0
+        for src, dst, data in cases:
+            first = _first_non_multiplicative(src, dst, data)
+            if first is None:
+                assert Hom.table(src, dst, data).data == tuple(data)
+                homs += 1
+                continue
+            with pytest.raises(ShapeMismatch) as info:
+                Hom.table(src, dst, data)
+            assert str(info.value) == "not multiplicative at ({},{})".format(*first)
+        assert len(cases) > 10000 and homs > 500
+
+    def test_table_hom_range_texts(self):
+        z4 = cyclic_table(4)
+        for bad in (-1, 4, 1.5, "x", None):
+            for at in (1, 3):
+                data = [0, 1, 2, 3]
+                data[at] = bad
+                with pytest.raises(ShapeMismatch) as info:
+                    Hom.table(z4, z4, data)
+                assert str(info.value) == f"{bad!r} is not an index into a table of size 4"
+        # the first offender is named
+        with pytest.raises(ShapeMismatch, match=r"^7 is not an index into a table of size 4$"):
+            Hom.table(z4, z4, [0, 7, -1, "x"])
+        # bool is an int, as dst.check has it
+        z2 = cyclic_table(2)
+        assert Hom.table(z2, z2, [False, True]).data == (False, True)
+        assert Hom.table(z2, z2, [0, True]).data == (0, 1)
+
+    def test_checked_matches_the_cubic_scan(self):
+        rng = random.Random(37)
+        groups = [_permuted(t, rng) for t in _search_corpus()[::4] if t.order() <= 12]
+        loops = [_random_magma(rng, n) for n in range(2, 7) for _ in range(40)]
+        failing = 0
+        for table in groups + loops:
+            first = _first_nonassociative(table)
+            args = (table.labels, table.mul_table, table.id_index)
+            if first is None:
+                assert FiniteTable.checked(*args) == table
+                continue
+            failing += 1
+            with pytest.raises(ValueError) as info:
+                FiniteTable.checked(*args)
+            assert str(info.value) == "associativity fails at ({},{},{})".format(*first)
+        assert len(groups) > 60 and failing > 140
+
+    def test_subgroup_tables_equal_checked_tables(self):
+        # every subgroup generated by one or two elements of the hom stock,
+        # against a table the constructor checks, rows read in the test
+        stock, _ = _rank_sweep_tables()
+        built = 0
+        for parent in stock:
+            for gens in itertools.combinations_with_replacement(parent.elements(), 2):
+                table, inclusion = subgroup_table(parent, gens)
+                index = {x: k for k, x in enumerate(inclusion)}
+                rows = [[index[parent.mul_table[x][y]] for y in inclusion] for x in inclusion]
+                reference = FiniteTable([parent.labels[x] for x in inclusion], rows, 0)
+                _same_fields(table, reference)
+                built += 1
+        assert built > 1200
+
+    def test_products_equal_checked_tables(self):
+        stock, products = _rank_sweep_tables()
+        for a, b in itertools.product(stock[:6] + stock[15:], repeat=2):
+            product = direct_product(a, b)
+            nb = b.order()
+            pairs = [(i, j) for i in a.elements() for j in b.elements()]
+            rows = [[a.mul_table[i][k] * nb + b.mul_table[j][l] for k, l in pairs] for i, j in pairs]
+            labels = [f"({a.labels[i]},{b.labels[j]})" for i, j in pairs]
+            _same_fields(product, FiniteTable(labels, rows, a.id_index * nb + b.id_index))
+        for table in products:
+            _same_fields(table, FiniteTable(list(table.labels), [list(r) for r in table.mul_table],
+                                            table.id_index))
+
+    def test_rank_bound_reads_the_derived_subgroup_off_the_cover(self):
+        # against the bound from all n^2 commutators; in the Heisenberg group
+        # mod 3 the cover starts at the central z, whose commutators are all
+        # trivial, so a derived subgroup read off z alone would be too small
+        def heisenberg(a, b):  # (x, y, z) as the matrix [[1, x, z], [0, 1, y], [0, 0, 1]]
+            return ((a[0] + b[0]) % 3, (a[1] + b[1]) % 3, (a[2] + b[2] + a[0] * b[1]) % 3)
+
+        h27, _ = table_from_closure([(0, 0, 1), (1, 0, 0), (0, 1, 0)], heisenberg, (0, 0, 0),
+                                    lambda x, word: str(x))
+        assert _ft_cover(h27)[0] == 1 and _ft_rank_bound(h27) == 2
+        rng = random.Random(43)
+        tables = _search_corpus()[::2] + [h27, direct_product(h27, cyclic_table(2))]
+        tables += [_permuted(h27, rng) for _ in range(4)]
+        for table in tables:
+            assert _ft_rank_bound(table) == _reference_rank_bound(table), table.labels
+
+    def test_checked_on_a_large_cyclic_table_within_budget(self):
+        # the cubic scan took about 5-7 s on Z/512; Light's test reads 512 rows
+        n = 512
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        _ft_cover.cache_clear()
+        start = time.perf_counter()
+        table = FiniteTable.checked([f"a{i}" for i in range(n)], rows, 0)
+        elapsed = time.perf_counter() - start
+        assert table == cyclic_table(n)
+        assert elapsed < 0.1, f"checked on Z/512 took {elapsed:.3f} s"
+
+    def test_rank_bound_on_a_large_elementary_abelian_table_within_budget(self):
+        # all n^2 commutators took about 0.12 s on (Z/2)^10; the cover's n |S| far less
+        n = 1024
+        table = FiniteTable(tuple(map(str, range(n))), tuple(tuple(i ^ j for j in range(n)) for i in range(n)), 0)
+        _ft_cover.cache_clear()
+        start = time.perf_counter()
+        bound = _ft_rank_bound(table)
+        elapsed = time.perf_counter() - start
+        assert bound == 10
+        assert elapsed < 0.05, f"_ft_rank_bound on (Z/2)^10 took {elapsed:.3f} s"
 
 
 def _random_element(rng, g):

@@ -517,6 +517,27 @@ class TestOracles:
                 with pytest.raises(UnknownLetter, match=re.escape(message)):
                     call()
 
+    def test_non_letters_and_one_shot_words_are_unknown_letters(self):
+        # a token that is no (name, sign) pair, and a miss in a word given as
+        # a one-shot iterator, raise the texts letter expansion raises
+        p = pi1_presentation(zoo.torus())
+        faults = [
+            (lambda: ["t"], "'t' is not a (name, sign) letter"),
+            (lambda: [("a", 1, 3)], "('a', 1, 3) is not a (name, sign) letter"),
+            (lambda: iter([("zz", 1)]), "'zz' is not a presentation generator"),
+            (lambda: iter([("t", 1), ("t", 2)]), "('t', 2): a letter's sign must be 1 or -1"),
+        ]
+        oracles = [QuotientOracle.abelianization(), QuotientOracle.finite_enumeration(100),
+                   QuotientOracle.free_reduction()]
+        for word, message in faults:
+            calls = [lambda: p.encode(word())]
+            calls += [lambda oracle=oracle: oracle_answer(oracle, p, word()) for oracle in oracles]
+            for call in calls:
+                with pytest.raises(UnknownLetter) as info:
+                    call()
+                assert str(info.value) == message
+        assert p.encode(iter([("t", 1), ("a", -1)])) == p.encode([("t", 1), ("a", -1)])
+
 
 def leibniz_det(m):
     """Determinant as the signed sum over permutations."""
