@@ -39,7 +39,7 @@ from collections import Counter
 
 import yaml
 
-from .errors import GogParseError
+from .errors import GogParseError, InvalidStructure
 from .gog import GraphOfGroups
 from .graph import AbstractGraph, orbits
 from .groups import (
@@ -188,7 +188,7 @@ def parse_group(desc, path):
     if type(id_index) is not int:
         _fail(f"{path}.id", f"id must be an integer, got {reprlib.repr(id_index)}")
     try:
-        return FiniteTable.checked(tuple(labels), tuple(tuple(r) for r in mul), id_index)
+        return FiniteTable(labels, mul, id_index)
     except (ValueError, TypeError) as exc:
         _fail(path, f"invalid multiplication table: {exc}")
 
@@ -393,13 +393,16 @@ def serialize_gog(g: GraphOfGroups) -> str:
 
     Orbits are keyed by their plus half-edge; reverse half-edge ids are
     regenerated as ``name^-1`` on parse, so documents round-trip on
-    canonical form.
+    canonical form.  A plus id ending in ``^-1`` has no such name, and is
+    refused with InvalidStructure.
     """
     edges = {}
     for o in orbits(g.graph):
         name = o.plus
         if name.endswith(INVERSE_SUFFIX):
-            name = name[: -len(INVERSE_SUFFIX)]
+            raise InvalidStructure(
+                f"cannot serialize edge {name}: edge names must not end with {INVERSE_SUFFIX}"
+            )
         edges[name] = {
             "origin": g.graph.d0[o.plus],
             "terminus": g.graph.d0[o.minus],

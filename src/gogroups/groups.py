@@ -36,14 +36,13 @@ class GroupDesc:
     arguments to be elements.  Every checked operation is the check plus
     the cores, here and only here; code that holds elements it has
     already checked (the pinch kernel, hom images) calls the cores.
+
+    Each class also supplies ``identity()``; ``check(x)``, which raises
+    ShapeMismatch unless x is an element; ``generators()`` and
+    ``generator_names()``; ``spell(x)``, x as a reduced free word over
+    ``generators()`` (+i the i-th generator, -i its inverse); and
+    ``order()``, None when the group is infinite.
     """
-
-    def identity(self):
-        raise NotImplementedError
-
-    def check(self, x):
-        """Raise ShapeMismatch unless x is an element of this group."""
-        raise NotImplementedError
 
     def mul(self, x, y):
         self.check(x), self.check(y)
@@ -70,20 +69,6 @@ class GroupDesc:
             x = product(x, x)
             k >>= 1
         return acc
-
-    def generators(self) -> tuple:
-        raise NotImplementedError
-
-    def generator_names(self) -> tuple:
-        raise NotImplementedError
-
-    def spell(self, x) -> tuple:
-        """x as a reduced free word over ``generators()``: +i is the i-th, -i its inverse."""
-        raise NotImplementedError
-
-    def order(self):
-        """Group order, or None when infinite."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -159,6 +144,21 @@ class FreeGroup(_RankedGroup):
 
 @dataclass(frozen=True)
 class FiniteTable(GroupDesc):
+    """A finite group by its multiplication table over the indices 0..n-1.
+
+    The constructor checks every group axiom, so each ``FiniteTable`` is a
+    group: the shape, the entry range, the identity row and column and
+    two-sided inverses, then associativity by Light's test over the greedy
+    cover S (``_ft_cover``): (x s) y = x (s y) for every s in S and all
+    x, y, one row comparison per (x, s), so O(n^2 |S|) reads.  The middles
+    a with (x a) y = x (a y) for all x, y are closed under products and
+    every element is a left-nested product over S, so that suffices.  Only
+    when it fails does the cubic scan run, to name the first failing
+    triple (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
+    1961, section 1.2).  ``_derived`` is the one unchecked path, for
+    tables derived from checked ones.
+    """
+
     labels: tuple = field(compare=False)
     mul_table: tuple
     id_index: int
@@ -195,6 +195,21 @@ class FiniteTable(GroupDesc):
                 raise ValueError(f"element {i} lacks a two-sided inverse")
             inv.append(row.index(e))
         self._seal(tuple(inv))
+        # Light's test; the cover is cached by the table's hash, set by _seal
+        for s in _ft_cover(self):
+            middle = _picker(t[s])  # row x gathered at row s: y -> x (s y)
+            if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
+                break
+        else:
+            return
+        for a in indices:
+            ta = t[a]
+            for b in indices:
+                tab = t[ta[b]]
+                tb = t[b]
+                for c in indices:
+                    if tab[c] != ta[tb[c]]:
+                        raise ValueError(f"associativity fails at ({a},{b},{c})")
 
     def _seal(self, inv_table: tuple) -> None:
         object.__setattr__(self, "inv_table", inv_table)
@@ -211,35 +226,6 @@ class FiniteTable(GroupDesc):
         object.__setattr__(g, "mul_table", mul_table)
         object.__setattr__(g, "id_index", id_index)
         g._seal(inv_table)
-        return g
-
-    @classmethod
-    def checked(cls, labels, mul_table, id_index) -> "FiniteTable":
-        """Full axiom check.  Associativity by Light's test over the greedy
-        cover S (``_ft_cover``): (x s) y = x (s y) for every s in S and all
-        x, y, one row comparison per (x, s), so O(n^2 |S|) reads.  The
-        middles a with (x a) y = x (a y) for all x, y are closed under
-        products and every element is a left-nested product over S, so
-        that suffices.  Only when it fails does the cubic scan run, to name
-        the first failing triple (Clifford and Preston, *The Algebraic
-        Theory of Semigroups* I, 1961, section 1.2)."""
-        g = cls(tuple(labels), tuple(tuple(r) for r in mul_table), id_index)
-        t = g.mul_table
-        for s in _ft_cover(g):
-            middle = _picker(t[s])  # row x gathered at row s: y -> x (s y)
-            if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
-                break
-        else:
-            return g
-        n = len(t)
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
         return g
 
     def identity(self):
@@ -307,8 +293,8 @@ def _ft_cover(table: FiniteTable) -> tuple:
     set {e}, the least element not yet reached joins S, and the reached set
     is closed under right multiplication by S.  No inverse is read, so
     every element is a left-nested product ((e s1) s2) ... over S, even in
-    a table not known to be associative.  O(n |S|) reads: S = (1,) on a
-    cyclic table, and |S| = k on (Z/2)^k."""
+    a table the constructor has not yet found associative.  O(n |S|)
+    reads: S = (1,) on a cyclic table, and |S| = k on (Z/2)^k."""
     mul = table.mul_table
     reached = [table.id_index]
     seen = set(reached)
@@ -494,7 +480,7 @@ def cyclic_table(n: int, letter: str = "a") -> FiniteTable:
     _check_table_size(n)
     labels = ["e"] + [letter if i == 1 else f"{letter}{i}" for i in range(1, n)]
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteTable(tuple(labels), tuple(tuple(r) for r in mul), 0)
+    return FiniteTable(labels, mul, 0)
 
 
 def direct_product(a: FiniteTable, b: FiniteTable) -> FiniteTable:
@@ -535,7 +521,7 @@ def dihedral_table(n: int) -> FiniteTable:
         for k, l in elems:
             row.append(index[((i + (k if j == 0 else -k)) % n, (j + l) % 2)])
         mul.append(row)
-    return FiniteTable(tuple(labels), tuple(tuple(r) for r in mul), index[(0, 0)])
+    return FiniteTable(labels, mul, index[(0, 0)])
 
 
 def table_from_closure(generators, op, identity, label_of):
@@ -562,7 +548,7 @@ def table_from_closure(generators, op, identity, label_of):
                 queue.append(y)
     mul = [[index[op(x, y)] for y in elems] for x in elems]
     labels = tuple(label_of(x, words[x]) for x in elems)
-    return FiniteTable(labels, tuple(tuple(r) for r in mul), 0), elems
+    return FiniteTable(labels, mul, 0), elems
 
 
 def subgroup_table(parent: FiniteTable, gen_indices):
@@ -652,8 +638,8 @@ class Hom:
             # scanning a row for its first bad j only once it fails.  Rows up
             # to the last element of the source's cover S suffice: if
             # h(s x) = h(s) h(x) for s in S, then h(y x) = h(y) h(x) for every
-            # y, by induction on y's left-nested word over S (both tables are
-            # groups, so associative).  A map that is not a hom fails some
+            # y, by induction on y's left-nested word over S (a FiniteTable
+            # is a group, so associative).  A map that is not a hom fails some
             # row of S, so the first failing (i, j) in row-major order lies
             # in the rows scanned.
             cover = _ft_cover(self.src)

@@ -14,10 +14,11 @@ import yaml
 import zoo
 from gogroups import gogfile
 from gogroups.cli import build_parser, main
-from gogroups.errors import GogParseError
-from gogroups.gog import GraphOfGroups, classify, pi1_presentation, presentation_to_text
+from gogroups.errors import GogParseError, InvalidStructure
+from gogroups.gog import GraphOfGroups, classify, pi1_presentation, presentation_to_text, validate_gog
 from gogroups.gogfile import parse_gog, parse_gog_text, serialize_gog
-from gogroups.groups import _ft_generating_set, cyclic_table
+from gogroups.graph import AbstractGraph
+from gogroups.groups import FreeGroup, Hom, _ft_generating_set, cyclic_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -184,6 +185,32 @@ class TestParsing:
         assert serialize_gog(parse_gog_text(text)) == text
         g = parse_gog_text(edge.format(vertex="{cyclic: 3, letter: g}", images="[1, 2]"))
         assert [g.emap["e"].apply(x) for x in ((1,), (2,), (1, 2))] == [1, 2, 0]
+        # images of an infinite source in a table are written as labels
+        text = serialize_gog(g)
+        assert "images: [g, g2]" in text, text
+        assert serialize_gog(parse_gog_text(text)) == text
+
+    def test_serialize_refuses_a_plus_id_ending_in_inverse(self):
+        # a record named e stands for the half-edges e and e^-1, so a plus
+        # id ending in ^-1 has no record name: stripping the suffix merged
+        # the orbits {a^-1, b} and {a, c} into one record a, and wrote a
+        # stored tree entry a^-1 that the parser refuses
+        z = FreeGroup(1)
+
+        def edges_u_to_v(pairs, tree=None):
+            plus = dict(pairs)  # plus id -> its reverse
+            bar = {**plus, **{minus: e for e, minus in pairs}}
+            graph = AbstractGraph.make(["u", "v"], bar, {e: "u" if e in plus else "v" for e in bar})
+            emap = {e: Hom.identity(z) for e in bar}
+            g = GraphOfGroups.make(graph, {"u": z, "v": z}, dict.fromkeys(plus, z), emap, tree=tree)
+            assert validate_gog(g).ok and "a^-1" in {o.plus for o in g.orbits()}
+            return g
+
+        for g in (edges_u_to_v([("a^-1", "b"), ("a", "c")]),
+                  edges_u_to_v([("a^-1", "b")], tree={"a^-1"})):
+            with pytest.raises(InvalidStructure) as info:
+                serialize_gog(g)
+            assert str(info.value) == "cannot serialize edge a^-1: edge names must not end with ^-1"
 
     def test_tree_identity_and_image_errors_exit_two(self, capsys, tmp_path):
         edge = ("vertices: {u: {cyclic: 2}, v: {cyclic: 2}}\n"
@@ -599,6 +626,9 @@ class TestCommands:
              "mul must be a list of rows"),
             ("vertices: {v: {table: {elements: [e, a], mul: [[0, 1], [1, 1]]}}}\n", ".vertices.v]",
              "invalid multiplication table: "),
+            ("vertices: {v: {table: {elements: [a, b, c, d, e], mul: [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],"
+             " [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}}}\n", ".vertices.v]",
+             "invalid multiplication table: associativity fails at (1,1,2)\n"),
             (loop % ("t", "{images: [x]}", ""), ".edges.t.fwd]",
              "bad image 'x': free abelian element must look like [k1,...]: 'x'"),
             (loop % ("t", "{matrix: [[1]], images: [[1]]}", ""), ".edges.t.fwd]",

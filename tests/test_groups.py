@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -113,16 +114,15 @@ class TestElements:
         # a "subtraction mod 3" table: has identity-ish row but fails associativity
         mul = [[(i - j) % 3 for j in range(3)] for i in range(3)]
         with pytest.raises(ValueError):
-            FiniteTable.checked(("0", "1", "2"), mul, 0)
-        FiniteTable.checked(("e", "a", "a2"), [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+            FiniteTable(("0", "1", "2"), mul, 0)
+        FiniteTable(("e", "a", "a2"), [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
 
     def test_checked_names_the_first_nonassociative_triple(self):
-        # a loop of order 5: a Latin square with identity 0, so it passes the
-        # constructor, but (1*1)*2 = 2 while 1*(1*2) = 0
+        # a loop of order 5: a Latin square with identity 0, so it passes
+        # every check but associativity, as (1*1)*2 = 2 while 1*(1*2) = 0
         rows = [(0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)]
-        FiniteTable(tuple("abcde"), tuple(rows), 0)
         with pytest.raises(ValueError, match=r"^associativity fails at \(1,1,2\)$"):
-            FiniteTable.checked(tuple("abcde"), rows, 0)
+            FiniteTable(tuple("abcde"), rows, 0)
 
 
 class TestHomApply:
@@ -511,16 +511,18 @@ def _first_non_multiplicative(src, dst, data):
                  if data[src.mul_table[i][j]] != dst.mul_table[data[i]][data[j]]), None)
 
 
-def _first_nonassociative(table):
-    """The reference: the first (a, b, c) with (ab)c != a(bc), by the cubic scan."""
-    t = table.mul_table
-    return next(((a, b, c) for a in table.elements() for b in table.elements() for c in table.elements()
-                 if t[t[a][b]][c] != t[a][t[b][c]]), None)
+def _first_nonassociative(rows):
+    """The reference: the first (a, b, c) with (ab)c != a(bc) in the table
+    ``rows``, by the cubic scan."""
+    n = range(len(rows))
+    return next(((a, b, c) for a in n for b in n for c in n
+                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
 
 
 def _random_magma(rng, n):
-    """A table the constructor accepts, mostly not associative: identity 0,
-    an involution pairing each element with its inverse, and every other
+    """(labels, rows, identity) of a table that passes every check of the
+    constructor but associativity, and is mostly not associative: identity
+    0, an involution pairing each element with its inverse, and every other
     entry drawn from the non-identity elements."""
     others = list(range(1, n))
     rng.shuffle(others)
@@ -531,7 +533,7 @@ def _random_magma(rng, n):
     rows = [list(range(n))]
     for i in range(1, n):
         rows.append([i if j == 0 else 0 if j == inv[i] else rng.randrange(1, n) for j in range(n)])
-    return FiniteTable(tuple(map(str, range(n))), rows, 0)
+    return tuple(map(str, range(n))), rows, 0
 
 
 def _reference_rank_bound(table):
@@ -587,24 +589,28 @@ def _same_fields(table, reference):
 
 
 class TestTrustedTables:
-    """Table homs are checked over the source's greedy cover, ``checked``
-    runs Light's test over it, and subgroup and product tables are built
-    without a second check; each against a reference that checks all."""
+    """Table homs are checked over the source's greedy cover, the
+    constructor runs Light's test over it, and subgroup and product tables
+    are built without a second check; each against a reference that checks
+    all."""
 
     def test_the_cover_reaches_every_element(self):
+        # the constructor reads the cover before it knows the table is
+        # associative, so loops, which it refuses, are read by stand-ins
         rng = random.Random(29)
         loops = [_random_magma(rng, n) for n in range(1, 8) for _ in range(5)]
-        for table in _search_corpus()[::3] + loops:
-            cover = _ft_cover.__wrapped__(table)
-            assert list(cover) == sorted(set(cover)) and table.id_index not in cover
-            reached, frontier = {table.id_index}, [table.id_index]
+        tables = [(t.mul_table, t.id_index) for t in _search_corpus()[::3]]
+        for rows, e in tables + [(rows, e) for _, rows, e in loops]:
+            cover = _ft_cover.__wrapped__(types.SimpleNamespace(mul_table=rows, id_index=e))
+            assert list(cover) == sorted(set(cover)) and e not in cover
+            reached, frontier = {e}, [e]
             while frontier:
-                row = table.mul_table[frontier.pop()]
+                row = rows[frontier.pop()]
                 for s in cover:
                     if row[s] not in reached:
                         reached.add(row[s])
                         frontier.append(row[s])
-            assert reached == set(table.elements()), table.labels
+            assert reached == set(range(len(rows))), rows
         assert _ft_cover(cyclic_table(12)) == (1,)
         assert len(_ft_cover(_power(cyclic_table(2), 5))) == 5
         assert _ft_cover(cyclic_table(1)) == ()
@@ -666,17 +672,47 @@ class TestTrustedTables:
         groups = [_permuted(t, rng) for t in _search_corpus()[::4] if t.order() <= 12]
         loops = [_random_magma(rng, n) for n in range(2, 7) for _ in range(40)]
         failing = 0
-        for table in groups + loops:
-            first = _first_nonassociative(table)
-            args = (table.labels, table.mul_table, table.id_index)
+        for labels, rows, e in [(t.labels, t.mul_table, t.id_index) for t in groups] + loops:
+            first = _first_nonassociative(rows)
             if first is None:
-                assert FiniteTable.checked(*args) == table
+                table = FiniteTable(labels, rows, e)
+                assert (table.mul_table, table.id_index) == (tuple(map(tuple, rows)), e)
                 continue
             failing += 1
             with pytest.raises(ValueError) as info:
-                FiniteTable.checked(*args)
+                FiniteTable(labels, rows, e)
             assert str(info.value) == "associativity fails at ({},{},{})".format(*first)
         assert len(groups) > 60 and failing > 140
+
+    def test_loops_are_refused_and_the_table_services_see_groups(self):
+        # seeded tables of order 3-5 with an identity row and column and
+        # two-sided inverses: the constructor refuses each loop, naming the
+        # cubic scan's first triple, so the cover proofs of the table
+        # services hold: on the groups left, every map to Z/2 gets the full
+        # scan's verdict and subgroup_table its closure.
+        rng = random.Random(41)
+        z2 = cyclic_table(2)
+        refused = accepted = 0
+        for labels, rows, e in (_random_magma(rng, n) for n in range(3, 6) for _ in range(100)):
+            first = _first_nonassociative(rows)
+            if first is not None:
+                refused += 1
+                with pytest.raises(ValueError, match=r"^associativity fails at \(%d,%d,%d\)$" % first):
+                    FiniteTable(labels, rows, e)
+                continue
+            accepted += 1
+            table = FiniteTable(labels, rows, e)
+            for images in itertools.product(range(2), repeat=table.order() - 1):
+                data = [0, *images]
+                if _first_non_multiplicative(table, z2, data) is None:
+                    assert Hom.table(table, z2, data).data == tuple(data)
+                else:
+                    with pytest.raises(ShapeMismatch, match="^not multiplicative at "):
+                        Hom.table(table, z2, data)
+            for x in table.elements():
+                sub, inclusion = subgroup_table(table, [x])
+                assert set(inclusion) == set(_ft_closure(table, (x,))) and sub.order() == len(inclusion)
+        assert refused > 250 and accepted > 10
 
     def test_subgroup_tables_equal_checked_tables(self):
         # every subgroup generated by one or two elements of the hom stock,
@@ -728,10 +764,10 @@ class TestTrustedTables:
         rows = [[(i + j) % n for j in range(n)] for i in range(n)]
         _ft_cover.cache_clear()
         start = time.perf_counter()
-        table = FiniteTable.checked([f"a{i}" for i in range(n)], rows, 0)
+        table = FiniteTable([f"a{i}" for i in range(n)], rows, 0)
         elapsed = time.perf_counter() - start
         assert table == cyclic_table(n)
-        assert elapsed < 0.1, f"checked on Z/512 took {elapsed:.3f} s"
+        assert elapsed < 0.1, f"FiniteTable on Z/512 took {elapsed:.3f} s"
 
     def test_rank_bound_on_a_large_elementary_abelian_table_within_budget(self):
         # all n^2 commutators took about 0.12 s on (Z/2)^10; the cover's n |S| far less
