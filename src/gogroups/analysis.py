@@ -180,5 +180,5 @@ def product_rank_family(m: int, base: FiniteTable) -> GroupDesc:
     for _ in range(m):
         result = direct_product(result, cyclic_table(2))
     if group_rank(result) < m:
-        raise AssertionError
+        raise AssertionError(f"product family: base x (Z/2)^{m} has rank below {m}")
     return result

@@ -56,7 +56,9 @@ class GraphOfGroups:
     tree (``tree_orbits``), the tree half-edge entering each vertex on its
     path from the basepoint (``tree_parent``), the letter naming
     (``_naming``), the default presentation (``pi1_presentation`` without
-    a naming) and the reduction kernel (``_kernel``, a
+    a naming), the tree collapse (``_collapsed``, what
+    ``moves.collapse_tree`` returns for a graph of several vertices) and
+    the reduction kernel (``_kernel``, a
     ``words.ReductionKernel``, which also holds the letter loops, built
     from the naming and the tree alone).  The kernel is what letter
     expansion, ``validate_loop_word`` and ``reduce`` read: a loop word a
@@ -173,6 +175,12 @@ class GraphOfGroups:
     @cached_property
     def _pi1_default(self) -> "Presentation":
         return _build_presentation(self, self._naming)
+
+    @cached_property
+    def _collapsed(self) -> "GraphOfGroups":
+        from .moves import _collapse  # moves builds on this module
+
+        return _collapse(self)
 
     @cached_property
     def _kernel(self):

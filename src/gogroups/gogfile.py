@@ -38,6 +38,7 @@ import reprlib
 from collections import Counter
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import GogParseError, InvalidStructure
 from .gog import GraphOfGroups
@@ -78,16 +79,87 @@ def _nesting_bound(text):
     return sum(map(text.count, "[{:?")) + min(text.count("-"), longest)
 
 
+_TAG = "tag:yaml.org,2002:"
+_STR, _MAP, _SEQ = _TAG + "str", _TAG + "map", _TAG + "seq"
+# the other standard scalar tags: their values come from the loader's constructors
+_SCALARS = frozenset(_TAG + t for t in ("null", "bool", "int", "float", "binary", "timestamp"))
+
+
+class _NotPlain(Exception):
+    """A node that ``_plain_value`` leaves to the loader's own constructor."""
+
+
+def _plain_value(loader, root):
+    """The value of the composed node ``root``, built the way the safe
+    constructor builds it, for a node graph of plain mappings, sequences
+    and scalars of the seven standard scalar tags.  Raises _NotPlain on
+    anything else: an alias (a node met twice), a key that is not such a
+    scalar (so also ``<<`` and ``=``), another tag, or a scalar its
+    constructor refuses.
+
+    Containers are filled from a work list, not by recursion: libyaml
+    composes up to ``_LIBYAML_MAX_DEPTH`` levels, Python recursion stops
+    near 1,000.  A container is linked into its parent before it is
+    filled, so the order of the work list does not matter.
+    """
+    constructors = loader.yaml_constructors
+    seen = set()
+    work = []
+
+    def value(node):
+        if node in seen:
+            raise _NotPlain
+        seen.add(node)
+        tag, kind = node.tag, type(node)
+        if kind is ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag in _SCALARS:
+                try:
+                    return constructors[tag](loader, node)
+                except Exception:  # the loader reports it, in its own construction order
+                    raise _NotPlain from None
+        elif kind is MappingNode and tag == _MAP or kind is SequenceNode and tag == _SEQ:
+            container = {} if kind is MappingNode else []
+            work.append((container, node.value))
+            return container
+        raise _NotPlain
+
+    top = value(root)
+    while work:
+        container, items = work.pop()
+        if type(container) is list:
+            container.extend(map(value, items))
+            continue
+        for key, item in items:
+            if type(key) is not ScalarNode:
+                raise _NotPlain
+            key = value(key)
+            container[key] = value(item)
+    return top
+
+
 def _load_yaml(text):
     """The one YAML document in ``text``.
 
-    libyaml reads it when it can.  PyYAML's own parser reads what libyaml
+    libyaml reads it when it can: it composes the node graph, and
+    ``_plain_value`` builds the values of a plain one; any other graph is
+    loaded again by ``yaml.load`` with the same loader, so each value and
+    error is the loader's own.  PyYAML's own parser reads what libyaml
     refuses, so no text stops parsing and a syntax error keeps PyYAML's
     message and line; it also reads text that may nest too deeply for
     libyaml.
     """
     if YAML_LOADER is not yaml.SafeLoader and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH:
         try:
+            loader = YAML_LOADER(text)
+            try:
+                node = loader.get_single_node()
+                return None if node is None else _plain_value(loader, node)
+            except _NotPlain:
+                pass
+            finally:
+                loader.dispose()
             return yaml.load(text, Loader=YAML_LOADER)
         except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate has no UTF-8 for libyaml
             pass

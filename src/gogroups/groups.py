@@ -195,8 +195,9 @@ class FiniteTable(GroupDesc):
                 raise ValueError(f"element {i} lacks a two-sided inverse")
             inv.append(row.index(e))
         self._seal(tuple(inv))
-        # Light's test; the cover is cached by the table's hash, set by _seal
-        for s in _ft_cover(self):
+        # Light's test, over a cover left out of _ft_cover's cache: only
+        # tables found to be groups may stay referenced there
+        for s in _ft_cover.__wrapped__(self):
             middle = _picker(t[s])  # row x gathered at row s: y -> x (s y)
             if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
                 break

@@ -3,8 +3,10 @@
 - contract_edge: contract a non-loop edge whose map on the contracted
   side is an isomorphism, rerouting the maps at the removed vertex
   through f_bar(e) o f_e^-1.
-- collapse_tree: iterate contraction over a spanning tree (reorienting
-  per orbit so the isomorphic side is contracted), down to one vertex.
+- collapse_tree: contract a spanning tree down to one vertex in one pass
+  (per orbit the isomorphic side is contracted), over mutable copies of
+  the graph's data, building one graph of groups at the end; the result
+  is kept on the input.  Both moves share one contraction routine.
 - convert_diagram: replace vertex and edge groups by their images in a
   quotient oracle, turning a diagram into a graph of groups; exact when
   the oracle is exact, and every output carries the soundness tag.
@@ -14,6 +16,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -34,7 +37,7 @@ from .gog import (
     require_valid_gog,
     spell_in_letters,
 )
-from .graph import AbstractGraph, EdgeOrbit, bfs_parents, contract_edge_graph, orbits
+from .graph import AbstractGraph, EdgeOrbit, bfs_parents, orbits
 from .groups import (
     FreeAbelian,
     GroupDesc,
@@ -61,6 +64,66 @@ __all__ = [
 ]
 
 
+class _Contraction:
+    """Edges of a valid graph of groups contracted one at a time, over
+    mutable copies of its origins, edge maps, vertex groups and edge groups
+    and an index of the half-edges leaving each vertex; ``result`` builds
+    the contracted graph of groups once, however many edges went."""
+
+    def __init__(self, g: GraphOfGroups):
+        self.g = g
+        self.d0 = dict(g.graph.d0)
+        self.emap = dict(g.emap)
+        self.vgroup = dict(g.vgroup)
+        self.egroup = dict(g.egroup)
+        self.out = {v: set() for v in g.graph.vertices}
+        for x, v in self.d0.items():
+            self.out[v].add(x)
+        self.base = g.base
+        self.tree = None if g.tree is None else set(g.tree)
+
+    def contract(self, e: str) -> set:
+        """Contract the non-loop half-edge e, whose map f_e is an
+        isomorphism: its origin u merges into its terminus, which keeps its
+        group, and every other half-edge x leaving u gets the composite
+        f_bar(e) o f_e^-1 o f_x.  Returns the half-edges moved.  A stored
+        tree loses the orbit of e, or is dropped when e is not in it."""
+        bar = self.g.graph.bar[e]
+        u, v = self.d0.pop(e), self.d0.pop(bar)
+        reroute = compose(self.emap.pop(bar), inverse(self.emap.pop(e)))
+        moved = self.out.pop(u)
+        moved.discard(e)
+        self.out[v].discard(bar)
+        self.out[v] |= moved
+        for x in moved:
+            self.d0[x] = v
+            self.emap[x] = compose(reroute, self.emap[x])
+        del self.vgroup[u]
+        plus = min(e, bar)
+        del self.egroup[plus]
+        if self.base == u:
+            self.base = v
+        if self.tree is not None:
+            if plus in self.tree:
+                self.tree.remove(plus)
+            else:
+                self.tree = None
+        return moved
+
+    def result(self) -> GraphOfGroups:
+        bar = self.g.graph.bar
+        graph = AbstractGraph.make(self.out.keys(), {x: bar[x] for x in self.d0}, self.d0)
+        return GraphOfGroups.make(
+            graph,
+            self.vgroup,
+            self.egroup,
+            self.emap,
+            base=self.base,
+            tree=self.tree,
+            provenance=self.g.provenance,
+        )
+
+
 def contract_edge(g: GraphOfGroups, e: str) -> GraphOfGroups:
     """Contract non-loop edge e; requires f_e to be an isomorphism.
 
@@ -73,65 +136,66 @@ def contract_edge(g: GraphOfGroups, e: str) -> GraphOfGroups:
         raise InvalidStructure(f"no edge {e}")
     if g.graph.is_loop(e):
         raise LoopContraction(f"edge {e} is a loop")
-    f_e = g.emap[e]
-    if not is_isomorphism(f_e):
+    if not is_isomorphism(g.emap[e]):
         raise NotIso(f"edge map of {e} is not an isomorphism")
-    f_bar = g.emap[g.graph.bar[e]]
-    reroute = compose(f_bar, inverse(f_e))
-
-    u = g.graph.d0[e]
-    removed_orbit = g.orbit_of(e)
-    new_graph, merge = contract_edge_graph(g.graph, e)
-    new_emap = {}
-    for x in new_graph.edges:
-        old = g.emap[x]
-        new_emap[x] = compose(reroute, old) if g.graph.d0[x] == u else old
-    new_vgroup = {v: grp for v, grp in g.vgroup.items() if v != u}
-    new_egroup = {p: grp for p, grp in g.egroup.items() if p != removed_orbit.plus}
-    new_tree = None
-    if g.tree is not None and removed_orbit.plus in g.tree:
-        new_tree = g.tree - {removed_orbit.plus}
-    return GraphOfGroups.make(
-        new_graph,
-        new_vgroup,
-        new_egroup,
-        new_emap,
-        base=merge[g.base],
-        tree=new_tree,
-        provenance=g.provenance,
-    )
+    contraction = _Contraction(g)
+    contraction.contract(e)
+    return contraction.result()
 
 
 def collapse_tree(g: GraphOfGroups) -> GraphOfGroups:
     """Contract a whole spanning tree down to a single vertex.
 
-    Per orbit the plus map is tried first, then the minus map; the first
-    remaining tree orbit with an isomorphic side is contracted.  Raises
-    NotIso naming the offending orbit when none qualifies.
+    Each step contracts the least remaining tree orbit with an isomorphic
+    side, plus side first.  Raises NotIso naming the least remaining orbit
+    when none qualifies.  A graph of one vertex is returned as it is; any
+    other keeps its collapse (``GraphOfGroups._collapsed``).
     """
     require_valid_gog(g)
-    remaining = sorted(g.tree_orbits())
-    current = g
-    while remaining:
-        progress = None
-        for plus in remaining:
-            if is_isomorphism(current.emap[plus]):
-                progress = plus
-                current = contract_edge(current, plus)
-                break
-            minus = current.graph.bar[plus]
-            if is_isomorphism(current.emap[minus]):
-                progress = plus
-                current = contract_edge(current, minus)
-                break
-        if progress is None:
-            raise NotIso(
-                f"no isomorphic side on tree orbit {remaining[0]}; cannot collapse"
-            )
-        remaining.remove(progress)
-    if len(current.graph.vertices) != 1:
+    return g if len(g.graph.vertices) == 1 else g._collapsed
+
+
+def _collapse(g: GraphOfGroups) -> GraphOfGroups:
+    """``collapse_tree`` in one pass over one ``_Contraction``.
+
+    Contracting e reroutes the maps leaving its origin through
+    f_bar(e) o f_e^-1.  When f_bar(e) is an isomorphism, so is the
+    reroute, and each moved map stays an isomorphism or not; otherwise a
+    moved map may gain or lose being one, and the orbits of the moved
+    half-edges are looked at again.  The qualifying orbits wait in a heap
+    by plus id, and an entry whose orbit went or stopped qualifying is
+    skipped when it comes up.
+    """
+    bar = g.graph.bar
+    contraction = _Contraction(g)
+
+    def side(plus):
+        for half in (plus, bar[plus]):
+            if is_isomorphism(contraction.emap[half]):
+                return half
+        return None
+
+    pending = {plus: side(plus) for plus in sorted(g.tree_orbits())}
+    ready = [plus for plus, half in pending.items() if half is not None]  # sorted, so a heap
+    while pending:
+        while ready and pending.get(ready[0]) is None:
+            heapq.heappop(ready)
+        if not ready:
+            raise NotIso(f"no isomorphic side on tree orbit {min(pending)}; cannot collapse")
+        half = pending.pop(heapq.heappop(ready))
+        keeps = is_isomorphism(contraction.emap[bar[half]])
+        moved = contraction.contract(half)
+        if keeps:
+            continue
+        for x in moved:
+            orbit = min(x, bar[x])
+            if orbit in pending:
+                was, pending[orbit] = pending[orbit], side(orbit)
+                if was is None and pending[orbit] is not None:
+                    heapq.heappush(ready, orbit)
+    if len(contraction.out) != 1:
         raise AssertionError("tree collapse left several vertices")
-    return current
+    return contraction.result()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +287,9 @@ def _convert_by_enumeration(d: GraphOfGroups, oracle: QuotientOracle) -> GraphOf
         new_emap[o.plus] = Hom.table(etable, new_vgroup[origin], plus_map)
         new_emap[o.minus] = Hom.table(etable, new_vgroup[terminus], minus_map)
         if not (hom_is_injective(new_emap[o.plus]) and hom_is_injective(new_emap[o.minus])):
-            raise AssertionError
+            raise AssertionError(
+                f"finite enumeration: the converted edge maps of orbit {o.plus} are not both injective"
+            )
 
     tag = f"converted: finite enumeration (cap {oracle.cap}), pi1 order {n} (exact)"
     return d.replace(
@@ -363,7 +429,7 @@ def _convert_by_abelianization(d: GraphOfGroups, oracle: QuotientOracle) -> Grap
         for half, end in ((o.plus, origin), (o.minus, terminus)):
             new_emap[half] = _inclusion_hom(image, vertex_images[end], edge_group, new_vgroup[end])
             if not hom_is_injective(new_emap[half]):
-                raise AssertionError
+                raise AssertionError(f"abelianization: the converted edge map of {half} is not injective")
 
     tag = f"converted: abelianization oracle ({oracle.soundness()})"
     return d.replace(

@@ -200,7 +200,18 @@ class TestCertificatesSurviveOptimize:
 
     def test_a_converted_edge_map_must_be_injective(self, monkeypatch):
         monkeypatch.setattr(moves, "hom_is_injective", lambda h: False)
-        for oracle in (QuotientOracle.finite_enumeration(5000), QuotientOracle.abelianization()):
+        texts = {
+            QuotientOracle.finite_enumeration(5000):
+                "finite enumeration: the converted edge maps of orbit e are not both injective",
+            QuotientOracle.abelianization(): "abelianization: the converted edge map of e is not injective",
+        }
+        for oracle, text in texts.items():
             with pytest.raises(AssertionError) as info:
                 convert_diagram(zoo.pushout46(), oracle)
-            assert str(info.value) == ""
+            assert str(info.value) == text
+
+    def test_a_product_family_member_must_have_rank_m(self, monkeypatch):
+        monkeypatch.setattr(analysis, "group_rank", lambda g: 1)
+        with pytest.raises(AssertionError) as info:
+            product_rank_family(2, cyclic_table(3))
+        assert str(info.value) == "product family: base x (Z/2)^2 has rank below 2"

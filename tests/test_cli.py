@@ -1,9 +1,11 @@
+import collections
 import contextlib
 import difflib
 import hashlib
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -677,6 +679,89 @@ class TestCommands:
         assert exc.value.code == 2 and err.endswith(f"error: {text}\n"), err
 
 
+def reference_load(text):
+    """The one YAML document in ``text`` as ``gogfile._load_yaml`` read it
+    before it built values from libyaml's nodes: ``yaml.load`` with
+    ``CSafeLoader``, and PyYAML's own parser for what libyaml refuses or
+    may nest too deeply for."""
+    if gogfile._nesting_bound(text) <= gogfile._LIBYAML_MAX_DEPTH:
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except (yaml.YAMLError, UnicodeEncodeError):
+            pass
+    return yaml.safe_load(text)
+
+
+def value_tokens(value):
+    """``value`` in repr's order, read without recursion, so that deep
+    nesting compares too: one token per scalar (type and repr), one per
+    container (type and length), and a back reference for a container met
+    again (an alias, or a list holding itself)."""
+    tokens, stack, met = [], [value], {}
+    while stack:
+        x = stack.pop()
+        if type(x) not in (list, dict):
+            tokens.append((type(x).__name__, repr(x)))
+        elif id(x) in met:
+            tokens.append(("again", met[id(x)]))
+        else:
+            met[id(x)] = len(tokens)
+            tokens.append((type(x).__name__, len(x)))
+            stack.extend(reversed(x) if type(x) is list
+                         else (y for item in reversed(x.items()) for y in reversed(item)))
+    return tokens
+
+
+def load_outcome(load, text):
+    try:
+        return value_tokens(load(text))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def generated_yaml(rng):
+    """A seeded YAML text: flow values under a block mapping or sequence,
+    or alone.  Most scalars and keys are plain standard ones; about one in
+    eight is exotic: malformed, tagged, a merge or value key, or not a
+    scalar.  Anchors are common and aliases rarer, some undefined or
+    recursive."""
+    scalars = ["a", "x y", "'q'", '"d\\u00e9"', "''", "1", "-0", "+7", "0x1F", "0o17", "017",
+               "1_000", "0b101", "190:20:30", "1.5", "-.Inf", ".NaN", "6.85e+5", "yes", "Off",
+               "true", "~", "null", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "!!binary aGVsbG8="]
+    odd_scalars = ["0b_", "._", "2020-13-45", "!!binary '!!'", "!!str 12", '!!int "3"', "!!float 1",
+                   "!!bool x", "!foo x", "!!python/tuple [1]", "!!null ''"]
+    keys = ["a", "b", "a", "1", "true", "1.0", "~", "'x'", "2001-12-14", "0x10", "16"]
+    odd_keys = ["<<", "=", "? [a, b]", "[1]", "{k: v}", "!!str 3", "!!set {a}"]
+    tags = ["!!set ", "!!omap ", "!!pairs ", "!!seq ", "!!map ", "!!str ", "!x "]
+    anchors = []
+
+    def pick(common, odd):
+        return rng.choice(odd if rng.random() < 0.04 else common)
+
+    def value(depth):
+        r = rng.random()
+        if anchors and r < 0.01:
+            return "*" + rng.choice(anchors) if rng.random() < 0.9 else "*nowhere"
+        prefix = ""
+        if r < 0.1:
+            anchors.append(f"n{len(anchors)}")
+            prefix = f"&{anchors[-1]} "
+        if depth > 3 or r < 0.45:
+            return prefix + pick(scalars, odd_scalars)
+        prefix += pick([""], tags)
+        if r < 0.72:
+            return prefix + "[" + ", ".join(value(depth + 1) for _ in range(rng.randint(0, 4))) + "]"
+        return prefix + "{" + ", ".join(
+            f"{pick(keys, odd_keys)}: {value(depth + 1)}" for _ in range(rng.randint(0, 4))) + "}"
+
+    shape = rng.random()
+    if shape < 0.5:
+        return "".join(f"{pick(keys, odd_keys)}: {value(1)}\n" for _ in range(rng.randint(1, 4)))
+    if shape < 0.7:
+        return "".join(f"- {value(1)}\n" for _ in range(rng.randint(1, 4)))
+    return value(0)
+
+
 class TestYamlBackend:
     """libyaml reads and writes .gog YAML; PyYAML's pure-Python classes
     must give the same documents and the same bytes."""
@@ -702,6 +787,34 @@ class TestYamlBackend:
             for style in (BLOCK_STYLE, FLOW_STYLE):
                 c_text = yaml.dump(doc, Dumper=yaml.CSafeDumper, **style)
                 assert c_text == yaml.dump(doc, Dumper=yaml.SafeDumper, **style), text
+
+    @needs_libyaml
+    def test_reading_from_nodes_matches_the_loader(self):
+        # the corpus, 2,000 seeded texts, and nesting within libyaml's bound
+        rng = random.Random(2026)
+        texts = self.corpus() + [generated_yaml(rng) for _ in range(2000)]
+        texts += ["a: &x [1]\nb: *x\n", "a: &r [*r]\n", "<<: {a: 1}\nb: 2\n", "{1: a, true: b, 1.0: c}",
+                  "", "---\n...\n", "a: 1\n---\nb: 2\n", "x: [\n", "'\ud800'"]
+        for depth in (1500, 4900):
+            texts += ["[" * depth + "x" + "]" * depth, "- " * depth + "x"]
+        texts += ["{a: " * 1500 + "1" + "}" * 1500]
+        outcomes = collections.Counter()
+        for text in texts:
+            got = load_outcome(gogfile._load_yaml, text)
+            assert got == load_outcome(reference_load, text), text[:200]
+            outcomes[type(got) is list] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 300
+
+    @needs_libyaml
+    def test_no_fixture_reaches_the_generic_constructor(self, monkeypatch):
+        def refuse(self, node):
+            raise AssertionError("built by the loader's constructor")
+
+        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", refuse)
+        for path in sorted(FIXTURES.glob("*.gog")):
+            parse_gog(path)
+        with pytest.raises(AssertionError, match="^built by the loader's constructor$"):
+            gogfile._load_yaml("a: &x [1]\nb: *x\n")
 
     def test_pure_python_backend_keeps_goldens_and_digests(self, capsys, monkeypatch):
         monkeypatch.setattr(gogfile, "YAML_LOADER", yaml.SafeLoader)

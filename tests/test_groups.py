@@ -714,6 +714,20 @@ class TestTrustedTables:
                 assert set(inclusion) == set(_ft_closure(table, (x,))) and sub.order() == len(inclusion)
         assert refused > 250 and accepted > 10
 
+    def test_refused_tables_leave_no_cover_cached(self):
+        # the constructor's cover stays out of _ft_cover's cache, so nothing
+        # keeps a refused table alive
+        rng = random.Random(25)
+        before = _ft_cover.cache_info().currsize
+        refused = 0
+        while refused < 2000:
+            labels, rows, e = _random_magma(rng, 6)
+            if _first_nonassociative(rows) is not None:
+                with pytest.raises(ValueError, match="^associativity fails at "):
+                    FiniteTable(labels, rows, e)
+                refused += 1
+        assert _ft_cover.cache_info().currsize == before
+
     def test_subgroup_tables_equal_checked_tables(self):
         # every subgroup generated by one or two elements of the hom stock,
         # against a table the constructor checks, rows read in the test

@@ -6,12 +6,13 @@ import random
 import pytest
 
 import zoo
-from gogroups import moves, quotients
+from gogroups import analysis, moves, quotients
+from gogroups.analysis import recognize_abelian
 from gogroups.errors import (
     GogError, InvalidStructure, LoopContraction, NotIso, OracleIncomplete, UnrepresentableImage,
 )
 from gogroups.gog import DiagramClass, GraphOfGroups, classify, pi1_presentation, spell_in_letters
-from gogroups.gogfile import serialize_gog
+from gogroups.gogfile import parse_gog, serialize_gog
 from gogroups.graph import AbstractGraph
 from gogroups.groups import FreeAbelian, Hom, cyclic_table
 from gogroups.moves import (
@@ -114,6 +115,120 @@ class TestCollapseTree:
         collapsed = collapse_tree(g)
         assert len(collapsed.graph.vertices) == 1
         assert set(collapsed.graph.edges) == {"t", "t^-1"}
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def outcome(move, *args):
+    """A move's result as its serialization and base, or its error."""
+    try:
+        result = move(*args)
+    except GogError as exc:
+        return type(exc).__name__, str(exc)
+    return serialize_gog(result), result.base
+
+
+def cyclic_path(n, order=6):
+    """A path v0 - v1 - ... of n copies of Z/order, every edge map the
+    identity table."""
+    vertices = [f"v{i}" for i in range(n)]
+    group = cyclic_table(order)
+    ident = Hom.table(group, group, list(range(order)))
+    half_edges = [(f"e{i}", vertices[i - 1], vertices[i]) for i in range(1, n)]
+    return GraphOfGroups.make(
+        zoo._graph(vertices, half_edges),
+        dict.fromkeys(vertices, group),
+        {name: group for name, _, _ in half_edges},
+        {h: ident for name, _, _ in half_edges for h in (name, f"{name}^-1")},
+    )
+
+
+class TestOnePassCollapse:
+    """collapse_tree, recognize_abelian and contract_edge against the fold
+    of contract_edge kept in zoo as the reference."""
+
+    @staticmethod
+    def corpus():
+        graphs = [parse_gog(p) for p in sorted(FIXTURES.glob("*.gog"))]
+        graphs += zoo.graphs() + zoo.edge_map_graphs()
+        graphs += [zoo.rebased(g) for g in graphs]
+        graphs += [g for _, g in zoo.abel_cases()]
+        rng = random.Random(26)
+        graphs += [zoo.random_mixed_tree(rng, rng.randint(2, 6)) for _ in range(400)]
+        return graphs
+
+    def test_moves_match_the_reference_fold(self, monkeypatch):
+        graphs = self.corpus()
+        stored = errors = 0
+        for g in graphs:
+            assert outcome(collapse_tree, g) == outcome(zoo.reference_collapse_tree, g)
+            stored += g.tree is not None
+            errors += outcome(collapse_tree, g)[0] == "NotIso"
+            for e in sorted(g.graph.edges):
+                assert outcome(contract_edge, g, e) == outcome(zoo.reference_contract_edge, g, e)
+        assert stored > 100 and errors > 100 and len(graphs) - errors > 100
+
+        def verdict(g):
+            try:
+                return recognize_abelian(g).to_text()
+            except GogError as exc:
+                return type(exc).__name__, str(exc)
+
+        free_abelian = [g for g in graphs
+                        if all(isinstance(grp, FreeAbelian) for grp in g.vgroup.values())]
+        assert len(free_abelian) > 30
+        fresh = [(verdict(g), g) for g in free_abelian]
+        monkeypatch.setattr(analysis, "collapse_tree", zoo.reference_collapse_tree)
+        for text, g in fresh:
+            assert text == verdict(g.replace())
+
+    def test_rerouting_can_make_or_break_an_isomorphism(self):
+        # v0 -e1-> v1 and v0 -e2-> v2: contracting e1 reroutes e2 through
+        # f_bar(e1) o f_e1^-1, which is neither onto nor one-to-one here
+        z2, z3, z4, z6 = (cyclic_table(n, "c") for n in (2, 3, 4, 6))
+
+        def star(center, ends, edges):
+            vgroup = {"v0": center, "v1": ends[0], "v2": ends[1]}
+            half_edges = [("e1", "v0", "v1"), ("e2", "v0", "v2")]
+            emap = {}
+            for (name, _, terminus), (shared, fwd, back) in zip(half_edges, edges):
+                emap[name] = Hom.table(shared, center, fwd)
+                emap[f"{name}^-1"] = Hom.table(shared, vgroup[terminus], back)
+            return GraphOfGroups.make(zoo._graph(vgroup, half_edges), vgroup,
+                                      {"e1": edges[0][0], "e2": edges[1][0]}, emap)
+
+        # Z/2 into Z/4 twice: e2's plus side is onto Z/2, then only into Z/4
+        lost = star(z2, (z4, z4), [(z2, [0, 1], [0, 2]), (z2, [0, 1], [0, 2])])
+        assert outcome(collapse_tree, lost) == (
+            "NotIso", "no isomorphic side on tree orbit e2; cannot collapse")
+        # Z/6 onto Z/3: e2's plus side x -> 2x into Z/6 becomes onto Z/3
+        gained = star(z6, (z3, z3), [(z6, range(6), [0, 1, 2, 0, 1, 2]), (z3, [0, 2, 4], [0, 0, 0])])
+        collapsed = collapse_tree(gained)
+        assert collapsed.graph.vertices == {"v2"} and collapsed.emap == {}
+        for g in (lost, gained):
+            assert outcome(collapse_tree, g) == outcome(zoo.reference_collapse_tree, g)
+
+    def test_a_single_vertex_is_returned_as_it_is(self):
+        for g in (zoo.torus(), zoo.one_vertex(cyclic_table(4))):
+            assert collapse_tree(g) is g
+
+    def test_one_graph_is_built_per_collapse(self, monkeypatch):
+        built = []
+        init = GraphOfGroups.__init__
+
+        def counting(self, *args, **kw):
+            built.append(self)
+            init(self, *args, **kw)
+
+        path, dyadic = cyclic_path(96), zoo.dyadic(5)
+        monkeypatch.setattr(GraphOfGroups, "__init__", counting)
+        collapsed = collapse_tree(path)
+        assert len(built) == 1 and len(collapsed.graph.vertices) == 1
+        assert collapse_tree(path) is collapsed
+        assert recognize_abelian(dyadic).rank == 1
+        assert collapse_tree(dyadic) is built[1]
+        assert len(built) == 2
 
 
 def random_iso_tree_gog(rng, finite=False):

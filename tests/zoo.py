@@ -8,9 +8,12 @@ at the end each take a ``random.Random`` and build one diagram from it.
 import itertools
 import random
 
-from gogroups.graph import AbstractGraph
-from gogroups.gog import GraphOfGroups
-from gogroups.groups import FreeAbelian, FreeGroup, Hom, cyclic_table, direct_product
+from gogroups.errors import InvalidStructure, LoopContraction, NotIso
+from gogroups.graph import AbstractGraph, contract_edge_graph
+from gogroups.gog import GraphOfGroups, require_valid_gog
+from gogroups.groups import (
+    FreeAbelian, FreeGroup, Hom, compose, cyclic_table, direct_product, inverse, is_isomorphism,
+)
 
 
 def _graph(vertices, half_edges):
@@ -441,6 +444,83 @@ def rebased(g):
 
 
 # ---------------------------------------------------------------------------
+# reference moves: contraction one graph at a time, as the library once did
+
+
+def reference_contract_edge(g: GraphOfGroups, e: str) -> GraphOfGroups:
+    """Contract non-loop edge e; requires f_e to be an isomorphism.
+
+    The merged vertex keeps the far-side group; every other half-edge x
+    that started at the removed vertex gets the composite
+    f_bar(e) o f_e^-1 o f_x.
+    """
+    require_valid_gog(g)
+    if e not in g.graph.edges:
+        raise InvalidStructure(f"no edge {e}")
+    if g.graph.is_loop(e):
+        raise LoopContraction(f"edge {e} is a loop")
+    f_e = g.emap[e]
+    if not is_isomorphism(f_e):
+        raise NotIso(f"edge map of {e} is not an isomorphism")
+    f_bar = g.emap[g.graph.bar[e]]
+    reroute = compose(f_bar, inverse(f_e))
+
+    u = g.graph.d0[e]
+    removed_orbit = g.orbit_of(e)
+    new_graph, merge = contract_edge_graph(g.graph, e)
+    new_emap = {}
+    for x in new_graph.edges:
+        old = g.emap[x]
+        new_emap[x] = compose(reroute, old) if g.graph.d0[x] == u else old
+    new_vgroup = {v: grp for v, grp in g.vgroup.items() if v != u}
+    new_egroup = {p: grp for p, grp in g.egroup.items() if p != removed_orbit.plus}
+    new_tree = None
+    if g.tree is not None and removed_orbit.plus in g.tree:
+        new_tree = g.tree - {removed_orbit.plus}
+    return GraphOfGroups.make(
+        new_graph,
+        new_vgroup,
+        new_egroup,
+        new_emap,
+        base=merge[g.base],
+        tree=new_tree,
+        provenance=g.provenance,
+    )
+
+
+def reference_collapse_tree(g: GraphOfGroups) -> GraphOfGroups:
+    """Contract a whole spanning tree down to a single vertex.
+
+    Per orbit the plus map is tried first, then the minus map; the first
+    remaining tree orbit with an isomorphic side is contracted.  Raises
+    NotIso naming the offending orbit when none qualifies.
+    """
+    require_valid_gog(g)
+    remaining = sorted(g.tree_orbits())
+    current = g
+    while remaining:
+        progress = None
+        for plus in remaining:
+            if is_isomorphism(current.emap[plus]):
+                progress = plus
+                current = reference_contract_edge(current, plus)
+                break
+            minus = current.graph.bar[plus]
+            if is_isomorphism(current.emap[minus]):
+                progress = plus
+                current = reference_contract_edge(current, minus)
+                break
+        if progress is None:
+            raise NotIso(
+                f"no isomorphic side on tree orbit {remaining[0]}; cannot collapse"
+            )
+        remaining.remove(progress)
+    if len(current.graph.vertices) != 1:
+        raise AssertionError("tree collapse left several vertices")
+    return current
+
+
+# ---------------------------------------------------------------------------
 # seeded families
 
 
@@ -497,6 +577,34 @@ def random_cyclic_tree(rng, n):
 
     egroup, emap = _random_edges(rng, half_edges, vgroup, edge_factors)
     return GraphOfGroups.make(_graph(vertices, half_edges), vgroup, egroup, emap)
+
+
+def random_mixed_tree(rng, n):
+    """A tree of n cyclic tables of orders 2-12 plus up to two extra edges;
+    each edge group is cyclic, of a random order, and each edge map sends
+    its generator to a random element whose order divides it, so a map is
+    an isomorphism, one-to-one only, onto only, or neither.  The tree is
+    stored on about half of the graphs."""
+    vertices = [f"v{i}" for i in range(n)]
+    orders = {v: rng.choice([2, 3, 4, 6, 12]) for v in vertices}
+    vgroup = {v: cyclic_table(orders[v], f"g{i}") for i, v in enumerate(vertices)}
+    half_edges = [(f"e{i}", vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+    half_edges += [(f"x{k}", rng.choice(vertices), rng.choice(vertices))
+                   for k in range(rng.randint(0, 2))]
+
+    def cyclic_hom(src, dst):
+        m = dst.order()
+        step = rng.choice([k for k in range(m) if k * src.order() % m == 0])
+        return Hom.table(src, dst, [step * i % m for i in range(src.order())])
+
+    egroup, emap = {}, {}
+    for name, origin, terminus in half_edges:
+        shared = cyclic_table(rng.choice([orders[origin], orders[terminus], rng.choice([1, 2, 3, 4, 6, 12])]), "c")
+        egroup[name] = shared
+        emap[name] = cyclic_hom(shared, vgroup[origin])
+        emap[f"{name}^-1"] = cyclic_hom(shared, vgroup[terminus])
+    tree = frozenset(f"e{i}" for i in range(1, n)) if rng.random() < 0.5 else None
+    return GraphOfGroups.make(_graph(vertices, half_edges), vgroup, egroup, emap, tree=tree)
 
 
 def random_pushout(rng):
