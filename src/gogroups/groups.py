@@ -202,6 +202,7 @@ class FiniteTable(GroupDesc):
             if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
                 break
         else:
+            _ft_cover(self)  # a group: its table homs read the cover from the cache
             return
         for a in indices:
             ta = t[a]

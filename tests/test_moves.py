@@ -162,9 +162,10 @@ class TestOnePassCollapse:
         graphs = self.corpus()
         stored = errors = 0
         for g in graphs:
-            assert outcome(collapse_tree, g) == outcome(zoo.reference_collapse_tree, g)
+            collapsed = outcome(collapse_tree, g)
+            assert collapsed == outcome(zoo.reference_collapse_tree, g)
             stored += g.tree is not None
-            errors += outcome(collapse_tree, g)[0] == "NotIso"
+            errors += collapsed[0] == "NotIso"
             for e in sorted(g.graph.edges):
                 assert outcome(contract_edge, g, e) == outcome(zoo.reference_contract_edge, g, e)
         assert stored > 100 and errors > 100 and len(graphs) - errors > 100
@@ -181,7 +182,7 @@ class TestOnePassCollapse:
         fresh = [(verdict(g), g) for g in free_abelian]
         monkeypatch.setattr(analysis, "collapse_tree", zoo.reference_collapse_tree)
         for text, g in fresh:
-            assert text == verdict(g.replace())
+            assert text == verdict(g)
 
     def test_rerouting_can_make_or_break_an_isomorphism(self):
         # v0 -e1-> v1 and v0 -e2-> v2: contracting e1 reroutes e2 through
