@@ -95,10 +95,20 @@ class _RankedGroup(GroupDesc):
 
 
 class FreeAbelian(_RankedGroup):
+    """Z^rank, its elements int tuples of length ``rank``.
+
+    The product is compiled per group from its rank, as a table's is from
+    its rows: at rank 1 it adds the one coordinate, the commonest vertex
+    group of a graph and the one a pinch cascade on the torus multiplies
+    in; every other rank adds coordinate-wise through ``map``."""
+
     def identity(self):
         return (0,) * self.rank
 
-    _mul = staticmethod(lambda x, y: tuple(map(add, x, y)))
+    @property
+    def _mul(self):
+        return _add_one if self.rank == 1 else _add_vectors
+
     _inv = staticmethod(lambda x: tuple(map(neg, x)))
 
     def check(self, x):
@@ -111,6 +121,14 @@ class FreeAbelian(_RankedGroup):
     def spell(self, x):
         self.check(x)
         return _exponent_word(x)
+
+
+def _add_vectors(x, y):
+    return tuple(map(add, x, y))
+
+
+def _add_one(x, y):
+    return (x[0] + y[0],)
 
 
 def _exponent_word(vec) -> tuple:

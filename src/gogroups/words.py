@@ -80,16 +80,18 @@ class ReductionKernel:
     as ``GraphOfGroups._kernel``.
 
     Per vertex: the group's identity, its bound ``check`` and its
-    unchecked product ``_mul`` (for a table a closure over the rows of
-    ``mul_table``), the core its checked ``mul`` calls after the check.  A
+    unchecked product ``_mul``, the core its checked ``mul`` calls after
+    the check, compiled once per group: for a table a closure over the rows
+    of ``mul_table``, for Z one addition of the single coordinate.  A
     word is checked by ``validate_loop_word`` unless it carries this kernel
     as its stamp, set only on words this module built from the kernel's
     own loops or checked itself; after that only raw products and hom
     images of checked elements arise, and they stay in their groups.  Per
-    half-edge: its (origin, terminus), and ``pinch[e]``, which maps the
-    middle element g of a subword e g bar(e) to (preimage under f_bar(e),
-    its image under f_e), or to None when g is outside the image of
-    f_bar(e).  Every half-edge's lookup is compiled once and checks
+    half-edge: its (origin, terminus); ``join[e]``, the (product, identity)
+    of its origin, the one entry a pinch at e reads to join the elements
+    around it; and ``pinch[e]``, which maps the middle element g of a
+    subword e g bar(e) to (preimage under f_bar(e), its image under f_e),
+    or to None when g is outside the image of f_bar(e).  Every half-edge's lookup is compiled once and checks
     nothing: for table homs it is the ``get`` of one precomputed dict;
     otherwise it is a function that composes the unchecked cores
     ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores that
@@ -102,7 +104,7 @@ class ReductionKernel:
     letter but a generator of the base vertex group.
     """
 
-    __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
+    __slots__ = ("base", "identity", "check", "mul", "ends", "bar", "pinch", "join", "loops")
 
     def __init__(self, g: GraphOfGroups):
         require_valid_gog(g)
@@ -114,6 +116,7 @@ class ReductionKernel:
         self.bar = dict(graph.bar)
         self.ends = {e: (graph.d0[e], graph.terminus(e)) for e in graph.edges}
         self.pinch = {e: _pinch_lookup(g.emap[graph.bar[e]], g.emap[e]) for e in graph.edges}
+        self.join = {e: (self.mul[v], self.identity[v]) for e, (v, _) in self.ends.items()}
         self.loops = None
 
 
@@ -202,14 +205,14 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
     looked up once: t^L a t^-L on the torus looks up a under t once, not
     L times.  The bound keeps a call whose middles are all new (a nested
     cascade) from holding every one of them; the memo dies with the
-    call.  The join x * substituted * after multiplies only the factors
-    that are not their vertex's identity.
+    call.  The join x * substituted * after, read from ``join[e]`` of the
+    pinched edge, multiplies only the factors that are not their vertex's
+    identity.
     """
     _require_reducible(g)
     validate_loop_word(g, w)
     kernel = g._kernel
-    bar, ends, pinch = kernel.bar, kernel.ends, kernel.pinch
-    muls, identity = kernel.mul, kernel.identity
+    bar, pinch, join = kernel.bar, kernel.pinch, kernel.join
     memo = {}  # (e, middle) -> computed lookup's answer, this call only
     elements = [w.elements[0]]
     edges = []
@@ -232,8 +235,7 @@ def reduce(g: GraphOfGroups, w: LoopWord, collect_steps: bool = False):
                 preimage, substituted = hit
                 if collect_steps:
                     steps.append((len(edges) - 1, e, middle, preimage, substituted))
-                v = ends[e][0]
-                mul, one = muls[v], identity[v]
+                mul, one = join[e]
                 edges.pop()
                 elements.pop()
                 x = elements[-1]
@@ -348,7 +350,8 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
     ``base`` to ``base`` along the tree, so the joins use the base group's
     raw product, and only where the loop's first element is not the
     identity, that is for a generator of the base vertex group; such a
-    head replaces an identity last element instead of multiplying into it.
+    head replaces an identity last element instead of multiplying into it,
+    and its loop, which has no edges, appends nothing.
     """
     if pres is not None and pres is not vars(g).get("_pi1_default"):
         raise UnknownLetter("letters expand under the graph's own presentation only")
@@ -369,8 +372,9 @@ def word_from_presentation_letters(g, letters, pres: Presentation = None) -> Loo
         if head is not None:
             last = elements[-1]
             elements[-1] = head if last == identity else mul(last, head)
-        elements.extend(rest)
-        edges.extend(path)
+        if path:
+            elements.extend(rest)
+            edges.extend(path)
     return _checked(kernel, LoopWord(kernel.base, tuple(elements), tuple(edges)))
 
 

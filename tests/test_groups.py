@@ -3,7 +3,9 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import pathlib
+import pickle
 import random
 import re
 import time
@@ -53,6 +55,33 @@ class TestElements:
         assert g.mul((1, 0), (0, 3)) == (1, 3)
         assert g.inv((2, -1)) == (-2, 1)
         assert g.identity() == (0, 0)
+
+    def test_the_rank_one_product_adds_like_the_generic_one(self):
+        # Z compiles its product to one addition; on negative, zero, large
+        # and bool entries it gives what the coordinate-wise map gives, and
+        # the checked mul and power built on it agree with that form
+        rng = random.Random(27)
+        z = FreeAbelian(1)
+        assert z._mul is FreeAbelian(1, ("t",))._mul
+        assert FreeAbelian(2)._mul is not z._mul and FreeAbelian(0)._mul is not z._mul
+        # the product is chosen on access, so no function sits on the instance
+        copy = pickle.loads(pickle.dumps(z))
+        assert copy == z and copy._mul is z._mul and "_mul" not in vars(z)
+        edge = [0, 1, -1, True, False, 2**70, -(2**70), 2**63 - 1, -(2**63)]
+        values = edge + [rng.randint(-(10**30), 10**30) for _ in range(200)]
+        for a, b in itertools.product(values[:20], repeat=2):
+            x, y = (a,), (b,)
+            expected = tuple(map(operator.add, x, y))
+            got = z._mul(x, y)
+            assert got == expected and type(got[0]) is type(expected[0])
+        for a in values:
+            k = rng.randint(-40, 40)
+            assert z.mul((a,), (-a,)) == (0,)
+            assert z.power((int(a),), k) == (int(a) * k,)
+            generic = (0,)
+            for _ in range(abs(k)):
+                generic = tuple(map(operator.add, generic, (a,) if k > 0 else (-a,)))
+            assert z.power((int(a),), k) == generic
 
     def test_free_reduction(self):
         g = FreeGroup(2, ("a", "b"))

@@ -3,6 +3,7 @@ import dataclasses
 import difflib
 import gc
 import hashlib
+import itertools
 import pathlib
 import pickle
 import random
@@ -579,12 +580,28 @@ class TestPinchMemo:
     def test_the_kernel_keeps_no_per_call_state(self):
         # the identity is kept per vertex; no slot holds a per-call memo
         assert ReductionKernel.__slots__ == (
-            "base", "identity", "check", "mul", "ends", "bar", "pinch", "loops")
+            "base", "identity", "check", "mul", "ends", "bar", "pinch", "join", "loops")
         g = zoo.torus_whisker()
         kernel = g._kernel
         assert kernel.identity == {v: group.identity() for v, group in g.vgroup.items()}
         reduce(g, word_from_presentation_letters(g, "t a t^-1"))
         assert g._kernel is kernel and set(kernel.pinch) == set(g.graph.edges)
+
+    def test_each_half_edge_joins_with_its_origins_core(self):
+        # join[e] is the unchecked product and the identity of e's origin:
+        # the very core the group compiles, so a pinch multiplies as the
+        # group's checked mul does after its check
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        graphs = [parse_gog(str(path)) for path in sorted(fixtures.glob("*.gog"))]
+        for g in graphs + zoo.graphs():
+            kernel = g._kernel
+            assert set(kernel.join) == set(g.graph.edges)
+            for e, (product, one) in kernel.join.items():
+                group = g.vgroup[g.graph.d0[e]]
+                assert one == group.identity()
+                assert product.__code__ is group._mul.__code__
+                for x, y in itertools.product(group.generators()[:3], repeat=2):
+                    assert product(x, y) == group.mul(x, y)
 
 
 class TestWordConstruction:
