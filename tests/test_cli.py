@@ -16,7 +16,7 @@ import yaml
 import zoo
 from gogroups import gogfile
 from gogroups.cli import build_parser, main
-from gogroups.errors import GogParseError, InvalidStructure
+from gogroups.errors import GogError, GogParseError, InvalidStructure
 from gogroups.gog import GraphOfGroups, classify, pi1_presentation, presentation_to_text, validate_gog
 from gogroups.gogfile import parse_gog, parse_gog_text, serialize_gog
 from gogroups.graph import AbstractGraph
@@ -651,6 +651,12 @@ class TestCommands:
              '  "1": {}\n', ".edges.1]", "duplicate edge"),
             ("vertices: {v: {cyclic: 2}}\nbase: w\n", ".base]", "unknown vertex w"),
             ("vertices: {}\n", ".vertices]", "at least one vertex required"),
+            # PyYAML's scalar constructors raise ValueError or KeyError on these
+            ("vertices: {v: {cyclic: 0b_}}\n", "]",
+             "not valid YAML: malformed scalar: invalid literal for int() with base 2: ''"),
+            ("vertices: {v: {cyclic: 2}}\nprovenance: [2020-13-45]\n", "]",
+             "not valid YAML: malformed scalar: month must be in 1..12"),
+            ("{cyclic: !!bool x}\n", "]", "not valid YAML: malformed scalar: 'x'"),
         ]
         for i, (text, key, reason) in enumerate(cases):
             path = tmp_path / f"bad{i}.gog"
@@ -815,6 +821,30 @@ class TestYamlBackend:
             parse_gog(path)
         with pytest.raises(AssertionError, match="^built by the loader's constructor$"):
             gogfile._load_yaml("a: &x [1]\nb: *x\n")
+
+    @pytest.mark.parametrize("backend", ["bound", "pure"])
+    def test_seeded_texts_parse_or_raise_a_gog_error(self, backend, monkeypatch):
+        # the differential test's generator, alone and in the slots of a
+        # .gog document: whatever the loader makes of a text, malformed
+        # scalars included, parsing ends in a graph or a GogError
+        if backend == "pure":
+            monkeypatch.setattr(gogfile, "YAML_LOADER", yaml.SafeLoader)
+        rng = random.Random(2026)
+        slots = ["{}", "vertices:\n  v:\n{}", "vertices: {{v: {{cyclic: 2}}}}\nprovenance:\n{}",
+                 "vertices: {{v: {{free_abelian: 1}}}}\nedges:\n  t:\n    origin: v\n"
+                 "    terminus: v\n    group: {{free_abelian: 1}}\n    back: identity\n    fwd:\n{}"]
+        outcomes = collections.Counter()
+        for i in range(1200):
+            text = generated_yaml(rng)
+            slot = slots[i % len(slots)]
+            if i % len(slots):
+                text = "".join("      " + line + "\n" for line in text.splitlines())
+            try:
+                parse_gog_text(slot.format(text))
+                outcomes["parsed"] += 1
+            except GogError as exc:
+                outcomes[type(exc).__name__] += 1
+        assert outcomes["GogParseError"] > 500 and outcomes["parsed"] > 0, outcomes
 
     def test_pure_python_backend_keeps_goldens_and_digests(self, capsys, monkeypatch):
         monkeypatch.setattr(gogfile, "YAML_LOADER", yaml.SafeLoader)
