@@ -354,11 +354,12 @@ def _ft_span(table: FiniteTable, elements, seed: tuple | None = None) -> tuple:
     return span
 
 
-def _ft_rank_bound(table: FiniteTable) -> int:
-    """max over primes p | n of log_p [G : G'G^p], the rank of the largest
-    elementary abelian quotient.  It is at most d(G), and equal to it on
-    abelian tables and on p-groups (Burnside basis theorem: G'G^p is the
-    Frattini subgroup of a p-group).
+def _ft_elementary_quotients(table: FiniteTable) -> list:
+    """(p, r_p, N_p) for each prime p | n: N_p = G'G^p as a closure and
+    r_p = log_p [G : N_p], so G/N_p = (Z/p)^r_p is the largest elementary
+    abelian p-quotient.  Every r_p is at most d(G), and the largest equals
+    it on abelian tables and on p-groups (Burnside basis theorem: G'G^p is
+    the Frattini subgroup of a p-group).
 
     G' is spanned by the commutators [s, y] for s in the cover S
     (``_ft_cover``) and y in G, n |S| reads: that subgroup is normal, as
@@ -372,7 +373,7 @@ def _ft_rank_bound(table: FiniteTable) -> int:
         left = map(mul[inv[x]].__getitem__, inv)
         commutators.update(map(getitem, map(mul.__getitem__, left), mul[x]))
     derived = _ft_span(table, commutators)
-    bound = 0
+    quotients = []
     for p in range(2, n + 1):
         if n % p or any(p % q == 0 for q in range(2, p)):
             continue
@@ -383,12 +384,27 @@ def _ft_rank_bound(table: FiniteTable) -> int:
                 powers = list(map(getitem, map(mul.__getitem__, powers), base))
             base = list(map(getitem, map(mul.__getitem__, base), base))
             k >>= 1
-        index, rank = n // len(_ft_span(table, powers, derived)), 0
+        frattini = _ft_span(table, powers, derived)
+        index, rank = n // len(frattini), 0
         while index > 1:
             index //= p
             rank += 1
-        bound = max(bound, rank)
-    return bound
+        quotients.append((p, rank, frattini))
+    return quotients
+
+
+def _ft_coset_labels(table: FiniteTable, normal: tuple) -> list:
+    """label[x] = the number of x's coset of the normal subgroup ``normal``,
+    the cosets numbered in order of their least element."""
+    mul = table.mul_table
+    label = [None] * len(mul)
+    count = 0
+    for x, row in enumerate(mul):
+        if label[x] is None:
+            for h in normal:
+                label[row[h]] = count
+            count += 1
+    return label
 
 
 @lru_cache(maxsize=None)
@@ -397,16 +413,24 @@ def _ft_generating_set(table: FiniteTable) -> tuple:
     ``itertools.combinations`` order of the non-identity indices.
 
     Size 1 tries each element's cyclic closure.  Past it, the size starts at
-    ``_ft_rank_bound`` (at most d(G)) and the subsets of each size are
+    the rank bound max_p r_p (at most d(G)) and the subsets of each size are
     walked depth first in that order, each prefix's closure extended by one
-    seeded BFS per element.  Two kinds of prefix are skipped with every
+    seeded BFS per element.  Three kinds of prefix are skipped with every
     subset through them:
     - one whose last element lies in the closure of the rest: at a size
       k <= d(G) its subsets generate what k - 1 elements generate, so none
       is the answer;
     - one whose closure equals an earlier sibling's (same prefix, smaller
       last element): each of its subsets generates what the sibling's
-      subset with the same tail generates, and that one was tried first.
+      subset with the same tail generates, and that one was tried first;
+    - one whose image in some elementary abelian quotient G/N_p =
+      (Z/p)^r_p (``_ft_elementary_quotients``) spans a subspace of
+      dimension d with r_p - d greater than the number of elements still to
+      add: each adds at most one dimension, so no subset through it maps
+      onto G/N_p, and none generates G.  d is read as log_p of the number
+      of cosets of N_p that the prefix's closure meets.
+    None of the three skips a generating subset, so the first one in
+    combinations order is found, as by the plain walk.
     """
     n = len(table.mul_table)
     if n == 1:
@@ -415,20 +439,30 @@ def _ft_generating_set(table: FiniteTable) -> tuple:
     for g in candidates:
         if len(_ft_closure(table, (g,))) == n:
             return (g,)
-    for k in range(max(2, _ft_rank_bound(table)), n):
-        found = _ft_first_extension(table, candidates, (), (table.id_index,), 0, k)
+    quotients = _ft_elementary_quotients(table)
+    # a prefix with at least one element still to add misses a quotient of
+    # rank r_p only if r_p >= 2
+    prunes = [(p, rank, _ft_coset_labels(table, normal)) for p, rank, normal in quotients if rank >= 2]
+    bound = max(rank for _, rank, _ in quotients)
+    for k in range(max(2, bound), n):
+        found = _ft_first_extension(table, candidates, (), (table.id_index,), 0, k, prunes)
         if found:
             return found
     raise AssertionError("no generating set found")
 
 
-def _ft_first_extension(table, candidates, prefix, closure, start, k):
+def _ft_first_extension(table, candidates, prefix, closure, start, k, prunes):
     """First k-subset, in combinations order, that extends ``prefix`` (with
     closure ``closure``) by ``candidates[start:]`` and generates the table;
-    None when none does."""
+    None when none does.  ``prunes`` holds (p, r_p, coset labels of N_p)
+    for each elementary abelian quotient of rank at least 2."""
     n = len(table.mul_table)
     inside = set(closure)
     last = len(prefix) + 1 == k
+    # the least number of cosets of N_p a grown prefix's closure must meet:
+    # p^(r_p - elements still to add), when that exponent is positive
+    least = [(p ** (rank - (k - len(prefix) - 1)), labels.__getitem__)
+             for p, rank, labels in prunes if rank > k - len(prefix) - 1]
     met = set()
     for i in range(start, len(candidates) - (k - len(prefix)) + 1):
         g = candidates[i]
@@ -443,7 +477,9 @@ def _ft_first_extension(table, candidates, prefix, closure, start, k):
         if key in met:
             continue
         met.add(key)
-        found = _ft_first_extension(table, candidates, prefix + (g,), grown, i + 1, k)
+        if any(len(set(map(label, grown))) < cosets for cosets, label in least):
+            continue
+        found = _ft_first_extension(table, candidates, prefix + (g,), grown, i + 1, k, prunes)
         if found:
             return found
     return None

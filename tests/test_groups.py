@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import zoo
 from gogroups.analysis import product_rank_family
+from gogroups import groups as groups_module
 from gogroups.errors import GogError, ShapeMismatch, UnsupportedHom
 from gogroups.groups import (
     FiniteTable,
@@ -25,8 +26,8 @@ from gogroups.groups import (
     Hom,
     _ft_closure,
     _ft_cover,
+    _ft_elementary_quotients,
     _ft_generating_set,
-    _ft_rank_bound,
     cogenerator,
     compose,
     cyclic_table,
@@ -47,6 +48,12 @@ from gogroups.groups import (
 )
 from gogroups.folding import free_reduce
 from gogroups.gogfile import hom_descriptor, parse_gog, parse_hom
+
+
+def _ft_rank_bound(table):
+    """max over primes p | n of log_p [G : G'G^p], the size at which the
+    generating-set search starts past 1."""
+    return max((rank for _, rank, _ in _ft_elementary_quotients(table)), default=0)
 
 
 class TestElements:
@@ -1109,6 +1116,43 @@ class TestGeneratingSetSearch:
             assert _ft_generating_set.__wrapped__(t) == _reference_generating_set(t), t.labels
             ranks.add(group_rank(t))
         assert ranks == {0, 1, 2, 3, 4}
+
+    def test_s3_to_the_fourth_finds_its_generators_in_seconds(self):
+        # order 1296 and d = 4 = the rank bound: the plain walk ran for more
+        # than 590 s; prefixes that miss (Z/2)^4 or (Z/3)^4 are skipped
+        s3 = dihedral_table(3)
+        table = direct_product(direct_product(s3, s3), direct_product(s3, s3))
+        start = time.perf_counter()
+        assert group_rank(table) == 4
+        elapsed = time.perf_counter() - start
+        assert _ft_generating_set(table) == (3, 18, 324, 691)
+        assert elapsed < 5, f"group_rank on S3^4 took {elapsed:.2f} s"
+
+    def test_prefixes_that_miss_an_elementary_quotient_are_pruned(self, monkeypatch):
+        # the same answer as the walk with no quotient prune, from a
+        # quarter of its closures at most (1,459 against 8,420 on S3^3)
+        closure, extend = groups_module._ft_closure, groups_module._ft_first_extension
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return closure(*args)
+
+        def unpruned(table, candidates, prefix, grown, start, k, prunes):
+            return extend(table, candidates, prefix, grown, start, k, [])
+
+        monkeypatch.setattr(groups_module, "_ft_closure", counted)
+        s3 = dihedral_table(3)
+        for table in (direct_product(direct_product(s3, s3), s3),
+                      direct_product(dihedral_table(4), s3)):
+            calls.clear()
+            found = _ft_generating_set.__wrapped__(table)
+            pruned = len(calls)
+            with monkeypatch.context() as m:
+                m.setattr(groups_module, "_ft_first_extension", unpruned)
+                calls.clear()
+                assert _ft_generating_set.__wrapped__(table) == found
+            assert 4 * pruned < len(calls), (pruned, len(calls))
 
     def test_rank_bound_is_a_lower_bound_and_exact_on_abelian_and_p_groups(self):
         exact = 0
