@@ -377,9 +377,10 @@ def parse_gog_text(text, path="<gog>") -> GraphOfGroups:
         raise GogParseError(f"not valid YAML: {exc}", path=path, line=line) from exc
     except RecursionError:  # PyYAML's parser recurses once per nesting level
         raise GogParseError("not valid YAML: nested too deeply", path=path) from None
-    except (ValueError, KeyError) as exc:
+    except (ValueError, LookupError, AttributeError) as exc:
         # PyYAML's scalar constructors raise these on a malformed scalar:
-        # int() on 0b_, date() on 2020-13-45, a bool table on !!bool x
+        # int() on 0b_, date() on 2020-13-45, a bool table on !!bool x,
+        # value[0] on !!int '', a failed match's groupdict on !!timestamp x
         raise GogParseError(f"not valid YAML: malformed scalar: {exc}", path=path) from exc
     doc = _require_mapping(doc if doc is not None else {}, path)
     unknown = set(doc) - {"vertices", "edges", "base", "tree", "provenance"}

@@ -91,12 +91,13 @@ class ReductionKernel:
     of its origin, the one entry a pinch at e reads to join the elements
     around it; and ``pinch[e]``, which maps the middle element g of a
     subword e g bar(e) to (preimage under f_bar(e), its image under f_e),
-    or to None when g is outside the image of f_bar(e).  Every half-edge's lookup is compiled once and checks
-    nothing: for table homs it is the ``get`` of one precomputed dict;
-    otherwise it is a function that composes the unchecked cores
-    ``_preimage`` of f_bar(e) and ``_image`` of f_e, the same cores that
-    ``hom_member`` and ``hom_apply`` call after their checks, and
-    ``reduce`` keeps a few of its answers for the length of one call.
+    or to None when g is outside the image of f_bar(e).  Every half-edge's
+    lookup is compiled once and checks nothing: for table homs it is the
+    ``get`` of one precomputed dict; otherwise it is a function that
+    composes the unchecked cores ``_preimage`` of f_bar(e) and ``_image``
+    of f_e, the same cores that ``hom_member`` and ``hom_apply`` call after
+    their checks, and ``reduce`` keeps a few of its answers for the length
+    of one call.
     Per letter: ``loops[name, sign]`` = (first element, later elements,
     edges), the graph's one letter-loop table, None until the first letter
     expansion compiles it whole, so raw syllables never name letters; the

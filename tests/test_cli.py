@@ -651,12 +651,19 @@ class TestCommands:
              '  "1": {}\n', ".edges.1]", "duplicate edge"),
             ("vertices: {v: {cyclic: 2}}\nbase: w\n", ".base]", "unknown vertex w"),
             ("vertices: {}\n", ".vertices]", "at least one vertex required"),
-            # PyYAML's scalar constructors raise ValueError or KeyError on these
+            # PyYAML's scalar constructors raise ValueError, KeyError,
+            # IndexError or AttributeError on these
             ("vertices: {v: {cyclic: 0b_}}\n", "]",
              "not valid YAML: malformed scalar: invalid literal for int() with base 2: ''"),
             ("vertices: {v: {cyclic: 2}}\nprovenance: [2020-13-45]\n", "]",
              "not valid YAML: malformed scalar: month must be in 1..12"),
             ("{cyclic: !!bool x}\n", "]", "not valid YAML: malformed scalar: 'x'"),
+            ("vertices: {v: {cyclic: !!int ''}}\n", "]",
+             "not valid YAML: malformed scalar: string index out of range"),
+            ("vertices: {v: {cyclic: 2}}\nprovenance: [!!float '']\n", "]",
+             "not valid YAML: malformed scalar: string index out of range"),
+            ("vertices: {v: {cyclic: 2}}\nprovenance: [!!timestamp x]\n", "]",
+             "not valid YAML: malformed scalar: 'NoneType' object has no attribute 'groupdict'"),
         ]
         for i, (text, key, reason) in enumerate(cases):
             path = tmp_path / f"bad{i}.gog"
