@@ -18,7 +18,8 @@ Schema (see README for the full reference):
 Each edge record declares one orbit: the half-edge named ``e1`` runs
 origin -> terminus and its reverse is named ``e1^-1``.  Group descriptors:
 ``{free_abelian: rank-or-letter-list}``, ``{free: rank-or-letter-list}``,
-``{cyclic: n}`` (optional ``letter``), or ``{table: {elements, mul, id}}``.
+``{cyclic: n}`` (optional ``letter``), or ``{table: {elements, mul, id}}``
+(``id`` optional, default 0); any other key is refused.
 Hom descriptors: ``identity``, ``{matrix: rows}``, ``{map: [labels-or-
 indices]}``, ``{images: [...]}`` with entries matching the target class
 (vector, label/index, or space-separated word such as ``"a b^-1"``).
@@ -139,31 +140,40 @@ def _plain_value(loader, root):
     return top
 
 
+def _read(loader_class, text):
+    """The one YAML document in ``text``, read by ``loader_class``.
+
+    The loader composes the node graph once.  ``_plain_value`` builds the
+    values of a plain one; any other graph is built from the same nodes by
+    the loader's own constructor, so each value and error is the loader's.
+    """
+    loader = loader_class(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        try:
+            return _plain_value(loader, node)
+        except _NotPlain:
+            return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
 def _load_yaml(text):
     """The one YAML document in ``text``.
 
-    libyaml reads it when it can: it composes the node graph, and
-    ``_plain_value`` builds the values of a plain one; any other graph is
-    loaded again by ``yaml.load`` with the same loader, so each value and
-    error is the loader's own.  PyYAML's own parser reads what libyaml
+    libyaml reads it when it can.  PyYAML's own parser reads what libyaml
     refuses, so no text stops parsing and a syntax error keeps PyYAML's
     message and line; it also reads text that may nest too deeply for
-    libyaml.
+    libyaml.  Both go through ``_read``.
     """
     if YAML_LOADER is not yaml.SafeLoader and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH:
         try:
-            loader = YAML_LOADER(text)
-            try:
-                node = loader.get_single_node()
-                return None if node is None else _plain_value(loader, node)
-            except _NotPlain:
-                pass
-            finally:
-                loader.dispose()
-            return yaml.load(text, Loader=YAML_LOADER)
+            return _read(YAML_LOADER, text)
         except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate has no UTF-8 for libyaml
             pass
-    return yaml.safe_load(text)
+    return _read(yaml.SafeLoader, text)
 
 
 def dump_yaml(data, **style) -> str:
@@ -220,7 +230,7 @@ def parse_group(desc, path):
         _fail(path, "group descriptor needs exactly one of free_abelian/free/cyclic/table")
     kind = kinds[0]
     value = desc[kind]
-    extras = set(desc) - {kind, "letter"}
+    extras = set(desc) - ({kind, "letter"} if kind == "cyclic" else {kind})
     if extras:
         _fail(path, f"unknown group keys {_sorted_keys(extras)}")
     if kind in ("free_abelian", "free"):
@@ -249,6 +259,9 @@ def parse_group(desc, path):
     missing = {"elements", "mul"} - set(body)
     if missing:
         _fail(path, f"table needs keys {sorted(missing)}")
+    extras = set(body) - {"elements", "mul", "id"}
+    if extras:
+        _fail(path, f"unknown table keys {_sorted_keys(extras)}")
     if not isinstance(body["elements"], list):
         _fail(f"{path}.elements", "elements must be a list of labels")
     labels = [_name(x, f"{path}.elements") for x in body["elements"]]

@@ -167,7 +167,7 @@ class FiniteTable(GroupDesc):
     The constructor checks every group axiom, so each ``FiniteTable`` is a
     group: the shape, the entry range, the identity row and column and
     two-sided inverses, then associativity by Light's test over the greedy
-    cover S (``_ft_cover``): (x s) y = x (s y) for every s in S and all
+    cover S (``_cover``): (x s) y = x (s y) for every s in S and all
     x, y, one row comparison per (x, s), so O(n^2 |S|) reads.  The middles
     a with (x a) y = x (a y) for all x, y are closed under products and
     every element is a left-nested product over S, so that suffices.  Only
@@ -175,14 +175,19 @@ class FiniteTable(GroupDesc):
     triple (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
     1961, section 1.2).  ``_derived`` is the one unchecked path, for
     tables derived from checked ones.
+
+    A table keeps what it derives from its rows, and drops it with
+    itself: the cover, which the constructor computes and table homs
+    read, and the spellings (``_spellings``).  The generating set is the
+    exception: equal tables share one search (``_ft_generating_set``).
     """
 
     labels: tuple = field(compare=False)
     mul_table: tuple
     id_index: int
     inv_table: tuple = field(init=False, compare=False, repr=False)
-    # the table's hash, computed once: the rank and spelling caches are keyed
-    # by equal tables, and rehashing an n x n table on every lookup is O(n^2)
+    # the table's hash, computed once: the generating-set memo is keyed by
+    # equal tables, and rehashing an n x n table on every lookup is O(n^2)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __hash__(self):
@@ -213,14 +218,12 @@ class FiniteTable(GroupDesc):
                 raise ValueError(f"element {i} lacks a two-sided inverse")
             inv.append(row.index(e))
         self._seal(tuple(inv))
-        # Light's test, over a cover left out of _ft_cover's cache: only
-        # tables found to be groups may stay referenced there
-        for s in _ft_cover.__wrapped__(self):
+        # Light's test over the table's own cover, which its homs read again
+        for s in self._cover:
             middle = _picker(t[s])  # row x gathered at row s: y -> x (s y)
             if any(t[xs] != middle(tx) for tx, xs in zip(t, map(itemgetter(s), t))):
                 break
         else:
-            _ft_cover(self)  # a group: its table homs read the cover from the cache
             return
         for a in indices:
             ta = t[a]
@@ -278,7 +281,49 @@ class FiniteTable(GroupDesc):
 
     def spell(self, x):
         self.check(x)
-        return _ft_spellings(self)[x]
+        return self._spellings[x]
+
+    @cached_property
+    def _cover(self) -> tuple:
+        """A greedy cover S, in increasing order: from S empty and the reached
+        set {e}, the least element not yet reached joins S, and the reached set
+        is closed under right multiplication by S.  No inverse is read, so
+        every element is a left-nested product ((e s1) s2) ... over S, even in
+        a table the constructor has not yet found associative.  O(n |S|)
+        reads: S = (1,) on a cyclic table, and |S| = k on (Z/2)^k."""
+        mul = self.mul_table
+        reached = [self.id_index]
+        seen = set(reached)
+        cover = []
+        for s in range(len(mul)):
+            if s in seen:
+                continue
+            cover.append(s)
+            # what was reached is closed under the earlier elements, so it meets
+            # only s; each element reached from here on meets all of S
+            new = len(reached)
+            for x in reached[:new]:
+                y = mul[x][s]
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            while new < len(reached):
+                row = mul[reached[new]]
+                new += 1
+                for t in cover:
+                    y = row[t]
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
+        return tuple(cover)
+
+    @cached_property
+    def _spellings(self) -> tuple:
+        """Shortest word over the chosen generators for every element."""
+        words = _ft_words(self, _ft_generating_set(self))
+        if len(words) != len(self.mul_table):
+            raise AssertionError("generating set does not generate")
+        return tuple(words[i] for i in range(len(self.mul_table)))
 
 
 def _ft_closure(table: FiniteTable, gens: tuple, seed: tuple | None = None) -> tuple:
@@ -307,41 +352,6 @@ def _ft_closure(table: FiniteTable, gens: tuple, seed: tuple | None = None) -> t
     return tuple(order)
 
 
-@lru_cache(maxsize=None)
-def _ft_cover(table: FiniteTable) -> tuple:
-    """A greedy cover S, in increasing order: from S empty and the reached
-    set {e}, the least element not yet reached joins S, and the reached set
-    is closed under right multiplication by S.  No inverse is read, so
-    every element is a left-nested product ((e s1) s2) ... over S, even in
-    a table the constructor has not yet found associative.  O(n |S|)
-    reads: S = (1,) on a cyclic table, and |S| = k on (Z/2)^k."""
-    mul = table.mul_table
-    reached = [table.id_index]
-    seen = set(reached)
-    cover = []
-    for s in range(len(mul)):
-        if s in seen:
-            continue
-        cover.append(s)
-        # what was reached is closed under the earlier elements, so it meets
-        # only s; each element reached from here on meets all of S
-        new = len(reached)
-        for x in reached[:new]:
-            y = mul[x][s]
-            if y not in seen:
-                seen.add(y)
-                reached.append(y)
-        while new < len(reached):
-            row = mul[reached[new]]
-            new += 1
-            for t in cover:
-                y = row[t]
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
-    return tuple(cover)
-
-
 def _ft_span(table: FiniteTable, elements, seed: tuple | None = None) -> tuple:
     """Subgroup generated by ``elements`` and the closed subgroup ``seed``:
     one seeded closure per element outside the span so far."""
@@ -362,13 +372,13 @@ def _ft_elementary_quotients(table: FiniteTable) -> list:
     the Frattini subgroup of a p-group).
 
     G' is spanned by the commutators [s, y] for s in the cover S
-    (``_ft_cover``) and y in G, n |S| reads: that subgroup is normal, as
+    (``FiniteTable._cover``) and y in G, n |S| reads: that subgroup is normal, as
     [s, y]^g = [s, g]^-1 [s, yg], and it holds every [x, y], as
     [xs, y] = [x, y]^s [s, y]."""
     mul, inv = table.mul_table, table.inv_table
     n = len(mul)
     commutators = set()
-    for x in _ft_cover(table):
+    for x in table._cover:
         # x^-1 y^-1 x y for every y, one row at a time
         left = map(mul[inv[x]].__getitem__, inv)
         commutators.update(map(getitem, map(mul.__getitem__, left), mul[x]))
@@ -431,6 +441,14 @@ def _ft_generating_set(table: FiniteTable) -> tuple:
       of cosets of N_p that the prefix's closure meets.
     None of the three skips a generating subset, so the first one in
     combinations order is found, as by the plain walk.
+
+    This is the package's one module-level memo, and it keeps every table
+    it has searched alive for the life of the process.  It is shared by
+    equal tables, where the cover and spellings are kept per table:
+    callers that take the rank of subgroup images build tables that die
+    with the call, and equal images recur.  Kept per table instead, the
+    benchmark's ``rank_sweep`` ran 28.2k ops/s where the shared memo ran
+    58.6k (2 vCPUs).
     """
     n = len(table.mul_table)
     if n == 1:
@@ -502,15 +520,6 @@ def _ft_words(table: FiniteTable, gens) -> dict:
                 words[y] = words[x] + (letter,)
                 queue.append(y)
     return words
-
-
-@lru_cache(maxsize=None)
-def _ft_spellings(table: FiniteTable) -> tuple:
-    """Shortest word over the chosen generators for every element."""
-    words = _ft_words(table, _ft_generating_set(table))
-    if len(words) != len(table.mul_table):
-        raise AssertionError("generating set does not generate")
-    return tuple(words[i] for i in range(len(table.mul_table)))
 
 
 def _picker(indices):
@@ -698,7 +707,7 @@ class Hom:
             # is a group, so associative).  A map that is not a hom fails some
             # row of S, so the first failing (i, j) in row-major order lies
             # in the rows scanned.
-            cover = _ft_cover(self.src)
+            cover = self.src._cover
             image = _picker(data)
             for i, row in enumerate(self.src.mul_table[: cover[-1] + 1] if cover else ()):
                 target = self.dst.mul_table[data[i]]
@@ -855,7 +864,7 @@ class Hom:
             dst.check(y)
         table, inv = dst.mul_table, dst.inv_table
         mapping = []
-        for word in _ft_spellings(src):
+        for word in src._spellings:
             y = dst.id_index
             for s in word:
                 y = table[y][images[s - 1] if s > 0 else inv[images[-s - 1]]]

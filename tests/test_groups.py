@@ -1,5 +1,6 @@
 import difflib
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -10,6 +11,7 @@ import random
 import re
 import time
 import types
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,6 @@ from gogroups.groups import (
     FreeGroup,
     Hom,
     _ft_closure,
-    _ft_cover,
     _ft_elementary_quotients,
     _ft_generating_set,
     cogenerator,
@@ -555,6 +556,11 @@ def _first_nonassociative(rows):
                  if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
 
 
+def _live_tables():
+    """The number of ``FiniteTable`` instances the collector can reach."""
+    return sum(isinstance(x, FiniteTable) for x in gc.get_objects())
+
+
 def _random_magma(rng, n):
     """(labels, rows, identity) of a table that passes every check of the
     constructor but associativity, and is mostly not associative: identity
@@ -637,7 +643,7 @@ class TestTrustedTables:
         loops = [_random_magma(rng, n) for n in range(1, 8) for _ in range(5)]
         tables = [(t.mul_table, t.id_index) for t in _search_corpus()[::3]]
         for rows, e in tables + [(rows, e) for _, rows, e in loops]:
-            cover = _ft_cover.__wrapped__(types.SimpleNamespace(mul_table=rows, id_index=e))
+            cover = FiniteTable._cover.func(types.SimpleNamespace(mul_table=rows, id_index=e))
             assert list(cover) == sorted(set(cover)) and e not in cover
             reached, frontier = {e}, [e]
             while frontier:
@@ -647,9 +653,9 @@ class TestTrustedTables:
                         reached.add(row[s])
                         frontier.append(row[s])
             assert reached == set(range(len(rows))), rows
-        assert _ft_cover(cyclic_table(12)) == (1,)
-        assert len(_ft_cover(_power(cyclic_table(2), 5))) == 5
-        assert _ft_cover(cyclic_table(1)) == ()
+        assert cyclic_table(12)._cover == (1,)
+        assert len(_power(cyclic_table(2), 5)._cover) == 5
+        assert cyclic_table(1)._cover == ()
 
     def test_table_hom_verdicts_match_the_full_scan(self):
         # every identity-preserving map between small tables whose count is
@@ -751,10 +757,11 @@ class TestTrustedTables:
         assert refused > 250 and accepted > 10
 
     def test_refused_tables_leave_no_cover_cached(self):
-        # the constructor's cover stays out of _ft_cover's cache, so nothing
-        # keeps a refused table alive
+        # a refused table takes the cover the constructor computed with it:
+        # after collection no more tables are alive than before
         rng = random.Random(25)
-        before = _ft_cover.cache_info().currsize
+        gc.collect()
+        before = _live_tables()
         refused = 0
         while refused < 2000:
             labels, rows, e = _random_magma(rng, 6)
@@ -762,7 +769,35 @@ class TestTrustedTables:
                 with pytest.raises(ValueError, match="^associativity fails at "):
                     FiniteTable(labels, rows, e)
                 refused += 1
-        assert _ft_cover.cache_info().currsize == before
+        gc.collect()
+        assert _live_tables() == before
+
+    def test_a_dropped_table_takes_its_cover_with_it(self):
+        # an accepted table that never named its generators is kept by
+        # nothing but its holders, its cover and table homs included
+        table = FiniteTable([f"x{i}" for i in range(30)], [[(i + j) % 30 for j in range(30)] for i in range(30)], 0)
+        assert table._cover == (1,)
+        Hom.table(table, table, list(table.elements()))
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
+
+    def test_an_accepted_table_computes_its_cover_once(self, monkeypatch):
+        # the constructor computes the cover and keeps it, and every table
+        # hom from the table reads it without computing it again
+        calls = []
+        cover = FiniteTable._cover.func
+        monkeypatch.setattr(FiniteTable._cover, "func", lambda t: calls.append(t) or cover(t))
+        table, z2 = _power(dihedral_table(3), 2), cyclic_table(2)
+        calls.clear()
+        rows = [list(row) for row in table.mul_table]
+        built = FiniteTable(list(table.labels), rows, table.id_index)
+        assert calls == [built] and calls[0] is built
+        Hom.table(built, table, list(built.elements()))
+        Hom.identity(built)
+        Hom.trivial(built, z2)
+        assert calls == [built]
 
     def test_subgroup_tables_equal_checked_tables(self):
         # every subgroup generated by one or two elements of the hom stock,
@@ -801,7 +836,7 @@ class TestTrustedTables:
 
         h27, _ = table_from_closure([(0, 0, 1), (1, 0, 0), (0, 1, 0)], heisenberg, (0, 0, 0),
                                     lambda x, word: str(x))
-        assert _ft_cover(h27)[0] == 1 and _ft_rank_bound(h27) == 2
+        assert h27._cover[0] == 1 and _ft_rank_bound(h27) == 2
         rng = random.Random(43)
         tables = _search_corpus()[::2] + [h27, direct_product(h27, cyclic_table(2))]
         tables += [_permuted(h27, rng) for _ in range(4)]
@@ -809,10 +844,11 @@ class TestTrustedTables:
             assert _ft_rank_bound(table) == _reference_rank_bound(table), table.labels
 
     def test_checked_on_a_large_cyclic_table_within_budget(self):
-        # the cubic scan took about 5-7 s on Z/512; Light's test reads 512 rows
+        # the cubic scan took about 5-7 s on Z/512; Light's test reads 512
+        # rows.  Each table computes its own cover, so the timed
+        # construction computes it whatever was built before
         n = 512
         rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-        _ft_cover.cache_clear()
         start = time.perf_counter()
         table = FiniteTable([f"a{i}" for i in range(n)], rows, 0)
         elapsed = time.perf_counter() - start
@@ -823,7 +859,7 @@ class TestTrustedTables:
         # all n^2 commutators took about 0.12 s on (Z/2)^10; the cover's n |S| far less
         n = 1024
         table = FiniteTable(tuple(map(str, range(n))), tuple(tuple(i ^ j for j in range(n)) for i in range(n)), 0)
-        _ft_cover.cache_clear()
+        vars(table).pop("_cover")  # the constructor's cover: time computing it again
         start = time.perf_counter()
         bound = _ft_rank_bound(table)
         elapsed = time.perf_counter() - start
